@@ -92,7 +92,7 @@ from .scan import (
     triangle_correlation,
 )
 from .eventio import (
-    EventRecord,
+    EventStream,
     GeneratedStreams,
     GeneratorConfig,
     MatchResult,

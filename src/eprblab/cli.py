@@ -5,8 +5,10 @@ Every run resolves its full configuration (hard defaults, then the optional
 key = value config file, then explicit flags), executes, writes its outputs
 into --out, and drops a manifest.json recording the command line, the
 resolved configuration and its hash, the seed, and the output names.
-Re-running the manifest's argv reproduces every CSV byte for byte. Exit
-codes: 0 success, 1 runtime failure, 2 usage error.
+Re-running the manifest's argv reproduces every CSV byte for byte. The
+events subcommands also record run counters (and, for match, the sha256 of
+each input file's contents) in the manifest, outside the hashed config.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Calibration parameters (thresholds, noise widths, efficiencies) are never
 silent: each subcommand's --help states them with their defaults, and the
@@ -49,7 +51,7 @@ from .disks import (
     tabulate_outcomes,
 )
 from .domain import TWO_PI, JointPmf, NoCoincidencesError, SingletKind, correlation
-from .eventio import GeneratorConfig, generate_streams, match_files
+from .eventio import GeneratorConfig, generate_streams, match_coincidences, read_events
 from .optics import FixedBasisSource, IsotropicSource, StationConfig
 from .scan import (
     STANDARD_CHSH_ANGLES,
@@ -96,6 +98,7 @@ def _write_manifest(
     seed: int | None,
     config: dict,
     outputs: list[str],
+    **blocks: dict,
 ) -> None:
     doc = {
         "tool": "eprblab",
@@ -106,6 +109,7 @@ def _write_manifest(
         "config": config,
         "config_sha256": _fingerprint(config),
         "outputs": sorted(outputs),
+        **blocks,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -499,9 +503,8 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     )
     out = _out_dir(args)
     streams = generate_streams(cfg, duration, seed, out / "events_a.csv", out / "events_b.csv")
-    truth_lines = ["a_row,b_row"]
-    truth_lines.extend(f"{ia},{ib}" for ia, ib in streams.truth)
-    (out / "truth.csv").write_text("\n".join(truth_lines) + "\n", encoding="utf-8")
+    truth_rows = ("%d,%d\n" * len(streams.truth)) % tuple(streams.truth.ravel().tolist())
+    (out / "truth.csv").write_text(f"a_row,b_row\n{truth_rows}", encoding="utf-8")
 
     config = {
         "source": source_name,
@@ -519,14 +522,14 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
         "duration": duration,
         "seed": seed,
     }
-    summary = [
-        f"n_pairs = {streams.n_pairs}",
-        f"records_a = {len(streams.events_a)}",
-        f"records_b = {len(streams.events_b)}",
-        f"truth_pairs = {len(streams.truth)}",
-        f"seed = {seed}",
-        f"config_sha256 = {_fingerprint(config)}",
-    ]
+    counters = {
+        "n_pairs": streams.n_pairs,
+        "records_a": len(streams.events_a),
+        "records_b": len(streams.events_b),
+        "truth_pairs": len(streams.truth),
+    }
+    summary = [f"{key} = {value}" for key, value in counters.items()]
+    summary += [f"seed = {seed}", f"config_sha256 = {_fingerprint(config)}"]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     _write_manifest(
         out,
@@ -535,6 +538,7 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
         seed,
         config,
         ["events_a.csv", "events_b.csv", "truth.csv", "summary.txt"],
+        counters=counters,
     )
     return 0
 
@@ -543,7 +547,8 @@ MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,
 
 
 def _cmd_events_match(args, argv: list[str]) -> int:
-    result = match_files(args.a, args.b, args.window)
+    events_a, events_b = read_events(args.a), read_events(args.b)
+    result = match_coincidences(events_a, events_b, args.window)
     out = _out_dir(args)
     lines = [MATCH_CSV_HEADER]
     for (sa, sb), t in sorted(result.tables.items()):
@@ -570,7 +575,21 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         f"config_sha256 = {_fingerprint(config)}",
     ]
     (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _write_manifest(out, "events match", argv, None, config, ["matched.csv", "summary.txt"])
+    inputs = {
+        side: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for side, path in (("a", args.a), ("b", args.b))
+    }
+    counters = {
+        "records_a": len(events_a),
+        "records_b": len(events_b),
+        "n_matched": result.n_matched,
+        "unmatched_a": len(events_a) - result.n_matched,
+        "unmatched_b": len(events_b) - result.n_matched,
+    }
+    _write_manifest(
+        out, "events match", argv, None, config, ["matched.csv", "summary.txt"],
+        inputs=inputs, counters=counters,
+    )
     return 0
 
 

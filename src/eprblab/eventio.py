@@ -8,6 +8,9 @@ with exponential pair spacing, per-event setting choice and per-side
 latency jitter, persist them, and re-derive per-setting count tables with a
 greedy nearest-neighbor window matcher.
 
+Each stream is an EventStream of three numpy columns validated once, as
+arrays; no stage of the pipeline builds a per-record object.
+
 File format: text CSV, header ``t_ns,setting,channel``, one record per
 line, LF line endings, rows sorted by t_ns ascending. Timestamps are
 integer nanoseconds, setting is the index (0 or 1) of the analyzer angle
@@ -19,7 +22,7 @@ file-derived coincidences aligned with the in-memory both-single rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,27 +39,72 @@ from .optics import (
 )
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
+_INT64_MAX = 2**63 - 1
 
 
 class UnsortedEventsError(ValueError):
     """Event records were not sorted by timestamp."""
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One detection: integer-nanosecond timestamp, setting index, channel."""
+def _columns_equal(self, other) -> bool:
+    """Field-wise equality for the dataclasses here that hold numpy arrays."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
-    t_ns: int
-    setting: int
-    channel: int
+
+def _check_records(t_ns, setting, channel, where: str, first_row: int) -> None:
+    """Raise for the first invalid record, named as where + its row number."""
+    bad = (t_ns < 0) | ((setting != 0) & (setting != 1)) | ((channel != 1) & (channel != -1))
+    bad[1:] |= t_ns[1:] < t_ns[:-1]
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    at = f"{where}{k + first_row}"
+    if t_ns[k] < 0:
+        raise ValueError(f"{at}: t_ns must be nonnegative, got {t_ns[k]}")
+    if setting[k] not in (0, 1):
+        raise ValueError(f"{at}: setting must be 0 or 1, got {setting[k]}")
+    if channel[k] not in (1, -1):
+        raise ValueError(f"{at}: channel must be +1 or -1, got {channel[k]}")
+    raise UnsortedEventsError(f"{at}: t_ns {t_ns[k]} follows {t_ns[k - 1]}, not sorted")
+
+
+_COLUMNS = {"t_ns": np.int64, "setting": np.int8, "channel": np.int8}
+
+
+@dataclass(frozen=True, eq=False)
+class EventStream:
+    """One station's records as read-only columns sorted by t_ns: t_ns
+    (int64 nanoseconds), setting (int8, 0 or 1), channel (int8, +1 or -1).
+
+    Takes equal-length 1-D integer array-likes and validates them once, as
+    arrays: a bad record raises ValueError (UnsortedEventsError if out of
+    order) naming its row.
+    """
+
+    t_ns: np.ndarray
+    setting: np.ndarray
+    channel: np.ndarray
+
+    __eq__ = _columns_equal
 
     def __post_init__(self) -> None:
-        if self.t_ns < 0:
-            raise ValueError(f"t_ns must be nonnegative, got {self.t_ns!r}")
-        if self.setting not in (0, 1):
-            raise ValueError(f"setting must be 0 or 1, got {self.setting!r}")
-        if self.channel not in (1, -1):
-            raise ValueError(f"channel must be +1 or -1, got {self.channel!r}")
+        cols = [np.asarray(getattr(self, name)) for name in _COLUMNS]
+        integer_1d = all(c.ndim == 1 and (c.dtype.kind in "iu" or not c.size) for c in cols)
+        if not (integer_1d and len({len(c) for c in cols}) == 1):
+            raise ValueError("t_ns, setting and channel must be 1-D integer columns of one length")
+        # Checked in int64, so no out-of-range value wraps into range.
+        cols = [c.astype(np.int64) for c in cols]
+        _check_records(*cols, "row ", 0)
+        for (name, dtype), col in zip(_COLUMNS.items(), cols):
+            col = col.astype(dtype, copy=False)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.t_ns)
 
 
 @dataclass(frozen=True)
@@ -78,25 +126,28 @@ class GeneratorConfig:
     jitter_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mean_rate <= 0.0:
-            raise ValueError(f"mean_rate must be positive, got {self.mean_rate!r}")
-        if self.jitter_sigma < 0.0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma!r}")
+        if not (math.isfinite(self.mean_rate) and self.mean_rate > 0.0):
+            raise ValueError(f"mean_rate must be positive and finite, got {self.mean_rate!r}")
+        if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        if not all(map(math.isfinite, (*self.settings_a, *self.settings_b))):
+            raise ValueError(f"settings must be finite, got {self.settings_a}, {self.settings_b}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedStreams:
     """Both record streams plus the ground-truth pairing.
 
-    truth lists (row in events_a, row in events_b) for every emitted pair
-    that produced a single on both sides, using row positions in the sorted
-    streams.
+    truth is an (n, 2) int64 array of (row in events_a, row in events_b)
+    for every emitted pair that produced a single on both sides.
     """
 
-    events_a: tuple[EventRecord, ...]
-    events_b: tuple[EventRecord, ...]
-    truth: tuple[tuple[int, int], ...]
+    events_a: EventStream
+    events_b: EventStream
+    truth: np.ndarray
     n_pairs: int
+
+    __eq__ = _columns_equal
 
 
 def _emission_times(rate: float, duration: float, rng: np.random.Generator) -> np.ndarray:
@@ -108,30 +159,21 @@ def _emission_times(rate: float, duration: float, rng: np.random.Generator) -> n
     return times[times <= duration]
 
 
-def _side_records(
+def _side_stream(
     times: np.ndarray,
     jitter: np.ndarray,
     settings: np.ndarray,
     codes: np.ndarray,
-) -> tuple[tuple[EventRecord, ...], dict[int, int]]:
+) -> tuple[EventStream, np.ndarray]:
     # Only singles produce records; sort by timestamp (stable, so equal
-    # stamps keep emission order) and remember each pair's row.
+    # stamps keep emission order) and map each pair to its row, or -1.
     detected = np.flatnonzero((codes == PLUS_CODE) | (codes == MINUS_CODE))
     t_ns = np.rint((times[detected] + jitter[detected]) * 1e9).astype(np.int64)
     order = np.argsort(t_ns, kind="stable")
-    records = []
-    row_of_pair: dict[int, int] = {}
-    for row, k in enumerate(order):
-        pair_idx = int(detected[k])
-        records.append(
-            EventRecord(
-                t_ns=int(t_ns[k]),
-                setting=int(settings[pair_idx]),
-                channel=int(codes[pair_idx]),
-            )
-        )
-        row_of_pair[pair_idx] = row
-    return tuple(records), row_of_pair
+    pair_of_row = detected[order]
+    row_of_pair = np.full(len(codes), -1, dtype=np.int64)
+    row_of_pair[pair_of_row] = np.arange(len(pair_of_row))
+    return EventStream(t_ns[order], settings[pair_of_row], codes[pair_of_row]), row_of_pair
 
 
 def generate_events(
@@ -144,8 +186,8 @@ def generate_events(
     pair polarizations, A detection draws, B detection draws, then (if
     jitter_sigma > 0) A and B latency jitter.
     """
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(f"duration must be positive and finite, got {duration!r}")
     rng = np.random.default_rng(seed)
     times = _emission_times(cfg.mean_rate, duration, rng)
     n = len(times)
@@ -166,33 +208,47 @@ def generate_events(
     else:
         jit_a = jit_b = np.zeros(n)
 
-    events_a, rows_a = _side_records(times, jit_a, set_a, codes_a)
-    events_b, rows_b = _side_records(times, jit_b, set_b, codes_b)
-    truth = tuple(
-        (rows_a[p], rows_b[p]) for p in sorted(rows_a.keys() & rows_b.keys())
-    )
+    events_a, rows_a = _side_stream(times, jit_a, set_a, codes_a)
+    events_b, rows_b = _side_stream(times, jit_b, set_b, codes_b)
+    both = (rows_a >= 0) & (rows_b >= 0)
+    truth = np.column_stack((rows_a[both], rows_b[both]))
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
 
 
-def write_events(path: Path | str, events: tuple[EventRecord, ...]) -> None:
-    lines = [EVENTS_CSV_HEADER]
-    lines.extend(f"{e.t_ns},{e.setting},{e.channel}" for e in events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def write_events(path: Path | str, events: EventStream) -> None:
+    columns = np.column_stack((events.t_ns, events.setting, events.channel))
+    body = ("%d,%d,%d\n" * len(events)) % tuple(columns.ravel().tolist())
+    Path(path).write_text(f"{EVENTS_CSV_HEADER}\n{body}", encoding="ascii")
 
 
-def read_events(path: Path | str) -> tuple[EventRecord, ...]:
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
-    if not lines or lines[0] != EVENTS_CSV_HEADER:
+def read_events(path: Path | str) -> EventStream:
+    """Parse one stream file; a bad record raises ValueError naming path:line."""
+    header, *lines = Path(path).read_text(encoding="ascii").splitlines() or [""]
+    if header != EVENTS_CSV_HEADER:
         raise ValueError(f"{path}: missing '{EVENTS_CSV_HEADER}' header")
-    records = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        try:
-            t_ns, setting, channel = (int(f) for f in line.split(","))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: bad record {line!r}") from exc
-        records.append(EventRecord(t_ns=t_ns, setting=setting, channel=channel))
-    return tuple(records)
+    if not lines:
+        return EventStream([], [], [])
+    try:
+        if "" in lines:  # loadtxt would skip it silently
+            raise ValueError("blank line")
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        if rows.shape != (len(lines), 3):
+            raise ValueError("not three fields per line")
+    except ValueError as exc:
+        # Only a bad file pays for this scan, which names its first bad line.
+        for line_no, line in enumerate(lines, start=2):
+            try:
+                if len([np.int64(f) for f in line.split(",")]) == 3:
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise ValueError(f"{path}:{line_no}: bad record {line!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return EventStream(*rows.T)
+    except ValueError:
+        _check_records(*rows.T, f"{path}:", 2)
+        raise
 
 
 def generate_streams(
@@ -209,10 +265,11 @@ def generate_streams(
     return streams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
     """Matched pairs and the per-setting-pair count tables.
 
+    pairs is an (n, 2) int64 array of (row in events_a, row in events_b).
     tables maps (setting_a, setting_b) to a CountTable whose cells count
     matched coincidences; singles_a/singles_b carry each side's total
     record count at that setting, and n_pairs stays 0 because the emission
@@ -220,22 +277,18 @@ class MatchResult:
     """
 
     tables: dict[tuple[int, int], CountTable]
-    pairs: tuple[tuple[int, int], ...]
+    pairs: np.ndarray
+
+    __eq__ = _columns_equal
 
     @property
     def n_matched(self) -> int:
         return len(self.pairs)
 
 
-def _check_sorted(events: tuple[EventRecord, ...], name: str) -> None:
-    for k in range(1, len(events)):
-        if events[k].t_ns < events[k - 1].t_ns:
-            raise UnsortedEventsError(f"{name} records not sorted at row {k}")
-
-
 def match_coincidences(
-    events_a: tuple[EventRecord, ...],
-    events_b: tuple[EventRecord, ...],
+    events_a: EventStream,
+    events_b: EventStream,
     window_ns: int,
 ) -> MatchResult:
     """Greedy nearest-neighbor matching within +/- window_ns, one linear pass.
@@ -243,58 +296,63 @@ def match_coincidences(
     Walking both streams in time order, each A record takes the nearest
     available B record inside the window (earlier record on an exact
     distance tie); matched records are consumed, and records that fall
-    behind the moving window are dropped. Inputs must be sorted by t_ns.
-    First-come greedy can hand a B record to an earlier A record when two
-    emissions land within the window of each other, so recovery against a
-    known pairing is exact only while the pair rate keeps emissions sparse
-    at the window scale.
+    behind the moving window are dropped. First-come greedy can hand a B
+    record to an earlier A record when two emissions land within the window
+    of each other, so recovery against a known pairing is exact only while
+    the pair rate keeps emissions sparse at the window scale.
+
+    The walk's only state is the next free B row, and an A record starts
+    from it or from the first B row of its own window, whichever is later.
+    An A record whose window holds exactly one B row that no neighbour's
+    window reaches therefore takes that row; those are settled in bulk, and
+    the walk visits only the other A records that have a candidate.
     """
     if window_ns < 0:
         raise ValueError(f"window_ns must be >= 0, got {window_ns!r}")
-    _check_sorted(events_a, "events_a")
-    _check_sorted(events_b, "events_b")
-    t_a = np.array([e.t_ns for e in events_a], dtype=np.int64)
-    t_b = np.array([e.t_ns for e in events_b], dtype=np.int64)
-    matches: list[tuple[int, int]] = []
-    i = j = 0
-    while i < len(t_a) and j < len(t_b):
-        dt = int(t_b[j]) - int(t_a[i])
-        if dt < -window_ns:
-            j += 1
-            continue
-        if dt > window_ns:
-            i += 1
-            continue
-        while j + 1 < len(t_b) and abs(int(t_b[j + 1]) - int(t_a[i])) < abs(
-            int(t_b[j]) - int(t_a[i])
-        ):
-            j += 1
-        matches.append((i, j))
-        i += 1
-        j += 1
+    # No two int64 timestamps are further apart than this, so a wider
+    # window matches exactly the same records.
+    w = min(int(window_ns), _INT64_MAX)
+    t_a, t_b = events_a.t_ns, events_b.t_ns
+    lo = np.searchsorted(t_b, t_a - w, "left")  # first B row with t_b >= t_a - w
+    hi = np.searchsorted(t_b - w, t_a, "right")  # first B row with t_b > t_a + w
+    apart = hi[:-1] <= lo[1:]  # no B row lies in both of two neighbours' windows
+    alone = hi - lo == 1
+    alone[1:] &= apart
+    alone[:-1] &= apart
+    match_b = np.where(alone, lo, -1)
 
-    singles_a = {s: sum(1 for e in events_a if e.setting == s) for s in (0, 1)}
-    singles_b = {s: sum(1 for e in events_b if e.setting == s) for s in (0, 1)}
-    cells = {
-        (sa, sb): {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+    walk = np.flatnonzero((hi > lo) & ~alone)
+    t_b_list = t_b.tolist()
+    j = 0
+    for i, t, lo_i, hi_i in zip(
+        walk.tolist(), t_a[walk].tolist(), lo[walk].tolist(), hi[walk].tolist()
+    ):
+        j = max(j, lo_i)
+        if j < hi_i:
+            while j + 1 < hi_i and abs(t_b_list[j + 1] - t) < abs(t_b_list[j] - t):
+                j += 1
+            match_b[i] = j
+            j += 1
+    rows_a = np.flatnonzero(match_b >= 0)
+    rows_b = match_b[rows_a]
+    pairs = np.column_stack((rows_a, rows_b))
+
+    # Cell index: setting_a, setting_b, then CountTable order pp, pm, mp, mm.
+    cell = (
+        8 * events_a.setting[rows_a]
+        + 4 * events_b.setting[rows_b]
+        + 2 * (events_a.channel[rows_a] < 0)
+        + (events_b.channel[rows_b] < 0)
+    )
+    cells = np.bincount(cell, minlength=16).reshape(2, 2, 4).tolist()
+    singles_a = np.bincount(events_a.setting, minlength=2).tolist()
+    singles_b = np.bincount(events_b.setting, minlength=2).tolist()
+    tables = {
+        (sa, sb): CountTable(*cells[sa][sb], singles_a=singles_a[sa], singles_b=singles_b[sb])
         for sa in (0, 1)
         for sb in (0, 1)
     }
-    for ia, ib in matches:
-        ra, rb = events_a[ia], events_b[ib]
-        cells[(ra.setting, rb.setting)][(ra.channel, rb.channel)] += 1
-    tables = {
-        (sa, sb): CountTable(
-            n_pp=c[(1, 1)],
-            n_pm=c[(1, -1)],
-            n_mp=c[(-1, 1)],
-            n_mm=c[(-1, -1)],
-            singles_a=singles_a[sa],
-            singles_b=singles_b[sb],
-        )
-        for (sa, sb), c in cells.items()
-    }
-    return MatchResult(tables=tables, pairs=tuple(matches))
+    return MatchResult(tables=tables, pairs=pairs)
 
 
 def match_files(path_a: Path | str, path_b: Path | str, window_ns: int) -> MatchResult:

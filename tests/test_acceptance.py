@@ -224,7 +224,9 @@ def test_c09_pipeline_equivalence(chsh_075):
     )
     streams = generate_events(cfg, duration=0.5, seed=39)
     result = match_coincidences(streams.events_a, streams.events_b, 100)
-    recovered = len(set(result.pairs) & set(streams.truth)) / len(streams.truth)
+    matched = set(map(tuple, result.pairs.tolist()))
+    truth = set(map(tuple, streams.truth.tolist()))
+    recovered = len(matched & truth) / len(truth)
     piped = chsh_report_from_tables(result.tables, (a0, a1), (b0, b1))
     tol = 3.0 * math.sqrt(piped.se_s**2 + chsh_075.se_s**2)
     dev = abs(piped.s - chsh_075.s)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -225,3 +226,68 @@ def test_events_match_missing_file_is_runtime_error(tmp_path):
                  "--b", str(tmp_path / "none_b.csv"), "--window", "10",
                  "--out", str(tmp_path / "m"))
     assert rc == 1
+
+
+def test_events_manifests_carry_counters_and_input_digests(tmp_path):
+    gen_out = tmp_path / "gen"
+    assert run_cli("events", "gen", "--rate", "2000", "--duration", "0.5", "--tb", "0.75",
+                   "--seed", "6", "--out", str(gen_out)) == 0
+    summary = _read_summary(gen_out / "summary.txt")
+    manifest = json.loads((gen_out / "manifest.json").read_text())
+    assert manifest["counters"] == {
+        key: int(summary[key]) for key in ("n_pairs", "records_a", "records_b", "truth_pairs")
+    }
+    assert manifest["config_sha256"] == summary["config_sha256"]
+    assert "counters" not in manifest["config"]
+
+    a, b = gen_out / "events_a.csv", gen_out / "events_b.csv"
+    match_out = tmp_path / "match"
+    assert run_cli("events", "match", "--a", str(a), "--b", str(b), "--window", "100",
+                   "--out", str(match_out)) == 0
+    summary = _read_summary(match_out / "summary.txt")
+    manifest = json.loads((match_out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        side: {"path": str(p), "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+        for side, p in (("a", a), ("b", b))
+    }
+    n_matched = int(summary["n_matched"])
+    records_a = len(a.read_text().splitlines()) - 1
+    records_b = len(b.read_text().splitlines()) - 1
+    assert manifest["counters"] == {
+        "records_a": records_a,
+        "records_b": records_b,
+        "n_matched": n_matched,
+        "unmatched_a": records_a - n_matched,
+        "unmatched_b": records_b - n_matched,
+    }
+    assert manifest["config"] == {"a": str(a), "b": str(b), "window_ns": 100}
+    assert manifest["config_sha256"] == summary["config_sha256"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--jitter", "nan", "jitter_sigma"),
+        ("--jitter", "inf", "jitter_sigma"),
+        ("--rate", "nan", "mean_rate"),
+        ("--rate", "inf", "mean_rate"),
+        ("--duration", "nan", "duration"),
+        ("--duration", "inf", "duration"),
+        ("--angles-a", "nan,0", "settings"),
+    ],
+)
+def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, name):
+    rc = run_cli("events", "gen", flag, value, "--out", str(tmp_path / "g"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and name in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_events_match_names_bad_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t_ns,setting,channel\n1,0,1\n2,3,1\n")
+    rc = run_cli("events", "match", "--a", str(bad), "--b", str(bad), "--window", "10",
+                 "--out", str(tmp_path / "m"))
+    assert rc == 1
+    assert f"{bad}:3:" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 import math
+import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eprblab import (
-    EventRecord,
+    CountTable,
+    EventStream,
     GeneratorConfig,
     IsotropicSource,
     STANDARD_CHSH_ANGLES,
@@ -23,6 +28,7 @@ from eprblab import (
 )
 
 A0, A1, B0, B1 = STANDARD_CHSH_ANGLES
+HEADER = "t_ns,setting,channel\n"
 
 
 def _config(t_a=0.5, t_b=0.75, rate=1_000.0, jitter=0.0):
@@ -37,13 +43,51 @@ def _config(t_a=0.5, t_b=0.75, rate=1_000.0, jitter=0.0):
     )
 
 
+def _stream(t_ns, setting=None, channel=None):
+    n = len(t_ns)
+    return EventStream(
+        t_ns=t_ns,
+        setting=[0] * n if setting is None else setting,
+        channel=[1] * n if channel is None else channel,
+    )
+
+
+def _pair_set(pairs) -> set[tuple[int, int]]:
+    return set(map(tuple, np.asarray(pairs).tolist()))
+
+
 def test_record_validation():
+    with pytest.raises(ValueError, match="t_ns must be nonnegative"):
+        _stream([-1])
+    with pytest.raises(ValueError, match="setting must be 0 or 1"):
+        _stream([0], setting=[2])
+    with pytest.raises(ValueError, match="channel must be"):
+        _stream([0], channel=[0])
+    # The failing row is named, and later valid rows do not hide it.
+    with pytest.raises(ValueError, match="row 1: setting"):
+        _stream([0, 1, 2], setting=[0, -1, 0])
+
+
+def test_stream_column_contract():
+    s = _stream([5, 5, 9], setting=[1, 0, 1], channel=[-1, 1, 1])
+    assert len(s) == 3
+    assert (s.t_ns.dtype, s.setting.dtype, s.channel.dtype) == (np.int64, np.int8, np.int8)
     with pytest.raises(ValueError):
-        EventRecord(t_ns=-1, setting=0, channel=1)
-    with pytest.raises(ValueError):
-        EventRecord(t_ns=0, setting=2, channel=1)
-    with pytest.raises(ValueError):
-        EventRecord(t_ns=0, setting=0, channel=0)
+        s.t_ns[0] = 1  # columns are read-only
+    assert s == _stream(np.array([5, 5, 9]), setting=[1, 0, 1], channel=[-1, 1, 1])
+    assert s != _stream([5, 5, 9], setting=[1, 0, 1], channel=[-1, 1, -1])
+    assert len(_stream([])) == 0
+    with pytest.raises(ValueError, match="of one length"):
+        EventStream(t_ns=[1, 2], setting=[0], channel=[1, 1])
+    with pytest.raises(ValueError, match="integer columns"):
+        _stream([1.5])
+    with pytest.raises(ValueError, match="integer columns"):
+        EventStream(t_ns=5, setting=0, channel=1)
+    # Out-of-range values are rejected before the narrowing cast, not wrapped.
+    with pytest.raises(ValueError, match="setting"):
+        _stream([0], setting=[256])
+    with pytest.raises(ValueError, match="t_ns"):
+        _stream(np.array([2**63], dtype=np.uint64))
 
 
 def test_generator_config_validation():
@@ -51,6 +95,32 @@ def test_generator_config_validation():
         _config(rate=0.0)
     with pytest.raises(ValueError):
         _config(jitter=-1e-9)
+
+
+@pytest.mark.parametrize("field", ["rate", "jitter"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_generator_config_rejects_non_finite(field, value):
+    name = {"rate": "mean_rate", "jitter": "jitter_sigma"}[field]
+    with pytest.raises(ValueError, match=name):
+        _config(**{field: value})
+
+
+def test_generator_config_rejects_non_finite_settings():
+    with pytest.raises(ValueError, match="settings"):
+        GeneratorConfig(
+            source=IsotropicSource(),
+            station_a=StationConfig(angle=0.0, threshold=0.5),
+            station_b=StationConfig(angle=0.0, threshold=0.5),
+            settings_a=(math.nan, A1),
+            settings_b=(B0, B1),
+            mean_rate=1_000.0,
+        )
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0])
+def test_generate_events_rejects_bad_duration(duration):
+    with pytest.raises(ValueError, match="duration"):
+        generate_events(_config(), duration=duration, seed=1)
 
 
 def test_generation_counts_track_detection_probabilities():
@@ -65,21 +135,31 @@ def test_generation_counts_track_detection_probabilities():
 
 def test_zero_jitter_gives_equal_timestamps():
     streams = generate_events(_config(), duration=1.0, seed=5)
-    for ia, ib in streams.truth:
-        assert streams.events_a[ia].t_ns == streams.events_b[ib].t_ns
+    assert len(streams.truth) > 0
+    ia, ib = streams.truth.T
+    assert np.array_equal(streams.events_a.t_ns[ia], streams.events_b.t_ns[ib])
 
 
 def test_streams_are_sorted():
     streams = generate_events(_config(rate=20_000.0, jitter=50e-9), duration=0.5, seed=6)
     for events in (streams.events_a, streams.events_b):
-        ts = [e.t_ns for e in events]
+        ts = events.t_ns.tolist()
         assert ts == sorted(ts)
+
+
+def test_truth_rows_are_unique_and_in_range():
+    streams = generate_events(_config(rate=20_000.0, jitter=50e-9), duration=0.5, seed=6)
+    assert streams.truth.dtype == np.int64 and streams.truth.shape[1] == 2
+    for col, events in zip(streams.truth.T, (streams.events_a, streams.events_b)):
+        assert len(np.unique(col)) == len(col)
+        assert col.min() >= 0 and col.max() < len(events)
 
 
 def test_generation_is_deterministic():
     s1 = generate_events(_config(jitter=10e-9), duration=0.5, seed=7)
     s2 = generate_events(_config(jitter=10e-9), duration=0.5, seed=7)
     assert s1 == s2
+    assert s1 != generate_events(_config(jitter=10e-9), duration=0.5, seed=8)
 
 
 def test_file_round_trip_is_byte_identical(tmp_path):
@@ -87,7 +167,7 @@ def test_file_round_trip_is_byte_identical(tmp_path):
     p1 = tmp_path / "a.csv"
     write_events(p1, streams.events_a)
     first = p1.read_bytes()
-    assert b"\r" not in first and first.startswith(b"t_ns,setting,channel\n")
+    assert b"\r" not in first and first.startswith(HEADER.encode())
     records = read_events(p1)
     assert records == streams.events_a
     p2 = tmp_path / "a2.csv"
@@ -100,32 +180,84 @@ def test_read_events_rejects_garbage(tmp_path):
     p.write_text("nope\n")
     with pytest.raises(ValueError):
         read_events(p)
-    p.write_text("t_ns,setting,channel\n1,0,x\n")
+    p.write_text(HEADER + "1,0,x\n")
     with pytest.raises(ValueError):
+        read_events(p)
+
+
+# --- parser contract ------------------------------------------------------------
+
+def test_header_only_and_empty_streams(tmp_path):
+    p = tmp_path / "empty.csv"
+    write_events(p, _stream([]))
+    assert p.read_bytes() == HEADER.encode()
+    assert len(read_events(p)) == 0
+    p.write_text(HEADER.rstrip("\n"))  # no final newline
+    assert read_events(p) == _stream([])
+
+
+def test_crlf_files_are_accepted(tmp_path):
+    p = tmp_path / "crlf.csv"
+    p.write_bytes(b"t_ns,setting,channel\r\n5,0,1\r\n7,1,-1\r\n")
+    assert read_events(p) == _stream([5, 7], setting=[0, 1], channel=[1, -1])
+
+
+def test_last_line_without_newline_is_read(tmp_path):
+    p = tmp_path / "tail.csv"
+    p.write_text(HEADER + "5,0,1\n7,1,-1")
+    assert read_events(p) == _stream([5, 7], setting=[0, 1], channel=[1, -1])
+
+
+@pytest.mark.parametrize(
+    "body, line, error",
+    [
+        ("1,0,1\n\n2,0,1\n", 3, ValueError),  # blank line
+        ("1,0,1\n\n", 3, ValueError),  # trailing blank line
+        ("\n", 2, ValueError),
+        ("1,0,1\n2,0\n", 3, ValueError),  # missing field
+        ("1,0\n2,0\n", 2, ValueError),  # every line short
+        ("1,0,1,4\n", 2, ValueError),  # extra field
+        ("1,0,x\n", 2, ValueError),  # non-integer field
+        ("1,0,1\n2.5,0,1\n", 3, ValueError),
+        ("99999999999999999999,0,1\n", 2, ValueError),  # beyond int64
+        ("1,0,1\n2,2,1\n", 3, ValueError),  # setting 2
+        ("1,0,1\n2,1,0\n", 3, ValueError),  # channel 0
+        ("-1,0,1\n", 2, ValueError),  # negative t_ns
+        ("5,0,1\n3,0,1\n", 3, UnsortedEventsError),
+    ],
+)
+def test_bad_records_name_path_and_line(tmp_path, body, line, error):
+    p = tmp_path / "bad.csv"
+    p.write_text(HEADER + body)
+    with pytest.raises(error, match=re.escape(f"{p}:{line}:")):
         read_events(p)
 
 
 # --- matching -----------------------------------------------------------------
 
-def test_match_rejects_unsorted():
-    events = (EventRecord(10, 0, 1), EventRecord(5, 0, 1))
+def test_match_rejects_unsorted(tmp_path):
+    with pytest.raises(UnsortedEventsError, match="row 1"):
+        _stream([10, 5])
+    # An unsorted file never reaches the matcher either.
+    p = tmp_path / "unsorted.csv"
+    p.write_text(HEADER + "10,0,1\n5,0,1\n")
     with pytest.raises(UnsortedEventsError):
-        match_coincidences(events, (), 10)
-    with pytest.raises(UnsortedEventsError):
-        match_coincidences((), events, 10)
+        match_files(p, p, 10)
+    with pytest.raises(ValueError, match="window_ns"):
+        match_coincidences(_stream([1]), _stream([1]), -1)
 
 
 def test_match_zero_window_zero_jitter_recovers_truth():
     streams = generate_events(_config(), duration=1.0, seed=9)
     result = match_coincidences(streams.events_a, streams.events_b, 0)
-    assert set(result.pairs) == set(streams.truth)
+    assert _pair_set(result.pairs) == _pair_set(streams.truth)
 
 
 def test_match_recovers_truth_at_operating_point():
     cfg = _config(rate=1_000.0, jitter=10e-9)
     streams = generate_events(cfg, duration=1.0, seed=10)
     result = match_coincidences(streams.events_a, streams.events_b, 100)
-    assert set(result.pairs) == set(streams.truth)
+    assert _pair_set(result.pairs) == _pair_set(streams.truth)
 
 
 def test_match_tables_have_sane_margins():
@@ -133,7 +265,7 @@ def test_match_tables_have_sane_margins():
     result = match_coincidences(streams.events_a, streams.events_b, 100)
     assert sum(t.coincidences for t in result.tables.values()) == result.n_matched
     for s in (0, 1):
-        expected_a = sum(1 for e in streams.events_a if e.setting == s)
+        expected_a = sum(1 for v in streams.events_a.setting.tolist() if v == s)
         assert result.tables[(s, 0)].singles_a == expected_a
         assert result.tables[(s, 1)].singles_a == expected_a
 
@@ -142,7 +274,7 @@ def test_match_is_symmetric_under_role_swap():
     streams = generate_events(_config(jitter=10e-9), duration=1.0, seed=12)
     fwd = match_coincidences(streams.events_a, streams.events_b, 100)
     rev = match_coincidences(streams.events_b, streams.events_a, 100)
-    assert sorted((b, a) for a, b in rev.pairs) == sorted(fwd.pairs)
+    assert sorted((b, a) for a, b in rev.pairs.tolist()) == sorted(map(tuple, fwd.pairs.tolist()))
     for (sa, sb), t in fwd.tables.items():
         r = rev.tables[(sb, sa)]
         assert (r.n_pp, r.n_pm, r.n_mp, r.n_mm) == (t.n_pp, t.n_mp, t.n_pm, t.n_mm)
@@ -152,11 +284,11 @@ def test_match_is_symmetric_under_role_swap():
 def test_accidental_fraction_grows_with_window():
     cfg = _config(rate=20_000.0, jitter=10e-9)
     streams = generate_events(cfg, duration=0.5, seed=13)
-    truth = set(streams.truth)
+    truth = _pair_set(streams.truth)
     fractions = []
     for window in (100, 1_000, 10_000, 100_000, 1_000_000):
         result = match_coincidences(streams.events_a, streams.events_b, window)
-        accidental = sum(1 for p in result.pairs if p not in truth)
+        accidental = len(_pair_set(result.pairs) - truth)
         fractions.append(accidental / max(1, result.n_matched))
     assert fractions == sorted(fractions)
     assert fractions[0] < 0.01 < fractions[-1]
@@ -180,3 +312,114 @@ def test_pipeline_chsh_matches_in_memory():
     direct = run_chsh(IsotropicSource(), pair_a, pair_b, 100_000, seed=16)
     tol = 3.0 * math.sqrt(piped.se_s**2 + direct.se_s**2)
     assert abs(piped.s - direct.s) < tol
+
+
+# --- the matcher against the record-by-record reference --------------------------
+
+def reference_match(events_a: EventStream, events_b: EventStream, window_ns: int):
+    """The greedy record-by-record matcher and dict tabulation the columnar
+    match_coincidences replaced, kept verbatim as its reference."""
+    recs_a = list(zip(events_a.t_ns.tolist(), events_a.setting.tolist(), events_a.channel.tolist()))
+    recs_b = list(zip(events_b.t_ns.tolist(), events_b.setting.tolist(), events_b.channel.tolist()))
+    t_a = [r[0] for r in recs_a]
+    t_b = [r[0] for r in recs_b]
+    matches: list[tuple[int, int]] = []
+    i = j = 0
+    while i < len(t_a) and j < len(t_b):
+        dt = int(t_b[j]) - int(t_a[i])
+        if dt < -window_ns:
+            j += 1
+            continue
+        if dt > window_ns:
+            i += 1
+            continue
+        while j + 1 < len(t_b) and abs(int(t_b[j + 1]) - int(t_a[i])) < abs(
+            int(t_b[j]) - int(t_a[i])
+        ):
+            j += 1
+        matches.append((i, j))
+        i += 1
+        j += 1
+
+    singles_a = {s: sum(1 for r in recs_a if r[1] == s) for s in (0, 1)}
+    singles_b = {s: sum(1 for r in recs_b if r[1] == s) for s in (0, 1)}
+    cells = {
+        (sa, sb): {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+        for sa in (0, 1)
+        for sb in (0, 1)
+    }
+    for ia, ib in matches:
+        ra, rb = recs_a[ia], recs_b[ib]
+        cells[(ra[1], rb[1])][(ra[2], rb[2])] += 1
+    tables = {
+        (sa, sb): CountTable(
+            n_pp=c[(1, 1)],
+            n_pm=c[(1, -1)],
+            n_mp=c[(-1, 1)],
+            n_mm=c[(-1, -1)],
+            singles_a=singles_a[sa],
+            singles_b=singles_b[sb],
+        )
+        for (sa, sb), c in cells.items()
+    }
+    return matches, tables
+
+
+@st.composite
+def event_streams(draw, base, spread):
+    n = draw(st.integers(0, 30))
+    gaps = draw(st.lists(st.integers(0, spread), min_size=n, max_size=n))
+    return EventStream(
+        t_ns=list(accumulate(gaps, initial=base))[1:],
+        setting=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        channel=draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+
+
+@st.composite
+def match_inputs(draw):
+    # The window is drawn on the scale of the record spacing, so isolated
+    # records, crowded clusters, equal timestamps and exact distance ties
+    # between an earlier and a later candidate all occur. A base near the
+    # top of int64 checks that the window arithmetic cannot overflow.
+    base = draw(st.sampled_from([0, 50, 2**63 - 2**40]))
+    spread = draw(st.sampled_from([0, 1, 3, 20, 300, 5_000, 30_000]))
+    window = draw(st.one_of(st.just(0), st.integers(1, 10_000), st.integers(1, 2 * spread + 1)))
+    return draw(event_streams(base, spread)), draw(event_streams(base, spread)), window
+
+
+@settings(max_examples=300, deadline=None)
+@given(match_inputs())
+# A lone A record with two B records in its window takes the later, closer
+# one; on an exact tie the earlier; and the walk stops at the first of
+# equal stamps even when a closer record follows them.
+@example((_stream([10]), _stream([0, 9]), 10))
+@example((_stream([10]), _stream([5, 15]), 5))
+@example((_stream([10]), _stream([8, 8, 10]), 5))
+def test_matcher_equals_reference(inputs):
+    events_a, events_b, window = inputs
+    pairs, tables = reference_match(events_a, events_b, window)
+    result = match_coincidences(events_a, events_b, window)
+    assert result.pairs.dtype == np.int64 and result.pairs.shape == (len(pairs), 2)
+    assert [tuple(p) for p in result.pairs.tolist()] == pairs
+    assert result.tables == tables
+
+
+def test_matcher_equals_reference_on_generated_streams():
+    # Dense enough (20 pairs per window at the widest) that the bulk path and
+    # the greedy clusters both carry most of the records at some window.
+    streams = generate_events(_config(rate=200_000.0, jitter=50e-9), duration=0.05, seed=17)
+    for window in (0, 10, 100, 1_000, 100_000):
+        pairs, tables = reference_match(streams.events_a, streams.events_b, window)
+        result = match_coincidences(streams.events_a, streams.events_b, window)
+        assert [tuple(p) for p in result.pairs.tolist()] == pairs
+        assert result.tables == tables
+
+
+def test_huge_window_matches_like_unbounded():
+    a = _stream([0, 2**62, 2**63 - 1])
+    b = _stream([1, 2**63 - 2])
+    for window in (2**63 - 1, 2**64, 10**30):
+        result = match_coincidences(a, b, window)
+        pairs, _ = reference_match(a, b, window)
+        assert [tuple(p) for p in result.pairs.tolist()] == pairs

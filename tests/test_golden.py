@@ -1,0 +1,152 @@
+"""Golden outputs: the sha256 of every output file except manifest.json from
+small in-process CLI runs, pinned so a refactor cannot silently change a
+number. manifest.json is left out because it records argv (with --out) and
+run telemetry, neither of which is part of the reproducibility promise.
+
+The digests were taken with numpy NUMPY_VERSION. PCG64 streams and the
+ziggurat normal/exponential samplers belong to numpy, so another numpy
+version may legitimately produce other bytes; a change that alters a digest
+on the same numpy must say why.
+
+To print the digests of the current code: PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eprblab.cli import main
+
+NUMPY_VERSION = "2.4.6"
+SMALL = ("--seed", "11", "--n", "2000")
+SCAN = ("--steps", "5", "--pairs", "2000", "--seed", "12")
+GEN = ("events", "gen", "--rate", "2000", "--jitter", "10e-9", "--duration", "0.5",
+       "--tb", "0.75", "--seed", "15")
+# Relative paths: `events match` fingerprints its input paths into summary.txt.
+MATCH = ("events", "match", "--a", "gen/events_a.csv", "--b", "gen/events_b.csv",
+         "--window", "100")
+
+RUNS = {
+    "disk-demo-1": ("disk-demo", "--figure", "1", *SMALL),
+    "disk-demo-2": ("disk-demo", "--figure", "2", *SMALL),
+    "disk-demo-3": ("disk-demo", "--figure", "3", *SMALL),
+    "disk-demo-4": ("disk-demo", "--figure", "4", "--alpha", "0.39269908169872414", *SMALL),
+    "disk-demo-5-assume-zero": ("disk-demo", "--figure", "5", "--alpha", "0.39269908169872414",
+                                *SMALL),
+    "disk-demo-5-assume-random": ("disk-demo", "--figure", "5", "--policy", "assume-random",
+                                  "--alpha", "0.39269908169872414", *SMALL),
+    "disk-demo-special": ("disk-demo", "--figure", "special", "--alpha",
+                          "0.7853981633974483", *SMALL),
+    "scan-figure6": ("scan", "--preset", "figure6", *SCAN),
+    "scan-figure7": ("scan", "--preset", "figure7", *SCAN),
+    "scan-figure8-left": ("scan", "--preset", "figure8-left", *SCAN),
+    "scan-figure8-right": ("scan", "--preset", "figure8-right", *SCAN),
+    "chsh": ("chsh", "--tb", "0.75", "--pairs", "2000", "--seed", "13"),
+    "pathology": ("pathology", "--steps", "4", "--pairs", "1000", "--seed", "14"),
+    "events-gen": GEN,
+    "events-match": MATCH,
+}
+
+GOLDEN = {
+    "chsh": {
+        "chsh.csv": "3b9a04ed5c9c3ee26777d865390c496f8f20d9b2ff5052c50f1fc62fe817103a",
+        "summary.txt": "feb357ca303a9fbbd421f6ca4ca4d97d9e6a375ac84edb4e2f11b27f57617641",
+    },
+    "disk-demo-1": {
+        "disk.txt": "d3d14158d9b3e1768102ab65280f52dc2d84f37ed761426f2832119d296104e4",
+        "summary.txt": "6693acefe6069bc650a980eff150bccc1c4f6d7c0ec87a7dc671bb22e4de01ed",
+    },
+    "disk-demo-2": {
+        "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
+        "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
+        "summary.txt": "d9214373f34b336a823c466021c7772f9531bf1b77d75199f0d0ddc4411a3f11",
+    },
+    "disk-demo-3": {
+        "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
+        "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
+        "summary.txt": "59672a57a446d4b969f91daabd1d50fbe30af348656b902e7701e5df9d03b0d3",
+    },
+    "disk-demo-4": {
+        "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
+        "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
+        "summary.txt": "7a883c354bfedf6dee0d2d860f43599b7899067c3312b6dee3a718f750fd3daf",
+    },
+    "disk-demo-5-assume-random": {
+        "summary.txt": "6632c18cb0da00541bc7c594c0e86c38373e4e2be1ed249c42f4ca5c6ab71a38",
+    },
+    "disk-demo-5-assume-zero": {
+        "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
+        "disk_b.txt": "d43cbb76dcb22fc32eb0b94f742edd2903749203b62a25460583cdaca96258eb",
+        "summary.txt": "0958bb45d5fc8d50761d975f373fa0bd9bb92c395cecf9f8757a287543f32cdf",
+    },
+    "disk-demo-special": {
+        "disk_a.txt": "a8765b979d84586892760c9117d871763d8f39144c77e3c80512d02703180387",
+        "disk_b.txt": "132348e51f21e3594de508ec8f0c4917f9fbb1f32f35c14e5e36d01a115dac4f",
+        "summary.txt": "00911596ec4b7012175746b3ff6a0d94ae8b1c6899680d8e2e49a7598cbc9a52",
+    },
+    "events-gen": {
+        "events_a.csv": "e36b0078e06dc5b294ffd91c41cf93c8a4b9e4b9b12056b0cb73d63baf022834",
+        "events_b.csv": "cad4938dfc3e07f20ca727294f051d72804382cd7e0d8ba85e6f73766c0276b2",
+        "summary.txt": "e09c464ff71422792b7939cb60145249e54e65f0e278a199bcd43d0730da61f0",
+        "truth.csv": "af4ac3503bcb8a1ac697f9911746e9981a6d21dd9bd0a17e3e8fa869c26651e3",
+    },
+    "events-match": {
+        "matched.csv": "25d971a493029a61a0f03e4908ce9521923cb726c68b62fde43207b65d559063",
+        "summary.txt": "3a89dfb5150c17d1622ec7a69ff224337590000c6977bb232badd9aa981e7d80",
+    },
+    "pathology": {
+        "pathology.csv": "8f76f3db15bbd8055a54d4aca53036f97d55bbcaec985a713ea6b5a7c4b8d468",
+        "summary.txt": "46eb7d00638dc7bb4dfd2cd7716d17531168ed510a5df315f39d421f454eccd9",
+    },
+    "scan-figure6": {
+        "scan.csv": "c579028562f7930901f977d64bf6823fb6c5f45ec9abf60e2ae51c6dcaf657a2",
+        "summary.txt": "0d163c7f5ec40388eaf9abe88f9718a3788b63faf6653c33f6d5586cfaeae285",
+    },
+    "scan-figure7": {
+        "scan.csv": "a3e59c33c8cddc127d7288d961e6b03b7cda1447672d5f89e774fe9315ad6673",
+        "summary.txt": "543b8f1e2fafd4dfc56d4fe436bd470055a3daa1a3add1281a41615996e0b25f",
+    },
+    "scan-figure8-left": {
+        "scan.csv": "5017782a8973c762e0a745a06154164280ab36c7ea99ca9477ec4034f79bdd86",
+        "summary.txt": "cecad06ca8fbdc999178ded526acff3ac17dd014304a3feee6dace182b095fca",
+    },
+    "scan-figure8-right": {
+        "scan.csv": "bf6b98283dd41dd06d2fceff32a34bc586fdaf4404b5f4bc2fc0ced77f532bbb",
+        "summary.txt": "e97a61574ffb382037acd50799e0ca94321e68b36b737ec66593cadcefd6da0d",
+    },
+}
+
+
+def run_digests(name: str, workdir: Path) -> dict[str, str]:
+    """Run one golden case inside workdir and hash its outputs."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        if name == "events-match":
+            assert main([*GEN, "--out", "gen"]) == 0
+        assert main([*RUNS[name], "--out", "out"]) == 0
+    finally:
+        os.chdir(cwd)
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((workdir / "out").iterdir())
+        if p.name != "manifest.json"
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_digests(name, tmp_path):
+    assert run_digests(name, tmp_path) == GOLDEN[name], (
+        f"digests were taken with numpy {NUMPY_VERSION}; this is numpy {np.__version__}"
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {run_digests(name, Path(tmp))!r},")
