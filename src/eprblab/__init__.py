@@ -42,11 +42,8 @@ from .disks import (
     build_singlet_disk,
     disk_to_text,
     joint_pmf_from_splits,
-    sample_disk,
-    sample_disk_many,
     sample_param_setup,
     sample_separated,
-    sample_split,
     sample_split_many,
     split_disk,
     split_to_text,
@@ -54,18 +51,13 @@ from .disks import (
 from .optics import (
     FixedBasisSource,
     IsotropicSource,
-    PhotonPair,
     SourceModel,
     StationConfig,
-    StationOutcome,
-    detect,
     detect_many,
     detection_windows,
-    emit_pair,
     emit_phis,
     malus_intensities,
     measure_many,
-    measure_pair,
     singles_probability,
 )
 from .scan import (
@@ -98,7 +90,6 @@ from .eventio import (
     MatchResult,
     UnsortedEventsError,
     generate_events,
-    generate_streams,
     match_coincidences,
     match_files,
     read_events,

@@ -26,8 +26,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .disks import (
     AssumeFixed,
@@ -43,19 +41,24 @@ from .disks import (
     disk_to_text,
     joint_pmf_from_splits,
     policy_is_per_trial,
-    sample_disk_many,
     sample_param_setup,
     sample_separated,
     split_disk,
     split_to_text,
-    tabulate_outcomes,
 )
-from .domain import TWO_PI, JointPmf, NoCoincidencesError, SingletKind, correlation
-from .eventio import GeneratorConfig, generate_streams, match_coincidences, read_events
+from .domain import JointPmf, NoCoincidencesError, SingletKind, correlation
+from .eventio import (
+    GeneratorConfig,
+    generate_events,
+    match_coincidences,
+    read_events,
+    write_events,
+)
 from .optics import FixedBasisSource, IsotropicSource, StationConfig
 from .scan import (
     STANDARD_CHSH_ANGLES,
     ScanConfig,
+    _fmt,
     chsh_report_from_tables,
     default_b_angles,
     default_chsh_configs,
@@ -77,12 +80,6 @@ _KINDS = {
     "correlated": SingletKind.CORRELATED,
     "anticorrelated": SingletKind.ANTICORRELATED,
 }
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return repr(float(x))
 
 
 def _fingerprint(config: dict) -> str:
@@ -212,7 +209,6 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     n = res.get(args.n, "run", "n", 100_000, cast=int)
     kind = _KINDS[args.kind]
-    out = _out_dir(args)
     theta = args.theta
     alpha = args.alpha
     beta = args.beta
@@ -221,21 +217,18 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     exact: JointPmf | None = None
 
     if args.figure in ("1", "2", "3"):
+        # Figure 1 reads the joint disk at one pointer per trial, which is
+        # exactly what its two per-side projections give under a shared draw.
         disk = build_singlet_disk(theta, kind)
         target = disk.implied_pmf()
+        da, db = split_disk(disk)
+        mode = (
+            SamplingMode.INDEPENDENT_LAMBDAS if args.figure == "3" else SamplingMode.SHARED_LAMBDA
+        )
+        counts = sample_separated(da, db, mode, n, seed)
         if args.figure == "1":
-            lams = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
-            a, b = sample_disk_many(disk, lams)
-            counts = tabulate_outcomes(a, b, n)
             disk_texts["disk.txt"] = disk_to_text(disk)
         else:
-            da, db = split_disk(disk)
-            mode = (
-                SamplingMode.SHARED_LAMBDA
-                if args.figure == "2"
-                else SamplingMode.INDEPENDENT_LAMBDAS
-            )
-            counts = sample_separated(da, db, mode, n, seed)
             disk_texts["disk_a.txt"] = split_to_text(da)
             disk_texts["disk_b.txt"] = split_to_text(db)
     elif args.figure in ("4", "5"):
@@ -279,6 +272,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     if exact is not None:
         lines.append(f"exact_pmf = {_pmf_line(exact)}")
         lines.append(f"exact_tv_distance = {_fmt(exact.tv_distance(target))}")
+    out = _out_dir(args)
     (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     outputs.append("summary.txt")
     for name, text in disk_texts.items():
@@ -501,8 +495,10 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
         mean_rate=rate,
         jitter_sigma=jitter,
     )
+    streams = generate_events(cfg, duration, seed)
     out = _out_dir(args)
-    streams = generate_streams(cfg, duration, seed, out / "events_a.csv", out / "events_b.csv")
+    write_events(out / "events_a.csv", streams.events_a)
+    write_events(out / "events_b.csv", streams.events_b)
     truth_rows = ("%d,%d\n" * len(streams.truth)) % tuple(streams.truth.ravel().tolist())
     (out / "truth.csv").write_text(f"a_row,b_row\n{truth_rows}", encoding="utf-8")
 

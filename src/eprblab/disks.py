@@ -25,21 +25,20 @@ import numpy as np
 
 from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
 from .intervals import overlap_length, unroll_arc
+from .scan import tabulate_codes
 
 #: Tolerance for sector lengths covering the full circle.
 PARTITION_TOL = 1e-9
 
 _OUTCOMES = (-1, 1)
+#: Per-side outcomes of the singlet sectors (+,+), (+,-), (-,+), (-,-).
+_SINGLET_A = (1, 1, -1, -1)
+_SINGLET_B = (1, -1, 1, -1)
 
 
 def _check_outcome(value: int, name: str) -> None:
     if value not in _OUTCOMES:
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
-
-
-def _arc_contains(start: float, length: float, lam: float) -> bool:
-    # Half-open arc [start, start + length) with wraparound.
-    return (lam - start) % TWO_PI < length
 
 
 @dataclass(frozen=True)
@@ -88,14 +87,6 @@ class DiskPreparation:
         object.__setattr__(self, "sectors", tuple(self.sectors))
         _check_partition([s.length for s in self.sectors])
 
-    def sector_at(self, lam: float) -> Sector:
-        """The unique sector containing the pointer angle lam."""
-        lam = wrap_angle(lam)
-        for s in self.sectors:
-            if s.length > 0.0 and _arc_contains(s.start, s.length, lam):
-                return s
-        raise RuntimeError(f"no sector contains {lam!r}")
-
     def implied_pmf(self) -> JointPmf:
         """The joint distribution the sector areas encode (arc / 2*pi)."""
         acc = {(a, b): 0.0 for a in _OUTCOMES for b in _OUTCOMES}
@@ -119,19 +110,24 @@ class SplitDisk:
         object.__setattr__(self, "sectors", tuple(self.sectors))
         _check_partition([s.length for s in self.sectors])
 
-    def outcome_at(self, lam: float) -> int:
-        lam = wrap_angle(lam)
-        for s in self.sectors:
-            if s.length > 0.0 and _arc_contains(s.start, s.length, lam):
-                return s.outcome
-        raise RuntimeError(f"no sector contains {lam!r}")
-
 
 class SamplingMode(enum.Enum):
     """One shared pointer draw per trial, or an independent draw per side."""
 
     SHARED_LAMBDA = "shared-lambda"
     INDEPENDENT_LAMBDAS = "independent-lambdas"
+
+
+def _singlet_arcs(theta, kind: SingletKind):
+    """Starts and lengths of the four singlet sectors at relative angle theta.
+
+    theta is a float or an array of per-trial angles; both go through the
+    same float operations, so an array entry equals the float result.
+    """
+    same = TWO_PI * qm_joint_prediction(theta, kind)   # (+,+) and (-,-)
+    diff = math.pi - same                              # (+,-) and (-,+)
+    starts = (0.0, same, same + diff, same + diff + diff)
+    return starts, (same, diff, diff, same)
 
 
 def build_singlet_disk(theta: float, kind: SingletKind) -> DiskPreparation:
@@ -143,62 +139,32 @@ def build_singlet_disk(theta: float, kind: SingletKind) -> DiskPreparation:
     (pi sin^2, pi cos^2, pi cos^2, pi sin^2) and for correlated pairs the
     sin/cos roles swap.
     """
-    p_pp = qm_joint_prediction(theta, kind)
-    arc_same = TWO_PI * p_pp               # (+,+) and (-,-)
-    arc_diff = math.pi - arc_same          # (+,-) and (-,+)
-    lengths = (arc_same, arc_diff, arc_diff, arc_same)
-    labels = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    sectors = []
-    start = 0.0
-    for length, (oa, ob) in zip(lengths, labels):
-        sectors.append(Sector(start, length, oa, ob))
-        start += length
-    return DiskPreparation(tuple(sectors))
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
+    arcs = zip(*_singlet_arcs(theta, kind), _SINGLET_A, _SINGLET_B)
+    return DiskPreparation(tuple(Sector(*arc) for arc in arcs))
 
 
-def sample_disk(disk: DiskPreparation, lam: float) -> tuple[int, int]:
-    """Outcome pair of the sector containing lam (arcs are half-open)."""
-    s = disk.sector_at(lam)
-    return s.outcome_a, s.outcome_b
+def _sector_lookup(lams, arcs) -> np.ndarray:
+    """Outcome (int8) of the first arc holding each pointer angle.
 
-
-def sample_disk_many(disk: DiskPreparation, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sample_disk for an array of pointer angles."""
+    arcs yields (start, length, outcome) in sector order; start and length
+    are floats or arrays shaped like lams. An arc holds lam when
+    (lam - start) % 2*pi < length: arcs are half-open, the boundary belongs
+    to the arc that starts there, and a zero-length arc holds nothing.
+    """
     lams = np.asarray(lams, dtype=float)
-    a = np.zeros(lams.shape, dtype=np.int8)
-    b = np.zeros(lams.shape, dtype=np.int8)
-    assigned = np.zeros(lams.shape, dtype=bool)
-    for s in disk.sectors:
-        if s.length == 0.0:
-            continue
-        m = (lams - s.start) % TWO_PI < s.length
-        a[m] = s.outcome_a
-        b[m] = s.outcome_b
-        assigned |= m
-    if not assigned.all():
+    out = np.zeros(lams.shape, dtype=np.int8)
+    for start, length, outcome in reversed(list(arcs)):  # earlier arcs win
+        out[(lams - start) % TWO_PI < length] = outcome
+    if not out.all():
         raise RuntimeError("pointer angle fell outside every sector")
-    return a, b
-
-
-def sample_split(disk: SplitDisk, lam: float) -> int:
-    """One side's outcome at pointer angle lam."""
-    return disk.outcome_at(lam)
+    return out
 
 
 def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
-    """Vectorized sample_split for an array of pointer angles."""
-    lams = np.asarray(lams, dtype=float)
-    out = np.zeros(lams.shape, dtype=np.int8)
-    assigned = np.zeros(lams.shape, dtype=bool)
-    for s in disk.sectors:
-        if s.length == 0.0:
-            continue
-        m = (lams - s.start) % TWO_PI < s.length
-        out[m] = s.outcome
-        assigned |= m
-    if not assigned.all():
-        raise RuntimeError("pointer angle fell outside every sector")
-    return out
+    """One side's outcomes at an array of pointer angles."""
+    return _sector_lookup(lams, [(s.start, s.length, s.outcome) for s in disk.sectors])
 
 
 def split_disk(disk: DiskPreparation) -> tuple[SplitDisk, SplitDisk]:
@@ -221,21 +187,6 @@ def split_disk(disk: DiskPreparation) -> tuple[SplitDisk, SplitDisk]:
     return project(True), project(False)
 
 
-def tabulate_outcomes(a: np.ndarray, b: np.ndarray, n: int) -> CountTable:
-    """CountTable for n trials of definite per-side outcomes (no misses)."""
-    ap = a == 1
-    bp = b == 1
-    return CountTable(
-        n_pp=int(np.count_nonzero(ap & bp)),
-        n_pm=int(np.count_nonzero(ap & ~bp)),
-        n_mp=int(np.count_nonzero(~ap & bp)),
-        n_mm=int(np.count_nonzero(~ap & ~bp)),
-        singles_a=n,
-        singles_b=n,
-        n_pairs=n,
-    )
-
-
 def _sample_separated_rng(
     disk_a: SplitDisk,
     disk_b: SplitDisk,
@@ -248,9 +199,7 @@ def _sample_separated_rng(
     else:
         lam_a = rng.uniform(0.0, TWO_PI, n)
         lam_b = rng.uniform(0.0, TWO_PI, n)
-    return tabulate_outcomes(
-        sample_split_many(disk_a, lam_a), sample_split_many(disk_b, lam_b), n
-    )
+    return tabulate_codes(sample_split_many(disk_a, lam_a), sample_split_many(disk_b, lam_b))
 
 
 def sample_separated(
@@ -289,6 +238,10 @@ class AssumeFixed:
 
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ValueError(f"assumed remote setting must be finite, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class AssumeRandom:
@@ -312,18 +265,16 @@ def policy_is_per_trial(policy: KnowledgePolicy) -> bool:
     return isinstance(policy, (AssumeRandom, IntegrateOver))
 
 
-def _assumed_remote(
-    policy: KnowledgePolicy, true_value: float, rng: np.random.Generator | None
-) -> float:
+def _assumed_remote(policy: KnowledgePolicy, true_value: float) -> float:
     if isinstance(policy, BothKnown):
         return true_value
     if isinstance(policy, AssumeZero):
         return 0.0
     if isinstance(policy, AssumeFixed):
         return policy.value
-    if rng is None:
-        raise ValueError(f"{type(policy).__name__} needs an rng for its per-trial draw")
-    return float(rng.uniform(0.0, TWO_PI))
+    raise ValueError(
+        f"{type(policy).__name__} guesses anew every trial, so it has no single apparatus"
+    )
 
 
 def build_param_disks(
@@ -332,7 +283,6 @@ def build_param_disks(
     policy_a: KnowledgePolicy,
     policy_b: KnowledgePolicy,
     kind: SingletKind,
-    rng: np.random.Generator | None = None,
 ) -> tuple[SplitDisk, SplitDisk]:
     """Build the per-side disks each station lays out from what it knows.
 
@@ -343,13 +293,11 @@ def build_param_disks(
     estimates equal alpha - beta, the two disks are projections of one
     joint disk, and shared-pointer sampling reproduces the target exactly.
 
-    Per-trial policies (AssumeRandom, IntegrateOver) draw from rng, so one
-    call realizes one trial's apparatus; draw order is side A then side B.
+    Per-trial policies (AssumeRandom, IntegrateOver) lay out new disks every
+    trial, so they raise ValueError here; sample_param_setup runs them.
     """
-    beta_hat = _assumed_remote(policy_a, beta, rng)
-    alpha_hat = _assumed_remote(policy_b, alpha, rng)
-    disk_for_a = build_singlet_disk(alpha - beta_hat, kind)
-    disk_for_b = build_singlet_disk(alpha_hat - beta, kind)
+    disk_for_a = build_singlet_disk(alpha - _assumed_remote(policy_a, beta), kind)
+    disk_for_b = build_singlet_disk(_assumed_remote(policy_b, alpha) - beta, kind)
     return split_disk(disk_for_a)[0], split_disk(disk_for_b)[1]
 
 
@@ -365,35 +313,32 @@ def sample_param_setup(
 ) -> CountTable:
     """Run n trials of the policy-built apparatus and tabulate outcomes.
 
-    With only static policies the disks are built once and sampling is
-    vectorized. With a per-trial policy each trial rebuilds its disks; the
-    per-trial draw order is (A's guess, B's guess, pointer angle(s)).
+    With only static policies the disks are built once and sampled as in
+    sample_separated. A per-trial policy lays out its side's sectors from a
+    fresh guess every trial: one uniform block of shape (n, k) holds, per
+    trial and in this order, A's guess, B's guess (each only if that side is
+    per-trial) and the pointer angle(s), which is the order of n * k scalar
+    draws.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"settings must be finite, got alpha={alpha!r}, beta={beta!r}")
     rng = np.random.default_rng(seed)
-    if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
+    guess_a, guess_b = policy_is_per_trial(policy_a), policy_is_per_trial(policy_b)
+    if not (guess_a or guess_b):
         da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind)
         return _sample_separated_rng(da, db, mode, n, rng)
 
-    counts = {(oa, ob): 0 for oa in _OUTCOMES for ob in _OUTCOMES}
-    for _ in range(n):
-        da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind, rng=rng)
-        if mode is SamplingMode.SHARED_LAMBDA:
-            lam_a = lam_b = float(rng.uniform(0.0, TWO_PI))
-        else:
-            lam_a = float(rng.uniform(0.0, TWO_PI))
-            lam_b = float(rng.uniform(0.0, TWO_PI))
-        counts[(da.outcome_at(lam_a), db.outcome_at(lam_b))] += 1
-    return CountTable(
-        n_pp=counts[(1, 1)],
-        n_pm=counts[(1, -1)],
-        n_mp=counts[(-1, 1)],
-        n_mm=counts[(-1, -1)],
-        singles_a=n,
-        singles_b=n,
-        n_pairs=n,
-    )
+    shared = mode is SamplingMode.SHARED_LAMBDA
+    columns = iter(rng.uniform(0.0, TWO_PI, (n, guess_a + guess_b + (1 if shared else 2))).T)
+    beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
+    alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
+    lam_a = next(columns)
+    lam_b = lam_a if shared else next(columns)
+    side_a = _sector_lookup(lam_a, zip(*_singlet_arcs(alpha - beta_hat, kind), _SINGLET_A))
+    side_b = _sector_lookup(lam_b, zip(*_singlet_arcs(alpha_hat - beta, kind), _SINGLET_B))
+    return tabulate_codes(side_a, side_b)
 
 
 def build_bell_special(alpha: float) -> tuple[SplitDisk, SplitDisk]:

@@ -16,6 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 #: Tolerance for a probability table summing to one.
@@ -58,16 +60,17 @@ class SingletKind(enum.Enum):
     ANTICORRELATED = "anticorrelated"
 
 
-def qm_joint_prediction(theta: float, kind: SingletKind) -> float:
+def qm_joint_prediction(theta, kind: SingletKind):
     """Joint (+,+) probability at relative analyzer angle theta.
 
     cos^2(theta)/2 for correlated pairs, sin^2(theta)/2 for anticorrelated
-    ones. Periodic in pi; no normalization of theta is required.
+    ones. Periodic in pi; no normalization of theta is required. theta may
+    be a float (float result) or an array (elementwise); float_power squares
+    through libm pow, as float ** 2 does, so both give the same doubles.
     """
-    c = math.cos(theta) ** 2
-    if kind is SingletKind.CORRELATED:
-        return 0.5 * c
-    return 0.5 * (1.0 - c)
+    c = np.float_power(np.cos(theta), 2)
+    p = 0.5 * c if kind is SingletKind.CORRELATED else 0.5 * (1.0 - c)
+    return float(p) if np.ndim(p) == 0 else p
 
 
 def qm_marginal_prediction(alpha: float, beta: float) -> float:

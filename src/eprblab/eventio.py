@@ -223,7 +223,15 @@ def write_events(path: Path | str, events: EventStream) -> None:
 
 def read_events(path: Path | str) -> EventStream:
     """Parse one stream file; a bad record raises ValueError naming path:line."""
-    header, *lines = Path(path).read_text(encoding="ascii").splitlines() or [""]
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Count lines as str.splitlines does, through the failing line.
+        line_no = len((data[: exc.start] + b"x").decode("ascii").splitlines())
+        byte = data[exc.start : exc.start + 1]
+        raise ValueError(f"{path}:{line_no}: non-ASCII byte {byte!r}") from None
+    header, *lines = text.splitlines() or [""]
     if header != EVENTS_CSV_HEADER:
         raise ValueError(f"{path}: missing '{EVENTS_CSV_HEADER}' header")
     if not lines:
@@ -249,20 +257,6 @@ def read_events(path: Path | str) -> EventStream:
     except ValueError:
         _check_records(*rows.T, f"{path}:", 2)
         raise
-
-
-def generate_streams(
-    cfg: GeneratorConfig,
-    duration: float,
-    seed: int,
-    path_a: Path | str,
-    path_b: Path | str,
-) -> GeneratedStreams:
-    """generate_events plus persisting both streams to CSV files."""
-    streams = generate_events(cfg, duration, seed)
-    write_events(path_a, streams.events_a)
-    write_events(path_b, streams.events_b)
-    return streams
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,28 +22,18 @@ seed material.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TWO_PI, wrap_angle
+from .domain import TWO_PI
 
 #: Outcome codes used by the vectorized kernels (int8 arrays).
 MISS_CODE = 0
 PLUS_CODE = 1
 MINUS_CODE = -1
 DOUBLE_CODE = 2
-
-
-class StationOutcome(enum.IntEnum):
-    """Per-trial result at one station."""
-
-    MISS = MISS_CODE
-    SINGLE_PLUS = PLUS_CODE
-    SINGLE_MINUS = MINUS_CODE
-    DOUBLE = DOUBLE_CODE
 
 
 @dataclass(frozen=True)
@@ -57,22 +47,12 @@ class FixedBasisSource:
 
     basis: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.basis):
+            raise ValueError(f"basis must be finite, got {self.basis!r}")
+
 
 SourceModel = IsotropicSource | FixedBasisSource
-
-
-@dataclass(frozen=True)
-class PhotonPair:
-    """One source emission; the partner pulse is polarized at phi + pi/2."""
-
-    phi: float
-    emission_time: float = 0.0
-    pair_id: int = 0
-
-    @property
-    def phi_b(self) -> float:
-        """Polarization of the pulse sent to station B, exactly phi + pi/2."""
-        return wrap_angle(self.phi + 0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -91,26 +71,14 @@ class StationConfig:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold {self.threshold!r} outside [0, 1]")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma {self.noise_sigma!r} must be >= 0")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {self.noise_sigma!r} must be finite and >= 0")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency!r} outside (0, 1]")
-
-
-def emit_pair(
-    model: SourceModel,
-    rng: np.random.Generator,
-    pair_id: int = 0,
-    emission_time: float = 0.0,
-) -> PhotonPair:
-    """Draw one pair from the source model."""
-    if isinstance(model, IsotropicSource):
-        phi = float(rng.uniform(0.0, TWO_PI))
-    else:
-        phi = wrap_angle(model.basis + 0.5 * math.pi * int(rng.integers(0, 2)))
-    return PhotonPair(phi=phi, emission_time=emission_time, pair_id=pair_id)
 
 
 def emit_phis(model: SourceModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -171,36 +139,13 @@ def detect_many(
     return codes
 
 
-def detect(
-    intensities: tuple[float, float],
-    cfg: StationConfig,
-    rng: np.random.Generator,
-) -> StationOutcome:
-    """Single-trial detection; same rules and draw order as detect_many."""
-    i_plus, i_minus = intensities
-    code = detect_many(np.array([i_plus]), np.array([i_minus]), cfg, rng)[0]
-    return StationOutcome(int(code))
-
-
-def measure_pair(
-    pair: PhotonPair,
-    cfg_a: StationConfig,
-    cfg_b: StationConfig,
-    rng: np.random.Generator,
-) -> tuple[StationOutcome, StationOutcome]:
-    """Measure one pair at both stations (A's draws first)."""
-    outcome_a = detect(malus_intensities(pair.phi, cfg_a.angle), cfg_a, rng)
-    outcome_b = detect(malus_intensities(pair.phi + 0.5 * math.pi, cfg_b.angle), cfg_b, rng)
-    return outcome_a, outcome_b
-
-
 def measure_many(
     phis: np.ndarray,
     cfg_a: StationConfig,
     cfg_b: StationConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized measure_pair over an array of pair polarizations.
+    """Both stations' outcome codes for an array of pair polarizations.
 
     Station A's pulses carry phis, station B's phis + pi/2. A's random
     draws (noise, thinning) complete before B's begin.

@@ -284,6 +284,34 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+def test_events_gen_failure_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run_cli("events", "gen", "--duration", "nan", "--out", str(out)) == 1
+    assert "duration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise-a", "--noise-b", "--alpha"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_rejects_non_finite_station_inputs(tmp_path, capsys, flag, value):
+    out = tmp_path / "s"
+    rc = run_cli("scan", flag, value, "--steps", "3", "--pairs", "1000", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and "finite" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_pathology_rejects_non_finite_basis(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert run_cli("pathology", "--basis", "nan", "--steps", "3", "--pairs", "100",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and "basis" in err
+    assert len(err.strip().splitlines()) == 1 and not out.exists()
+
+
 def test_events_match_names_bad_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_ns,setting,channel\n1,0,1\n2,3,1\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprblab import (
     TWO_PI,
@@ -10,6 +10,7 @@ from eprblab import (
     AssumeRandom,
     AssumeZero,
     BothKnown,
+    CountTable,
     DiskPreparation,
     IntegrateOver,
     JointPmf,
@@ -24,21 +25,108 @@ from eprblab import (
     disk_to_text,
     joint_pmf_from_splits,
     qm_joint_prediction,
-    sample_disk,
-    sample_disk_many,
     sample_param_setup,
     sample_separated,
-    sample_split,
     sample_split_many,
     split_disk,
     split_to_text,
+    wrap_angle,
 )
+from eprblab.disks import policy_is_per_trial
 
 ANTI = SingletKind.ANTICORRELATED
 CORR = SingletKind.CORRELATED
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 kinds = st.sampled_from([ANTI, CORR])
+
+
+# --- scalar reference -------------------------------------------------------------
+# The per-sector scalar walks and the per-trial loop that the array path
+# replaced, kept as the reference the array code is checked against.
+
+def _arc_contains(start: float, length: float, lam: float) -> bool:
+    # Half-open arc [start, start + length) with wraparound.
+    return (lam - start) % TWO_PI < length
+
+
+def sector_at(disk: DiskPreparation, lam: float) -> Sector:
+    """The unique sector containing the pointer angle lam."""
+    lam = wrap_angle(lam)
+    for s in disk.sectors:
+        if s.length > 0.0 and _arc_contains(s.start, s.length, lam):
+            return s
+    raise RuntimeError(f"no sector contains {lam!r}")
+
+
+def outcome_at(disk: SplitDisk, lam: float) -> int:
+    lam = wrap_angle(lam)
+    for s in disk.sectors:
+        if s.length > 0.0 and _arc_contains(s.start, s.length, lam):
+            return s.outcome
+    raise RuntimeError(f"no sector contains {lam!r}")
+
+
+def _assumed_remote(policy, true_value: float, rng) -> float:
+    if isinstance(policy, BothKnown):
+        return true_value
+    if isinstance(policy, AssumeZero):
+        return 0.0
+    if isinstance(policy, AssumeFixed):
+        return policy.value
+    if rng is None:
+        raise ValueError(f"{type(policy).__name__} needs an rng for its per-trial draw")
+    return float(rng.uniform(0.0, TWO_PI))
+
+
+def reference_param_disks(alpha, beta, policy_a, policy_b, kind, rng=None):
+    beta_hat = _assumed_remote(policy_a, beta, rng)
+    alpha_hat = _assumed_remote(policy_b, alpha, rng)
+    disk_for_a = build_singlet_disk(alpha - beta_hat, kind)
+    disk_for_b = build_singlet_disk(alpha_hat - beta, kind)
+    return split_disk(disk_for_a)[0], split_disk(disk_for_b)[1]
+
+
+def reference_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed,
+                          mode=SamplingMode.SHARED_LAMBDA) -> CountTable:
+    """One scalar walk per trial. Static policies draw A's pointer array, then
+    B's; a per-trial policy rebuilds both disks every trial and draws (A's
+    guess, B's guess, pointer angle(s)) per trial."""
+    rng = np.random.default_rng(seed)
+    counts = {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
+    if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
+        da, db = reference_param_disks(alpha, beta, policy_a, policy_b, kind)
+        if mode is SamplingMode.SHARED_LAMBDA:
+            lam_a = lam_b = rng.uniform(0.0, TWO_PI, n)
+        else:
+            lam_a = rng.uniform(0.0, TWO_PI, n)
+            lam_b = rng.uniform(0.0, TWO_PI, n)
+        for x, y in zip(lam_a.tolist(), lam_b.tolist()):
+            counts[(outcome_at(da, x), outcome_at(db, y))] += 1
+    else:
+        for _ in range(n):
+            da, db = reference_param_disks(alpha, beta, policy_a, policy_b, kind, rng=rng)
+            if mode is SamplingMode.SHARED_LAMBDA:
+                lam_a = lam_b = float(rng.uniform(0.0, TWO_PI))
+            else:
+                lam_a = float(rng.uniform(0.0, TWO_PI))
+                lam_b = float(rng.uniform(0.0, TWO_PI))
+            counts[(outcome_at(da, lam_a), outcome_at(db, lam_b))] += 1
+    return CountTable(
+        n_pp=counts[(1, 1)],
+        n_pm=counts[(1, -1)],
+        n_mp=counts[(-1, 1)],
+        n_mm=counts[(-1, -1)],
+        singles_a=n,
+        singles_b=n,
+        n_pairs=n,
+    )
+
+
+def joint_lookup(disk: DiskPreparation, lams) -> list[tuple[int, int]]:
+    """Per-side array lookups of a joint disk's projections, paired up."""
+    da, db = split_disk(disk)
+    return list(zip(sample_split_many(da, lams).tolist(), sample_split_many(db, lams).tolist()))
 
 
 def grid_sweep_pmf(da: SplitDisk, db: SplitDisk, n: int = 40_000) -> JointPmf:
@@ -115,16 +203,24 @@ def test_disk_rejects_bad_partitions():
 
 def test_sample_disk_boundaries():
     d = build_singlet_disk(0.0, ANTI)
-    assert sample_disk(d, math.pi / 2) == (1, -1)
-    assert sample_disk(d, 3 * math.pi / 2) == (-1, 1)
-    assert sample_disk(d, 0.0) == (1, -1)  # half-open arcs: boundary owns its start
+    lams = [math.pi / 2, 3 * math.pi / 2, 0.0]
+    expected = [(1, -1), (-1, 1), (1, -1)]  # half-open arcs: boundary owns its start
+    assert joint_lookup(d, lams) == expected
+    assert [(s.outcome_a, s.outcome_b) for s in (sector_at(d, x) for x in lams)] == expected
+    # Every nonzero sector owns its own start, on the array path and the walk.
+    d = build_singlet_disk(math.pi / 8, ANTI)
+    starts = [s.start for s in d.sectors]
+    owners = [(s.outcome_a, s.outcome_b) for s in d.sectors]
+    assert joint_lookup(d, starts) == owners
+    assert [sector_at(d, x) for x in starts] == list(d.sectors)
 
 
 def test_sample_disk_monte_carlo_matches_implied_pmf():
     d = build_singlet_disk(math.pi / 8, ANTI)
     target = d.implied_pmf()
     lams = np.random.default_rng(11).uniform(0.0, TWO_PI, 1_000_000)
-    a, b = sample_disk_many(d, lams)
+    da, db = split_disk(d)
+    a, b = sample_split_many(da, lams), sample_split_many(db, lams)
     emp = JointPmf(
         float(np.mean((a == 1) & (b == 1))),
         float(np.mean((a == 1) & (b == -1))),
@@ -138,21 +234,31 @@ def test_sample_disk_monte_carlo_matches_implied_pmf():
 
 def test_split_theta_zero_sides():
     da, db = split_disk(build_singlet_disk(0.0, ANTI))
-    assert sample_split(da, 0.1) == 1 and sample_split(da, math.pi + 0.1) == -1
-    assert sample_split(db, 0.1) == -1 and sample_split(db, math.pi + 0.1) == 1
+    probes = [0.1, math.pi + 0.1]
+    assert sample_split_many(da, probes).tolist() == [1, -1]
+    assert sample_split_many(db, probes).tolist() == [-1, 1]
 
 
 def test_split_quarter_arcs_alternate_on_b():
     _, db = split_disk(build_singlet_disk(math.pi / 4, ANTI))
     probes = [math.pi / 4 + k * math.pi / 2 for k in range(4)]  # arc midpoints
-    assert [sample_split(db, x) for x in probes] == [1, -1, 1, -1]
+    assert sample_split_many(db, probes).tolist() == [1, -1, 1, -1]
 
 
-@given(angles, kinds, st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True))
-def test_split_equivalence_is_exact(theta, kind, lam):
+@given(
+    angles,
+    kinds,
+    st.lists(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True), max_size=20),
+)
+def test_split_equivalence_is_exact(theta, kind, lams):
+    # The per-side array lookups agree with the scalar walk over the joint
+    # disk angle by angle, sector starts included.
     d = build_singlet_disk(theta, kind)
+    lams = lams + [s.start for s in d.sectors]
+    walked = [(s.outcome_a, s.outcome_b) for s in (sector_at(d, x) for x in lams)]
+    assert joint_lookup(d, lams) == walked
     da, db = split_disk(d)
-    assert (sample_split(da, lam), sample_split(db, lam)) == sample_disk(d, lam)
+    assert [(outcome_at(da, x), outcome_at(db, x)) for x in lams] == walked
 
 
 # --- separated sampling ----------------------------------------------------------
@@ -230,8 +336,48 @@ def test_assume_zero_coincidentally_right_guess_still_samples_joint():
 
 
 def test_per_trial_policies_need_rng():
-    with pytest.raises(ValueError):
-        build_param_disks(0.0, 0.0, AssumeRandom(), BothKnown(), ANTI)
+    # A per-trial policy lays out new disks every trial: there is no single
+    # apparatus to build, whichever side holds it.
+    for policy in (AssumeRandom(), IntegrateOver()):
+        with pytest.raises(ValueError, match="every trial"):
+            build_param_disks(0.0, 0.0, policy, BothKnown(), ANTI)
+        with pytest.raises(ValueError, match="every trial"):
+            build_param_disks(0.0, 0.0, AssumeZero(), policy, ANTI)
+
+
+def test_non_finite_settings_are_rejected():
+    with pytest.raises(ValueError, match="theta"):
+        build_singlet_disk(math.nan, ANTI)
+    with pytest.raises(ValueError, match="finite"):
+        AssumeFixed(math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        sample_param_setup(math.nan, 0.0, AssumeRandom(), BothKnown(), ANTI, 10, 1)
+
+
+policies = st.one_of(
+    st.sampled_from([BothKnown(), AssumeZero(), AssumeRandom(), IntegrateOver()]),
+    st.builds(AssumeFixed, angles),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    policies,
+    policies,
+    kinds,
+    st.sampled_from(list(SamplingMode)),
+    angles,
+    angles,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=200),
+)
+@example(AssumeRandom(), AssumeRandom(), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 0, 200)
+@example(AssumeZero(), IntegrateOver(), CORR, SamplingMode.INDEPENDENT_LAMBDAS, 0.0, 0.0, 1, 200)
+@example(AssumeRandom(), AssumeFixed(0.3), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 11, 200)
+def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, seed, n):
+    assert sample_param_setup(alpha, beta, pa, pb, kind, n, seed, mode) == reference_param_setup(
+        alpha, beta, pa, pb, kind, n, seed, mode
+    )
 
 
 def test_assume_random_averages_to_quarter():
@@ -259,7 +405,7 @@ def test_static_policy_sampling_matches_sample_separated():
 
 def test_bell_special_alpha_zero():
     da, _ = build_bell_special(0.0)
-    assert sample_split(da, math.pi + 0.1) == 1 and sample_split(da, 0.1) == -1
+    assert sample_split_many(da, [math.pi + 0.1, 0.1]).tolist() == [1, -1]
     assert joint_pmf_from_splits(*build_bell_special(0.0)).p_pp == 0.0
 
 

@@ -18,7 +18,6 @@ from eprblab import (
     chsh_report_from_tables,
     default_chsh_configs,
     generate_events,
-    generate_streams,
     match_coincidences,
     match_files,
     read_events,
@@ -224,11 +223,12 @@ def test_last_line_without_newline_is_read(tmp_path):
         ("1,0,1\n2,1,0\n", 3, ValueError),  # channel 0
         ("-1,0,1\n", 2, ValueError),  # negative t_ns
         ("5,0,1\n3,0,1\n", 3, UnsortedEventsError),
+        ("1,0,1\n2,0,\u00e9\n", 3, ValueError),  # non-ASCII byte
     ],
 )
 def test_bad_records_name_path_and_line(tmp_path, body, line, error):
     p = tmp_path / "bad.csv"
-    p.write_text(HEADER + body)
+    p.write_text(HEADER + body, encoding="utf-8")
     with pytest.raises(error, match=re.escape(f"{p}:{line}:")):
         read_events(p)
 
@@ -296,7 +296,9 @@ def test_accidental_fraction_grows_with_window():
 
 def test_match_files_equals_match_coincidences(tmp_path):
     cfg = _config(jitter=10e-9)
-    streams = generate_streams(cfg, 0.5, 14, tmp_path / "a.csv", tmp_path / "b.csv")
+    streams = generate_events(cfg, 0.5, 14)
+    write_events(tmp_path / "a.csv", streams.events_a)
+    write_events(tmp_path / "b.csv", streams.events_b)
     from_files = match_files(tmp_path / "a.csv", tmp_path / "b.csv", 100)
     in_memory = match_coincidences(streams.events_a, streams.events_b, 100)
     assert from_files == in_memory

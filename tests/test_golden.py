@@ -38,6 +38,10 @@ RUNS = {
                                 *SMALL),
     "disk-demo-5-assume-random": ("disk-demo", "--figure", "5", "--policy", "assume-random",
                                   "--alpha", "0.39269908169872414", *SMALL),
+    "disk-demo-5-random-a": ("disk-demo", "--figure", "5", "--policy-a", "assume-random",
+                             "--policy-b", "assume-fixed", "--policy-value", "0.3", *SMALL),
+    "disk-demo-5-integrate-correlated": ("disk-demo", "--figure", "5", "--policy", "integrate",
+                                         "--kind", "correlated", *SMALL),
     "disk-demo-special": ("disk-demo", "--figure", "special", "--alpha",
                           "0.7853981633974483", *SMALL),
     "scan-figure6": ("scan", "--preset", "figure6", *SCAN),
@@ -81,6 +85,12 @@ GOLDEN = {
         "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
         "disk_b.txt": "d43cbb76dcb22fc32eb0b94f742edd2903749203b62a25460583cdaca96258eb",
         "summary.txt": "0958bb45d5fc8d50761d975f373fa0bd9bb92c395cecf9f8757a287543f32cdf",
+    },
+    "disk-demo-5-integrate-correlated": {
+        "summary.txt": "991da685afbb087a88060c1b44950506a1e7dc6e76ef9d7529c6cf993cbafc15",
+    },
+    "disk-demo-5-random-a": {
+        "summary.txt": "e7e479e89f359715e130cddb019653c01fc170ee797205c6eafcc549b1fa6633",
     },
     "disk-demo-special": {
         "disk_a.txt": "a8765b979d84586892760c9117d871763d8f39144c77e3c80512d02703180387",

@@ -9,17 +9,12 @@ from eprblab import (
     TWO_PI,
     FixedBasisSource,
     IsotropicSource,
-    PhotonPair,
     StationConfig,
-    StationOutcome,
-    detect,
     detect_many,
     detection_windows,
-    emit_pair,
     emit_phis,
     malus_intensities,
     measure_many,
-    measure_pair,
     singles_probability,
 )
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
@@ -29,6 +24,12 @@ angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def detect_one(intensities, cfg, rng) -> int:
+    """detect_many on a one-trial array: the station's outcome code."""
+    i_plus, i_minus = intensities
+    return int(detect_many(np.array([i_plus]), np.array([i_minus]), cfg, rng)[0])
 
 
 # --- Malus fractions -----------------------------------------------------------
@@ -65,14 +66,14 @@ def test_malus_vectorized():
 
 def test_detect_examples():
     cfg = StationConfig(angle=0.0, threshold=0.5)
-    assert detect((1.0, 0.0), cfg, _rng()) is StationOutcome.SINGLE_PLUS
-    assert detect((0.5, 0.5), StationConfig(angle=0.0, threshold=0.75), _rng()) is StationOutcome.MISS
-    assert detect((0.5, 0.5), StationConfig(angle=0.0, threshold=0.4), _rng()) is StationOutcome.DOUBLE
+    assert detect_one((1.0, 0.0), cfg, _rng()) == PLUS_CODE
+    assert detect_one((0.5, 0.5), StationConfig(angle=0.0, threshold=0.75), _rng()) == MISS_CODE
+    assert detect_one((0.5, 0.5), StationConfig(angle=0.0, threshold=0.4), _rng()) == DOUBLE_CODE
 
 
 def test_detect_tie_rule_is_double():
     cfg = StationConfig(angle=0.0, threshold=0.5)
-    assert detect((0.5, 0.5), cfg, _rng()) is StationOutcome.DOUBLE
+    assert detect_one((0.5, 0.5), cfg, _rng()) == DOUBLE_CODE
 
 
 @given(
@@ -84,17 +85,12 @@ def test_threshold_monotonicity(phi, t_low, dt):
     # Raising the threshold can only un-fire channels: a miss stays a miss.
     t_high = min(1.0, t_low + dt)
     i = malus_intensities(phi, 0.3)
-    low = detect(i, StationConfig(angle=0.3, threshold=t_low), _rng())
-    high = detect(i, StationConfig(angle=0.3, threshold=t_high), _rng())
-    fired = {
-        StationOutcome.MISS: 0,
-        StationOutcome.SINGLE_PLUS: 1,
-        StationOutcome.SINGLE_MINUS: 1,
-        StationOutcome.DOUBLE: 2,
-    }
+    low = detect_one(i, StationConfig(angle=0.3, threshold=t_low), _rng())
+    high = detect_one(i, StationConfig(angle=0.3, threshold=t_high), _rng())
+    fired = {MISS_CODE: 0, PLUS_CODE: 1, MINUS_CODE: 1, DOUBLE_CODE: 2}
     assert fired[high] <= fired[low]
-    if low is StationOutcome.MISS:
-        assert high is StationOutcome.MISS
+    if low == MISS_CODE:
+        assert high == MISS_CODE
 
 
 def test_half_threshold_never_misses():
@@ -165,19 +161,20 @@ def test_station_config_validation():
         StationConfig(angle=0.0, noise_sigma=-0.1)
     with pytest.raises(ValueError):
         StationConfig(angle=0.0, efficiency=0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle"):
+            StationConfig(angle=value)
+        with pytest.raises(ValueError, match="noise_sigma"):
+            StationConfig(angle=0.0, noise_sigma=value)
+        with pytest.raises(ValueError, match="threshold"):
+            StationConfig(angle=0.0, threshold=value)
+        with pytest.raises(ValueError, match="efficiency"):
+            StationConfig(angle=0.0, efficiency=value)
+        with pytest.raises(ValueError, match="basis"):
+            FixedBasisSource(basis=value)
 
 
 # --- sources -----------------------------------------------------------------------
-
-def test_photon_pair_partner_is_orthogonal():
-    p = PhotonPair(phi=0.3, emission_time=1.0, pair_id=4)
-    assert p.phi_b == pytest.approx(0.3 + math.pi / 2, abs=1e-15)
-
-
-def test_emit_pair_fixed_basis_values():
-    seen = {emit_pair(FixedBasisSource(basis=0.0), _rng(k)).phi for k in range(32)}
-    assert seen == {0.0, math.pi / 2}
-
 
 def test_emit_phis_isotropic_uniformity():
     phis = emit_phis(IsotropicSource(), 1_000_000, _rng(8))
@@ -196,10 +193,9 @@ def test_emit_phis_fixed_basis_two_values():
 
 def test_measure_pair_equal_settings_anticorrelate():
     cfg = StationConfig(angle=0.0, threshold=0.5)
-    a, b = measure_pair(PhotonPair(phi=0.0), cfg, cfg, _rng())
-    assert (a, b) == (StationOutcome.SINGLE_PLUS, StationOutcome.SINGLE_MINUS)
-    a, b = measure_pair(PhotonPair(phi=math.pi / 2), cfg, cfg, _rng())
-    assert (a, b) == (StationOutcome.SINGLE_MINUS, StationOutcome.SINGLE_PLUS)
+    a, b = measure_many(np.array([0.0, math.pi / 2]), cfg, cfg, _rng())
+    assert a.tolist() == [PLUS_CODE, MINUS_CODE]
+    assert b.tolist() == [MINUS_CODE, PLUS_CODE]
 
 
 def test_efficiency_invariance_of_correlation():
