@@ -84,7 +84,7 @@ _KINDS = {
 
 def _fingerprint(config: dict) -> str:
     return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False).encode()
     ).hexdigest()
 
 
@@ -109,7 +109,7 @@ def _write_manifest(
         **blocks,
     }
     (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
     )
 
 
@@ -134,19 +134,50 @@ class _Resolver:
         if flag_value is not None:
             return flag_value
         if self.cp is not None and self.cp.has_option(section, key):
-            return cast(self.cp.get(section, key))
+            value = cast(self.cp.get(section, key))
+            if cast is float and not math.isfinite(value):
+                raise ValueError(f"config [{section}] {key} must be finite, got {value!r}")
+            return value
         return default
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one line on stderr, naming the flag."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _angle_pair(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"wants two comma-separated angles, got {text!r}")
+    return _finite_float(parts[0]), _finite_float(parts[1])
+
+
 def _station_flags(p: argparse.ArgumentParser, scanned_b: bool) -> None:
-    p.add_argument("--ta", type=float, help="station A detection threshold (default 0.5)")
-    p.add_argument("--tb", type=float, help="station B detection threshold (default 0.5)")
-    p.add_argument("--noise-a", type=float, help="station A channel noise sigma (default 0)")
-    p.add_argument("--noise-b", type=float, help="station B channel noise sigma (default 0)")
-    p.add_argument("--efficiency-a", type=float, help="station A efficiency in (0,1] (default 1)")
-    p.add_argument("--efficiency-b", type=float, help="station B efficiency in (0,1] (default 1)")
+    for flag, text in (
+        ("--ta", "station A detection threshold (default 0.5)"),
+        ("--tb", "station B detection threshold (default 0.5)"),
+        ("--noise-a", "station A channel noise sigma (default 0)"),
+        ("--noise-b", "station B channel noise sigma (default 0)"),
+        ("--efficiency-a", "station A efficiency in (0,1] (default 1)"),
+        ("--efficiency-b", "station B efficiency in (0,1] (default 1)"),
+    ):
+        p.add_argument(flag, type=_finite_float, help=text)
     if scanned_b:
-        p.add_argument("--alpha", type=float, help="station A analyzer angle, rad (default 0)")
+        p.add_argument("--alpha", type=_finite_float,
+                       help="station A analyzer angle, rad (default 0)")
 
 
 def _source_flags(p: argparse.ArgumentParser) -> None:
@@ -155,7 +186,7 @@ def _source_flags(p: argparse.ArgumentParser) -> None:
         choices=["isotropic", "fixed-hv"],
         help="pair source model (default isotropic)",
     )
-    p.add_argument("--basis", type=float, help="fixed-hv basis angle, rad (default 0)")
+    p.add_argument("--basis", type=_finite_float, help="fixed-hv basis angle, rad (default 0)")
 
 
 def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
@@ -467,13 +498,6 @@ def _cmd_pathology(args, argv: list[str]) -> int:
 
 # --- events ----------------------------------------------------------------------
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{flag} wants two comma-separated angles, got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
 def _cmd_events_gen(args, argv: list[str]) -> int:
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
@@ -483,8 +507,8 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     ta, tb, na, nb, ea, eb, _ = _resolve_stations(args, res)
     source, source_name, basis = _resolve_source(args, res)
     a, a2, b, b2 = STANDARD_CHSH_ANGLES
-    settings_a = _parse_pair(args.angles_a, "--angles-a") if args.angles_a else (a, a2)
-    settings_b = _parse_pair(args.angles_b, "--angles-b") if args.angles_b else (b, b2)
+    settings_a = args.angles_a or (a, a2)
+    settings_b = args.angles_b or (b, b2)
 
     cfg = GeneratorConfig(
         source=source,
@@ -592,7 +616,7 @@ def _cmd_events_match(args, argv: list[str]) -> int:
 # --- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprblab",
         description="Deterministic two-station polarization-correlation lab.",
     )
@@ -610,11 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--figure", required=True, choices=["1", "2", "3", "4", "5", "special"])
-    p.add_argument("--theta", type=float, default=math.pi / 8,
+    p.add_argument("--theta", type=_finite_float, default=math.pi / 8,
                    help="relative angle for figures 1-3 (default pi/8)")
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--alpha", type=_finite_float, default=0.0,
                    help="station A setting for figures 4/5/special (default 0)")
-    p.add_argument("--beta", type=float, default=0.0,
+    p.add_argument("--beta", type=_finite_float, default=0.0,
                    help="station B setting for figures 4/5 (default 0)")
     p.add_argument("--kind", choices=sorted(_KINDS), default="anticorrelated",
                    help="pair preparation (default anticorrelated)")
@@ -627,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy-b", choices=["both-known", "assume-zero", "assume-fixed",
                                           "assume-random", "integrate"],
                    help="override figure-5 policy for side B")
-    p.add_argument("--policy-value", type=float,
+    p.add_argument("--policy-value", type=_finite_float,
                    help="assumed remote setting for assume-fixed")
     p.add_argument("--n", type=int, help="trials (default 100000)")
     _common_flags(p, "disk-demo-out")
@@ -648,16 +672,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", help="four-setting CHSH run")
     _station_flags(p, scanned_b=False)
     _source_flags(p)
-    p.add_argument("--angle-a", type=float, help="setting a (default 0)")
-    p.add_argument("--angle-a2", type=float, help="setting a' (default pi/4)")
-    p.add_argument("--angle-b", type=float, help="setting b (default pi/8)")
-    p.add_argument("--angle-b2", type=float, help="setting b' (default 3*pi/8)")
+    p.add_argument("--angle-a", type=_finite_float, help="setting a (default 0)")
+    p.add_argument("--angle-a2", type=_finite_float, help="setting a' (default pi/4)")
+    p.add_argument("--angle-b", type=_finite_float, help="setting b (default pi/8)")
+    p.add_argument("--angle-b2", type=_finite_float, help="setting b' (default 3*pi/8)")
     p.add_argument("--pairs", type=int, help="pairs per setting (default 100000)")
     _common_flags(p, "chsh-out")
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("pathology", help="fixed-basis source probe with A at alpha")
-    p.add_argument("--basis", type=float, help="source basis angle (default 0)")
+    p.add_argument("--basis", type=_finite_float, help="source basis angle (default 0)")
     _station_flags(p, scanned_b=True)
     p.add_argument("--steps", type=int, help="scan steps (default 33)")
     p.add_argument("--pairs", type=int, help="pairs per step (default 10000)")
@@ -668,11 +692,13 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="events_command", required=True)
 
     g = esub.add_parser("gen", help="generate per-side time-tag streams")
-    g.add_argument("--rate", type=float, help="mean pair rate, pairs/s (default 10000)")
-    g.add_argument("--jitter", type=float, help="per-side latency sigma, s (default 10e-9)")
-    g.add_argument("--duration", type=float, help="run length, s (default 1.0)")
-    g.add_argument("--angles-a", help="two comma-separated A settings (default 0,pi/4)")
-    g.add_argument("--angles-b", help="two comma-separated B settings (default pi/8,3pi/8)")
+    g.add_argument("--rate", type=_finite_float, help="mean pair rate, pairs/s (default 10000)")
+    g.add_argument("--jitter", type=_finite_float, help="per-side latency sigma, s (default 10e-9)")
+    g.add_argument("--duration", type=_finite_float, help="run length, s (default 1.0)")
+    g.add_argument("--angles-a", type=_angle_pair,
+                   help="two comma-separated A settings (default 0,pi/4)")
+    g.add_argument("--angles-b", type=_angle_pair,
+                   help="two comma-separated B settings (default pi/8,3pi/8)")
     _station_flags(g, scanned_b=False)
     _source_flags(g)
     _common_flags(g, "events-out")

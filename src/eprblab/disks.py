@@ -25,6 +25,7 @@ import numpy as np
 
 from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
 from .intervals import overlap_length, unroll_arc
+from .optics import BLOCK_ROWS
 from .scan import tabulate_codes
 
 #: Tolerance for sector lengths covering the full circle.
@@ -318,7 +319,9 @@ def sample_param_setup(
     fresh guess every trial: one uniform block of shape (n, k) holds, per
     trial and in this order, A's guess, B's guess (each only if that side is
     per-trial) and the pointer angle(s), which is the order of n * k scalar
-    draws.
+    draws. The block is drawn and looked up in row chunks of BLOCK_ROWS
+    trials; successive (m, k) draws equal one (n, k) draw, so the chunking
+    never changes the result.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")
@@ -331,13 +334,20 @@ def sample_param_setup(
         return _sample_separated_rng(da, db, mode, n, rng)
 
     shared = mode is SamplingMode.SHARED_LAMBDA
-    columns = iter(rng.uniform(0.0, TWO_PI, (n, guess_a + guess_b + (1 if shared else 2))).T)
-    beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
-    alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
-    lam_a = next(columns)
-    lam_b = lam_a if shared else next(columns)
-    side_a = _sector_lookup(lam_a, zip(*_singlet_arcs(alpha - beta_hat, kind), _SINGLET_A))
-    side_b = _sector_lookup(lam_b, zip(*_singlet_arcs(alpha_hat - beta, kind), _SINGLET_B))
+    k = guess_a + guess_b + (1 if shared else 2)
+    side_a = np.empty(n, dtype=np.int8)
+    side_b = np.empty(n, dtype=np.int8)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, n))
+        columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - start, k)).T)
+        beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
+        alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
+        lam_a = next(columns)
+        lam_b = lam_a if shared else next(columns)
+        arcs_a = zip(*_singlet_arcs(alpha - beta_hat, kind), _SINGLET_A)
+        arcs_b = zip(*_singlet_arcs(alpha_hat - beta, kind), _SINGLET_B)
+        side_a[rows] = _sector_lookup(lam_a, arcs_a)
+        side_b[rows] = _sector_lookup(lam_b, arcs_b)
     return tabulate_codes(side_a, side_b)
 
 

@@ -28,15 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .domain import CountTable
-from .optics import (
-    MINUS_CODE,
-    PLUS_CODE,
-    SourceModel,
-    StationConfig,
-    detect_many,
-    emit_phis,
-    malus_intensities,
-)
+from .optics import MINUS_CODE, PLUS_CODE, SourceModel, StationConfig, _measure, emit_phis
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
@@ -196,11 +188,8 @@ def generate_events(
     phis = emit_phis(cfg.source, n, rng)
 
     angles_a = np.asarray(cfg.settings_a, dtype=float)[set_a]
-    ia_plus, ia_minus = malus_intensities(phis, angles_a)
-    codes_a = detect_many(ia_plus, ia_minus, cfg.station_a, rng)
     angles_b = np.asarray(cfg.settings_b, dtype=float)[set_b]
-    ib_plus, ib_minus = malus_intensities(phis + 0.5 * math.pi, angles_b)
-    codes_b = detect_many(ib_plus, ib_minus, cfg.station_b, rng)
+    codes_a, codes_b = _measure(phis, angles_a, angles_b, cfg.station_a, cfg.station_b, rng)
 
     if cfg.jitter_sigma > 0.0:
         jit_a = np.abs(rng.normal(0.0, cfg.jitter_sigma, n))

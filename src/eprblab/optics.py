@@ -18,11 +18,20 @@ that tie observable rather than hidden by rounding.
 All kernels are stateless and draw from an explicit random generator, so
 trials may run in parallel if each batch derives its stream from its own
 seed material.
+
+measure_many draws every random number on the calling thread, in the
+documented order, and then evaluates the Malus split and the threshold in
+fixed blocks of BLOCK_ROWS pairs, spread over one worker thread per
+available core. Each block reads and writes only its own slices, so the
+block size, the number of cores and the scheduling of blocks never change
+an output byte.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +43,13 @@ MISS_CODE = 0
 PLUS_CODE = 1
 MINUS_CODE = -1
 DOUBLE_CODE = 2
+
+#: Rows per block of the array kernels. Any value gives the same output
+#: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
+BLOCK_ROWS = 1 << 15
+
+#: Station code indexed by fired_plus + 2 * fired_minus.
+_CODE_OF_FIRED = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -89,6 +105,11 @@ def emit_phis(model: SourceModel, n: int, rng: np.random.Generator) -> np.ndarra
     return (model.basis + 0.5 * math.pi * bits) % TWO_PI
 
 
+def _malus(delta):
+    i_plus = 0.5 * (1.0 + np.cos(2.0 * delta))
+    return i_plus, 1.0 - i_plus
+
+
 def malus_intensities(phi, analyzer):
     """Channel energy fractions (cos^2, sin^2) of phi - analyzer.
 
@@ -96,12 +117,42 @@ def malus_intensities(phi, analyzer):
     i_minus = 1 - i_plus so the two fractions sum to exactly 1.0 and the
     bisecting case yields exactly (0.5, 0.5).
     """
-    delta = np.asarray(phi, dtype=float) - np.asarray(analyzer, dtype=float)
-    i_plus = 0.5 * (1.0 + np.cos(2.0 * delta))
-    i_minus = 1.0 - i_plus
+    i_plus, i_minus = _malus(np.asarray(phi, dtype=float) - np.asarray(analyzer, dtype=float))
     if np.ndim(i_plus) == 0:
         return float(i_plus), float(i_minus)
     return i_plus, i_minus
+
+
+def _station_draws(cfg: StationConfig, n: int, rng: np.random.Generator):
+    """One station's random draws for n trials: (noise, thinning uniforms).
+
+    A normal block of shape (n, 2) when noise_sigma > 0, then a uniform
+    block of shape (n,) when efficiency < 1; each is None when skipped.
+    """
+    noise = rng.normal(0.0, cfg.noise_sigma, (n, 2)) if cfg.noise_sigma > 0.0 else None
+    thin = rng.random(n) if cfg.efficiency < 1.0 else None
+    return noise, thin
+
+
+def _fire(i_plus, i_minus, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
+    """Threshold-to-code step: write the station codes of these trials to out.
+
+    A channel fires when its intensity plus its noise is >= the threshold
+    (so the exact (0.5, 0.5) tie at threshold 0.5 is a double); a trial whose
+    thinning uniform is >= efficiency is a miss.
+    """
+    if noise is not None:
+        i_plus = i_plus + noise[:, 0]
+        i_minus = i_minus + noise[:, 1]
+    fired_plus = i_plus >= cfg.threshold
+    fired_minus = i_minus >= cfg.threshold
+    if thin is not None:
+        kept = thin < cfg.efficiency
+        fired_plus &= kept
+        fired_minus &= kept
+    index = fired_minus.view(np.int8) << 1
+    index |= fired_plus.view(np.int8)
+    np.take(_CODE_OF_FIRED, index, out=out, mode="clip")
 
 
 def detect_many(
@@ -120,23 +171,77 @@ def detect_many(
     """
     i_plus = np.asarray(i_plus, dtype=float)
     i_minus = np.asarray(i_minus, dtype=float)
-    n = i_plus.shape[0]
-    if cfg.noise_sigma > 0.0:
-        noise = rng.normal(0.0, cfg.noise_sigma, (n, 2))
-        fired_plus = i_plus + noise[:, 0] >= cfg.threshold
-        fired_minus = i_minus + noise[:, 1] >= cfg.threshold
-    else:
-        fired_plus = i_plus >= cfg.threshold
-        fired_minus = i_minus >= cfg.threshold
-    codes = np.where(
-        fired_plus & fired_minus,
-        DOUBLE_CODE,
-        np.where(fired_plus, PLUS_CODE, np.where(fired_minus, MINUS_CODE, MISS_CODE)),
-    ).astype(np.int8)
-    if cfg.efficiency < 1.0:
-        dropped = rng.random(n) >= cfg.efficiency
-        codes[dropped] = MISS_CODE
+    codes = np.empty(i_plus.shape[0], dtype=np.int8)
+    _fire(i_plus, i_minus, *_station_draws(cfg, len(codes), rng), cfg, codes)
     return codes
+
+
+def _station_block(phi, shift, angle, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
+    """Codes of one block of one station: Malus split of phi + shift, then _fire."""
+    _fire(*_malus((phi + shift) - angle), noise, thin, cfg, out)
+
+
+_pool: tuple[int, object] | None = None  # (owning pid, executor)
+_pool_lock = threading.Lock()
+
+
+def _workers() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_pool():
+    """The process's block executor, made on first use and again after a fork.
+
+    A forked child inherits the executor object but none of its threads.
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            # Imported here: a module-level import costs every CLI start-up.
+            from concurrent.futures import ThreadPoolExecutor
+
+            executor = ThreadPoolExecutor(_workers(), thread_name_prefix="eprblab-block")
+            _pool = (os.getpid(), executor)
+        return _pool[1]
+
+
+def _run_blocks(tasks: list[tuple]) -> None:
+    """Run _station_block over tasks: inline on one core, else on the pool."""
+    if len(tasks) < 2 or _workers() < 2:
+        for task in tasks:
+            _station_block(*task)
+        return
+    pool = _block_pool()
+    for future in [pool.submit(_station_block, *task) for task in tasks]:
+        future.result()
+
+
+def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig, rng):
+    """Both stations' codes; angle_a/angle_b are floats or per-pair arrays.
+
+    Station A's pulses carry phis, station B's phis + pi/2. All draws happen
+    here, A's (noise, thinning) before B's; the blocks then only compute.
+    """
+    phis = np.asarray(phis, dtype=float)
+    n = phis.shape[0]
+    draws_a = _station_draws(cfg_a, n, rng)
+    draws_b = _station_draws(cfg_b, n, rng)
+    codes_a = np.empty(n, dtype=np.int8)
+    codes_b = np.empty(n, dtype=np.int8)
+    tasks = []
+    stations = (
+        (0.0, angle_a, draws_a, cfg_a, codes_a),
+        (0.5 * math.pi, angle_b, draws_b, cfg_b, codes_b),
+    )
+    for shift, angle, draws, cfg, out in stations:
+        for start in range(0, n, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            per_pair = [x[rows] if isinstance(x, np.ndarray) else x for x in (angle, *draws)]
+            tasks.append((phis[rows], shift, *per_pair, cfg, out[rows]))
+    _run_blocks(tasks)
+    return codes_a, codes_b
 
 
 def measure_many(
@@ -148,13 +253,11 @@ def measure_many(
     """Both stations' outcome codes for an array of pair polarizations.
 
     Station A's pulses carry phis, station B's phis + pi/2. A's random
-    draws (noise, thinning) complete before B's begin.
+    draws (noise, thinning) complete before B's begin. The result equals
+    detect_many over malus_intensities for each station in turn, byte for
+    byte, whatever the number of cores.
     """
-    ia_plus, ia_minus = malus_intensities(phis, cfg_a.angle)
-    codes_a = detect_many(ia_plus, ia_minus, cfg_a, rng)
-    ib_plus, ib_minus = malus_intensities(phis + 0.5 * math.pi, cfg_b.angle)
-    codes_b = detect_many(ib_plus, ib_minus, cfg_b, rng)
-    return codes_a, codes_b
+    return _measure(phis, cfg_a.angle, cfg_b.angle, cfg_a, cfg_b, rng)
 
 
 def detection_windows(threshold: float) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -11,7 +11,10 @@ instead of sampling them.
 
 Every step runs on its own random stream derived from (base seed, step
 index), so steps can execute in any order or in parallel without changing
-the result, and identical (config, seed) reproduce identical output.
+the result, and identical (config, seed) reproduce identical output. Within
+a step, optics.measure_many evaluates the stations block by block on every
+available core; neither the blocking nor the core count changes an output
+byte.
 """
 
 from __future__ import annotations

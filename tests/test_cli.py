@@ -11,6 +11,16 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def usage_error(capsys, *argv) -> str:
+    """Run a command that must stop at argument parsing; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
 def _read_summary(path):
     out = {}
     for line in path.read_text().splitlines():
@@ -277,16 +287,16 @@ def test_events_manifests_carry_counters_and_input_digests(tmp_path):
     ],
 )
 def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, name):
-    rc = run_cli("events", "gen", flag, value, "--out", str(tmp_path / "g"))
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("eprblab: error:") and name in err
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    out = tmp_path / "g"
+    err = usage_error(capsys, "events", "gen", flag, value, "--out", str(out))
+    assert err.startswith("eprblab events gen: error:")
+    assert f"argument {flag}:" in err and "finite" in err
+    assert not out.exists()
 
 
 def test_events_gen_failure_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "g"
-    assert run_cli("events", "gen", "--duration", "nan", "--out", str(out)) == 1
+    assert run_cli("events", "gen", "--duration=-1", "--out", str(out)) == 1
     assert "duration" in capsys.readouterr().err
     assert not out.exists()
 
@@ -295,21 +305,68 @@ def test_events_gen_failure_leaves_no_out_dir(tmp_path, capsys):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_scan_rejects_non_finite_station_inputs(tmp_path, capsys, flag, value):
     out = tmp_path / "s"
-    rc = run_cli("scan", flag, value, "--steps", "3", "--pairs", "1000", "--out", str(out))
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("eprblab: error:") and "finite" in err
-    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    err = usage_error(capsys, "scan", flag, value, "--steps", "3", "--pairs", "1000",
+                      "--out", str(out))
+    assert err.startswith("eprblab scan: error:") and "finite" in err and flag in err
     assert not out.exists()
 
 
 def test_pathology_rejects_non_finite_basis(tmp_path, capsys):
     out = tmp_path / "p"
-    assert run_cli("pathology", "--basis", "nan", "--steps", "3", "--pairs", "100",
+    err = usage_error(capsys, "pathology", "--basis", "nan", "--steps", "3", "--pairs", "100",
+                      "--out", str(out))
+    assert err.startswith("eprblab pathology: error:") and "--basis" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--basis", ("scan", "--basis", "nan", "--steps", "3", "--pairs", "100")),
+        ("--basis", ("chsh", "--basis", "inf", "--pairs", "100")),
+        ("--policy-value", ("disk-demo", "--figure", "2", "--policy-value", "nan", "--n", "100")),
+    ],
+)
+def test_unused_non_finite_flags_are_usage_errors(tmp_path, capsys, flag, argv):
+    # These values are never used by the run, so only the parser can stop
+    # them before they reach the manifest as bare NaN/Infinity.
+    out = tmp_path / "o"
+    err = usage_error(capsys, *argv, "--out", str(out))
+    assert f"eprblab {argv[0]}: error: argument {flag}:" in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--alpha", "--beta"])
+def test_every_disk_demo_float_flag_is_checked(tmp_path, capsys, flag):
+    err = usage_error(capsys, "disk-demo", "--figure", "1", flag, "-inf",
+                      "--out", str(tmp_path / "o"))
+    assert f"argument {flag}:" in err
+
+
+def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, capsys):
+    assert "not a number: 'abc'" in usage_error(capsys, "scan", "--ta", "abc")
+    err = usage_error(capsys, "events", "gen", "--angles-b", "1,2,3")
+    assert "argument --angles-b: wants two comma-separated angles" in err
+
+
+def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[source]\nbasis = nan\n")
+    out = tmp_path / "s"
+    assert run_cli("scan", "--config", str(cfg), "--steps", "3", "--pairs", "100",
                    "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("eprblab: error:") and "basis" in err
-    assert len(err.strip().splitlines()) == 1 and not out.exists()
+    assert err.startswith("eprblab: error:") and "[source] basis" in err and "finite" in err
+    assert not out.exists()
+
+
+def test_manifest_refuses_non_finite_json(tmp_path):
+    from eprblab.cli import _fingerprint, _write_manifest
+
+    with pytest.raises(ValueError):
+        _fingerprint({"basis": math.nan})
+    with pytest.raises(ValueError):
+        _write_manifest(tmp_path, "scan", [], 0, {"basis": math.inf}, [])
 
 
 def test_events_match_names_bad_line(tmp_path, capsys):

@@ -32,6 +32,7 @@ from eprblab import (
     split_to_text,
     wrap_angle,
 )
+import eprblab.disks as disks
 from eprblab.disks import policy_is_per_trial
 
 ANTI = SingletKind.ANTICORRELATED
@@ -378,6 +379,16 @@ def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, se
     assert sample_param_setup(alpha, beta, pa, pb, kind, n, seed, mode) == reference_param_setup(
         alpha, beta, pa, pb, kind, n, seed, mode
     )
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
+    # Chunked draws and lookups give the one-block result, even when chunks
+    # are tiny and n is not a multiple of them.
+    monkeypatch.setattr(disks, "BLOCK_ROWS", block_rows)
+    args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
+    assert sample_param_setup(*args) == reference_param_setup(*args)
 
 
 def test_assume_random_averages_to_quarter():

@@ -1,8 +1,11 @@
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from eprblab import (
@@ -17,7 +20,8 @@ from eprblab import (
     measure_many,
     singles_probability,
 )
-from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
+import eprblab.optics as optics
+from eprblab.optics import BLOCK_ROWS, DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -216,3 +220,175 @@ def test_efficiency_invariance_of_correlation():
         (1 - e_full**2) / t_full.coincidences + (1 - e_thin**2) / t_thin.coincidences
     )
     assert abs(e_full - e_thin) < 3 * se
+
+
+# --- the block kernel against the whole-array composition ------------------------------
+
+def reference_detect_many(i_plus, i_minus, cfg, rng):
+    """detect_many as a whole-array np.where chain, kept as the oracle."""
+    i_plus = np.asarray(i_plus, dtype=float)
+    i_minus = np.asarray(i_minus, dtype=float)
+    n = i_plus.shape[0]
+    if cfg.noise_sigma > 0.0:
+        noise = rng.normal(0.0, cfg.noise_sigma, (n, 2))
+        fired_plus = i_plus + noise[:, 0] >= cfg.threshold
+        fired_minus = i_minus + noise[:, 1] >= cfg.threshold
+    else:
+        fired_plus = i_plus >= cfg.threshold
+        fired_minus = i_minus >= cfg.threshold
+    codes = np.where(
+        fired_plus & fired_minus,
+        DOUBLE_CODE,
+        np.where(fired_plus, PLUS_CODE, np.where(fired_minus, MINUS_CODE, MISS_CODE)),
+    ).astype(np.int8)
+    if cfg.efficiency < 1.0:
+        dropped = rng.random(n) >= cfg.efficiency
+        codes[dropped] = MISS_CODE
+    return codes
+
+
+def reference_measure_many(phis, cfg_a, cfg_b, rng):
+    """malus_intensities then detect_many per station, over whole arrays."""
+    ia_plus, ia_minus = malus_intensities(phis, cfg_a.angle)
+    codes_a = reference_detect_many(ia_plus, ia_minus, cfg_a, rng)
+    ib_plus, ib_minus = malus_intensities(phis + 0.5 * math.pi, cfg_b.angle)
+    codes_b = reference_detect_many(ib_plus, ib_minus, cfg_b, rng)
+    return codes_a, codes_b
+
+
+EDGE_N = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7)
+TIE_A = StationConfig(angle=math.pi / 4, threshold=0.5)
+
+stations = st.builds(
+    StationConfig,
+    angle=angles,
+    threshold=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    noise_sigma=st.sampled_from([0.0]) | st.floats(1e-3, 0.3),
+    efficiency=st.sampled_from([1.0]) | st.floats(0.01, 1.0),
+)
+sources = st.sampled_from([IsotropicSource(), FixedBasisSource(0.0)]) | st.builds(
+    FixedBasisSource, angles
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(EDGE_N) | st.integers(0, 4 * BLOCK_ROWS),
+    sources,
+    stations,
+    stations,
+    st.integers(0, 2**32),
+)
+@example(3 * BLOCK_ROWS + 7, FixedBasisSource(0.0), TIE_A, TIE_A, 1)
+@example(BLOCK_ROWS + 1, FixedBasisSource(0.0), StationConfig(math.pi / 4, 0.5, 0.05, 0.5),
+         StationConfig(0.3, 0.0, 0.2, 0.7), 2)
+def test_measure_many_equals_reference(n, source, cfg_a, cfg_b, seed):
+    phis = emit_phis(source, n, _rng(seed))
+    got = measure_many(phis, cfg_a, cfg_b, _rng(seed + 1))
+    want = reference_measure_many(phis, cfg_a, cfg_b, _rng(seed + 1))
+    assert all(g.dtype == np.int8 for g in got)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3 * BLOCK_ROWS), stations, st.integers(0, 2**32))
+def test_detect_many_equals_reference(n, cfg, seed):
+    i_plus, i_minus = malus_intensities(_rng(seed).uniform(0.0, TWO_PI, n), cfg.angle)
+    got = detect_many(i_plus, i_minus, cfg, _rng(seed + 1))
+    assert np.array_equal(got, reference_detect_many(i_plus, i_minus, cfg, _rng(seed + 1)))
+
+
+@pytest.mark.parametrize("n", EDGE_N)
+def test_per_pair_angles_equal_reference(n):
+    # Event generation passes one analyzer angle per pair to the kernel.
+    rng = _rng(n)
+    phis = emit_phis(IsotropicSource(), n, rng)
+    angles_a = np.array([0.0, math.pi / 4])[rng.integers(0, 2, n)]
+    angles_b = np.array([math.pi / 8, 3 * math.pi / 8])[rng.integers(0, 2, n)]
+    cfg_a = StationConfig(angle=0.0, threshold=0.5, noise_sigma=0.03, efficiency=0.7)
+    cfg_b = StationConfig(angle=0.0, threshold=0.75, efficiency=0.9)
+    got = optics._measure(phis, angles_a, angles_b, cfg_a, cfg_b, _rng(n + 1))
+    ref_rng = _rng(n + 1)
+    want_a = reference_detect_many(*malus_intensities(phis, angles_a), cfg_a, ref_rng)
+    want_b = reference_detect_many(
+        *malus_intensities(phis + 0.5 * math.pi, angles_b), cfg_b, ref_rng
+    )
+    assert np.array_equal(got[0], want_a) and np.array_equal(got[1], want_b)
+
+
+def test_bisected_fixed_basis_tie_stays_an_exact_double():
+    # Both pair polarizations sit exactly between A's channels, on every block.
+    phis = emit_phis(FixedBasisSource(0.0), 2 * BLOCK_ROWS + 3, _rng(13))
+    i_plus, i_minus = malus_intensities(phis, TIE_A.angle)
+    assert np.all(i_plus == 0.5) and np.all(i_minus == 0.5)
+    codes_a, _ = measure_many(phis, TIE_A, TIE_A, _rng(14))
+    assert np.all(codes_a == DOUBLE_CODE)
+
+
+def test_measure_many_is_the_same_on_one_core(monkeypatch):
+    phis = emit_phis(IsotropicSource(), 3 * BLOCK_ROWS + 7, _rng(15))
+    cfg_a = StationConfig(angle=0.2, threshold=0.6, noise_sigma=0.05, efficiency=0.8)
+    cfg_b = StationConfig(angle=1.1, threshold=0.4, noise_sigma=0.1, efficiency=0.6)
+    pooled = measure_many(phis, cfg_a, cfg_b, _rng(16))
+    monkeypatch.setattr(optics, "_workers", lambda: 1)
+    inline = measure_many(phis, cfg_a, cfg_b, _rng(16))
+    assert all(np.array_equal(p, q) for p, q in zip(pooled, inline))
+
+
+def test_concurrent_callers_get_their_serial_results():
+    # More callers than cores share the block pool, with frequent thread
+    # switches; a shared scratch buffer would mix their blocks up.
+    n = 3 * BLOCK_ROWS + 7
+    cfg_a = StationConfig(angle=0.3, threshold=0.5, noise_sigma=0.02, efficiency=0.9)
+    cfg_b = StationConfig(angle=0.9, threshold=0.75, noise_sigma=0.05)
+    phis = {seed: emit_phis(IsotropicSource(), n, _rng(seed)) for seed in range(4)}
+    serial = {seed: measure_many(phis[seed], cfg_a, cfg_b, _rng(100 + seed)) for seed in phis}
+    results: dict[int, list] = {seed: [] for seed in phis}
+    start = threading.Barrier(len(phis))
+
+    def worker(seed):
+        start.wait()
+        for _ in range(5):
+            results[seed].append(measure_many(phis[seed], cfg_a, cfg_b, _rng(100 + seed)))
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in phis]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed, runs in results.items():
+        assert len(runs) == 5
+        for codes_a, codes_b in runs:
+            assert np.array_equal(codes_a, serial[seed][0])
+            assert np.array_equal(codes_b, serial[seed][1])
+
+
+def _measure_in_child(queue, phis, cfg):
+    queue.put(measure_many(phis, cfg, cfg, _rng(18)))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_gets_its_own_block_pool():
+    phis = emit_phis(IsotropicSource(), 2 * BLOCK_ROWS + 1, _rng(17))
+    cfg = StationConfig(angle=0.4, threshold=0.6)
+    parent = measure_many(phis, cfg, cfg, _rng(18))  # the parent's pool now exists
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
+    child.start()
+    try:
+        codes_a, codes_b = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(codes_a, parent[0]) and np.array_equal(codes_b, parent[1])
