@@ -25,7 +25,6 @@ import numpy as np
 
 from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
 from .intervals import overlap_length, unroll_arc
-from .optics import BLOCK_ROWS
 from .scan import tabulate_codes
 
 #: Tolerance for sector lengths covering the full circle.
@@ -35,6 +34,9 @@ _OUTCOMES = (-1, 1)
 #: Per-side outcomes of the singlet sectors (+,+), (+,-), (-,+), (-,-).
 _SINGLET_A = (1, 1, -1, -1)
 _SINGLET_B = (1, -1, 1, -1)
+#: Trials per row chunk of the per-trial draws; any value gives the same
+#: tables, and this one bounds a chunk's temporaries to a few MB.
+_CHUNK_ROWS = 1 << 15
 
 
 def _check_outcome(value: int, name: str) -> None:
@@ -319,7 +321,7 @@ def sample_param_setup(
     fresh guess every trial: one uniform block of shape (n, k) holds, per
     trial and in this order, A's guess, B's guess (each only if that side is
     per-trial) and the pointer angle(s), which is the order of n * k scalar
-    draws. The block is drawn and looked up in row chunks of BLOCK_ROWS
+    draws. The block is drawn and looked up in row chunks of _CHUNK_ROWS
     trials; successive (m, k) draws equal one (n, k) draw, so the chunking
     never changes the result.
     """
@@ -337,8 +339,8 @@ def sample_param_setup(
     k = guess_a + guess_b + (1 if shared else 2)
     side_a = np.empty(n, dtype=np.int8)
     side_b = np.empty(n, dtype=np.int8)
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, min(start + BLOCK_ROWS, n))
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, n))
         columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - start, k)).T)
         beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
         alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)

@@ -21,7 +21,7 @@ seed material.
 
 measure_many draws every random number on the calling thread, in the
 documented order, and then evaluates the Malus split and the threshold in
-fixed blocks of BLOCK_ROWS pairs, spread over one worker thread per
+fixed blocks of _BLOCK_ROWS pairs, spread over one worker thread per
 available core. Each block reads and writes only its own slices, so the
 block size, the number of cores and the scheduling of blocks never change
 an output byte.
@@ -46,7 +46,7 @@ DOUBLE_CODE = 2
 
 #: Rows per block of the array kernels. Any value gives the same output
 #: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
-BLOCK_ROWS = 1 << 15
+_BLOCK_ROWS = 1 << 15
 
 #: Station code indexed by fired_plus + 2 * fired_minus.
 _CODE_OF_FIRED = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
@@ -181,8 +181,20 @@ def _station_block(phi, shift, angle, noise, thin, cfg: StationConfig, out: np.n
     _fire(*_malus((phi + shift) - angle), noise, thin, cfg, out)
 
 
-_pool: tuple[int, object] | None = None  # (owning pid, executor)
+_pool = None  # the block executor, made on first use
 _pool_lock = threading.Lock()
+
+
+def _forget_pool_in_child() -> None:
+    """A forked child inherits the executor but none of its threads, and
+    maybe a lock held by a parent thread: start both afresh."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_in_child)
 
 
 def _workers() -> int:
@@ -192,30 +204,15 @@ def _workers() -> int:
 
 
 def _block_pool():
-    """The process's block executor, made on first use and again after a fork.
-
-    A forked child inherits the executor object but none of its threads.
-    """
+    """The process's block executor, one thread per available core."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
+        if _pool is None:
             # Imported here: a module-level import costs every CLI start-up.
             from concurrent.futures import ThreadPoolExecutor
 
-            executor = ThreadPoolExecutor(_workers(), thread_name_prefix="eprblab-block")
-            _pool = (os.getpid(), executor)
-        return _pool[1]
-
-
-def _run_blocks(tasks: list[tuple]) -> None:
-    """Run _station_block over tasks: inline on one core, else on the pool."""
-    if len(tasks) < 2 or _workers() < 2:
-        for task in tasks:
-            _station_block(*task)
-        return
-    pool = _block_pool()
-    for future in [pool.submit(_station_block, *task) for task in tasks]:
-        future.result()
+            _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="eprblab-block")
+        return _pool
 
 
 def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig, rng):
@@ -230,17 +227,20 @@ def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig,
     draws_b = _station_draws(cfg_b, n, rng)
     codes_a = np.empty(n, dtype=np.int8)
     codes_b = np.empty(n, dtype=np.int8)
-    tasks = []
+    pool = _block_pool()
+    futures = []
     stations = (
         (0.0, angle_a, draws_a, cfg_a, codes_a),
         (0.5 * math.pi, angle_b, draws_b, cfg_b, codes_b),
     )
     for shift, angle, draws, cfg, out in stations:
-        for start in range(0, n, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
             per_pair = [x[rows] if isinstance(x, np.ndarray) else x for x in (angle, *draws)]
-            tasks.append((phis[rows], shift, *per_pair, cfg, out[rows]))
-    _run_blocks(tasks)
+            task = (phis[rows], shift, *per_pair, cfg, out[rows])
+            futures.append(pool.submit(_station_block, *task))
+    for future in futures:
+        future.result()
     return codes_a, codes_b
 
 

@@ -386,7 +386,7 @@ def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, se
 def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
     # Chunked draws and lookups give the one-block result, even when chunks
     # are tiny and n is not a multiple of them.
-    monkeypatch.setattr(disks, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(disks, "_CHUNK_ROWS", block_rows)
     args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
     assert sample_param_setup(*args) == reference_param_setup(*args)
 

@@ -21,7 +21,7 @@ from eprblab import (
     singles_probability,
 )
 import eprblab.optics as optics
-from eprblab.optics import BLOCK_ROWS, DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
+from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -256,6 +256,7 @@ def reference_measure_many(phis, cfg_a, cfg_b, rng):
     return codes_a, codes_b
 
 
+BLOCK_ROWS = optics._BLOCK_ROWS
 EDGE_N = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7)
 TIE_A = StationConfig(angle=math.pi / 4, threshold=0.5)
 
@@ -331,8 +332,11 @@ def test_measure_many_is_the_same_on_one_core(monkeypatch):
     cfg_b = StationConfig(angle=1.1, threshold=0.4, noise_sigma=0.1, efficiency=0.6)
     pooled = measure_many(phis, cfg_a, cfg_b, _rng(16))
     monkeypatch.setattr(optics, "_workers", lambda: 1)
-    inline = measure_many(phis, cfg_a, cfg_b, _rng(16))
-    assert all(np.array_equal(p, q) for p, q in zip(pooled, inline))
+    monkeypatch.setattr(optics, "_pool", None)  # the next call makes a one-thread pool
+    one_core = measure_many(phis, cfg_a, cfg_b, _rng(16))
+    assert optics._pool._max_workers == 1
+    optics._pool.shutdown()
+    assert all(np.array_equal(p, q) for p, q in zip(pooled, one_core))
 
 
 def test_concurrent_callers_get_their_serial_results():
@@ -384,6 +388,29 @@ def test_forked_child_gets_its_own_block_pool():
     queue = ctx.Queue()
     child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
     child.start()
+    try:
+        codes_a, codes_b = queue.get(timeout=60)
+    finally:
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(codes_a, parent[0]) and np.array_equal(codes_b, parent[1])
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_fork_while_the_pool_lock_is_held():
+    # A child forked while a parent thread holds the pool lock gets a free one.
+    phis = emit_phis(IsotropicSource(), BLOCK_ROWS + 1, _rng(19))
+    cfg = StationConfig(angle=0.7, threshold=0.55)
+    parent = measure_many(phis, cfg, cfg, _rng(18))
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    with optics._pool_lock:
+        child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
+        child.start()
     try:
         codes_a, codes_b = queue.get(timeout=60)
     finally:
