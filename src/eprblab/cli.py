@@ -2,9 +2,11 @@
 
 Subcommands: disk-demo, scan, chsh, pathology, events gen, events match.
 Every run resolves its full configuration (hard defaults, then the optional
-key = value config file, then explicit flags), executes, writes its outputs
-into --out, and drops a manifest.json recording the command line, the
-resolved configuration and its hash, the seed, and the output names.
+key = value config file, then explicit flags) and computes all of its
+outputs. One helper, _write_run, then writes the run record: it creates
+--out, writes every output, and writes manifest.json last, recording the
+command line, the resolved configuration and its hash, the seed, and the
+output names. A run that fails before that point leaves no --out.
 Re-running the manifest's argv reproduces every CSV byte for byte. The
 events subcommands also record run counters (and, for match, the sha256 of
 each input file's contents) in the manifest, outside the hashed config.
@@ -61,7 +63,6 @@ from .scan import (
     _fmt,
     chsh_report_from_tables,
     default_b_angles,
-    default_chsh_configs,
     pathology_probe,
     run_chsh,
     run_scan,
@@ -76,9 +77,25 @@ SCAN_PRESETS = {
     "figure8-right": {"ta": 0.5, "tb": 0.75, "alpha": math.pi / 4},
 }
 
-_KINDS = {
-    "correlated": SingletKind.CORRELATED,
-    "anticorrelated": SingletKind.ANTICORRELATED,
+_SOURCES = ("isotropic", "fixed-hv")
+
+_POLICIES = {
+    "both-known": BothKnown,
+    "assume-zero": AssumeZero,
+    "assume-fixed": AssumeFixed,
+    "assume-random": AssumeRandom,
+    "integrate": IntegrateOver,
+}
+
+#: Station flags: dest -> (config section, config key, default, help).
+_STATION_KEYS = {
+    "ta": ("station_a", "threshold", 0.5, "station A detection threshold (default 0.5)"),
+    "tb": ("station_b", "threshold", 0.5, "station B detection threshold (default 0.5)"),
+    "noise_a": ("station_a", "noise_sigma", 0.0, "station A channel noise sigma (default 0)"),
+    "noise_b": ("station_b", "noise_sigma", 0.0, "station B channel noise sigma (default 0)"),
+    "efficiency_a": ("station_a", "efficiency", 1.0, "station A efficiency in (0,1] (default 1)"),
+    "efficiency_b": ("station_b", "efficiency", 1.0, "station B efficiency in (0,1] (default 1)"),
+    "alpha": ("station_a", "angle", 0.0, "station A analyzer angle, rad (default 0)"),
 }
 
 
@@ -88,15 +105,15 @@ def _fingerprint(config: dict) -> str:
     ).hexdigest()
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    argv: list[str],
-    seed: int | None,
-    config: dict,
-    outputs: list[str],
-    **blocks: dict,
-) -> None:
+def _write_run(args, command: str, argv: list[str], seed: int | None, config: dict,
+               files: dict, **blocks: dict) -> int:
+    """Write one run record into --out and return the exit code 0.
+
+    files maps each output name to its text, or to an EventStream, which
+    write_events writes. The manifest is serialized before --out is created,
+    so a value JSON cannot hold stops the run with nothing written; it is
+    written last, after every output.
+    """
     doc = {
         "tool": "eprblab",
         "version": __version__,
@@ -105,18 +122,19 @@ def _write_manifest(
         "seed": seed,
         "config": config,
         "config_sha256": _fingerprint(config),
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
         **blocks,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
-    )
-
-
-def _out_dir(args) -> Path:
+    manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, content in files.items():
+        if isinstance(content, str):
+            (out / name).write_text(content, encoding="utf-8")
+        else:
+            write_events(out / name, content)
+    (out / "manifest.json").write_text(manifest, encoding="utf-8")
+    return 0
 
 
 class _Resolver:
@@ -131,14 +149,19 @@ class _Resolver:
             self.cp = cp
 
     def get(self, flag_value, section: str, key: str, default, cast=float):
+        """A file value that cast refuses, or a non-finite float, raises a
+        ValueError naming [section] key."""
         if flag_value is not None:
             return flag_value
-        if self.cp is not None and self.cp.has_option(section, key):
+        if self.cp is None or not self.cp.has_option(section, key):
+            return default
+        try:
             value = cast(self.cp.get(section, key))
-            if cast is float and not math.isfinite(value):
-                raise ValueError(f"config [{section}] {key} must be finite, got {value!r}")
-            return value
-        return default
+        except ValueError as exc:
+            raise ValueError(f"config [{section}] {key}: {exc}") from None
+        if cast is float and not math.isfinite(value):
+            raise ValueError(f"config [{section}] {key} must be finite, got {value!r}")
+        return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,27 +188,20 @@ def _angle_pair(text: str) -> tuple[float, float]:
     return _finite_float(parts[0]), _finite_float(parts[1])
 
 
+def _source_model(text: str) -> str:
+    if text not in _SOURCES:
+        raise ValueError(f"must be one of {', '.join(_SOURCES)}, got {text!r}")
+    return text
+
+
 def _station_flags(p: argparse.ArgumentParser, scanned_b: bool) -> None:
-    for flag, text in (
-        ("--ta", "station A detection threshold (default 0.5)"),
-        ("--tb", "station B detection threshold (default 0.5)"),
-        ("--noise-a", "station A channel noise sigma (default 0)"),
-        ("--noise-b", "station B channel noise sigma (default 0)"),
-        ("--efficiency-a", "station A efficiency in (0,1] (default 1)"),
-        ("--efficiency-b", "station B efficiency in (0,1] (default 1)"),
-    ):
-        p.add_argument(flag, type=_finite_float, help=text)
-    if scanned_b:
-        p.add_argument("--alpha", type=_finite_float,
-                       help="station A analyzer angle, rad (default 0)")
+    for dest, (_, _, _, text) in _STATION_KEYS.items():
+        if scanned_b or dest != "alpha":
+            p.add_argument("--" + dest.replace("_", "-"), type=_finite_float, help=text)
 
 
 def _source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--source",
-        choices=["isotropic", "fixed-hv"],
-        help="pair source model (default isotropic)",
-    )
+    p.add_argument("--source", choices=_SOURCES, help="pair source model (default isotropic)")
     p.add_argument("--basis", type=_finite_float, help="fixed-hv basis angle, rad (default 0)")
 
 
@@ -195,23 +211,34 @@ def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
     p.add_argument("--config", help="key = value config file with per-station sections")
 
 
-def _resolve_stations(args, res: _Resolver, alpha_default: float = 0.0):
-    ta = res.get(args.ta, "station_a", "threshold", 0.5)
-    tb = res.get(args.tb, "station_b", "threshold", 0.5)
-    na = res.get(args.noise_a, "station_a", "noise_sigma", 0.0)
-    nb = res.get(args.noise_b, "station_b", "noise_sigma", 0.0)
-    ea = res.get(args.efficiency_a, "station_a", "efficiency", 1.0)
-    eb = res.get(args.efficiency_b, "station_b", "efficiency", 1.0)
-    alpha = res.get(getattr(args, "alpha", None), "station_a", "angle", alpha_default)
-    return ta, tb, na, nb, ea, eb, alpha
+def _resolve_stations(args, res: _Resolver, **defaults: float):
+    """Station A (at alpha), station B (at 0) and their config entries.
+
+    defaults overrides a _STATION_KEYS default by dest. alpha is an entry
+    only where the subcommand has --alpha.
+    """
+    cfg = {
+        dest: res.get(getattr(args, dest, None), section, key, defaults.get(dest, default))
+        for dest, (section, key, default, _) in _STATION_KEYS.items()
+    }
+    station_a = StationConfig(
+        angle=cfg["alpha"], threshold=cfg["ta"], noise_sigma=cfg["noise_a"],
+        efficiency=cfg["efficiency_a"],
+    )
+    station_b = StationConfig(
+        angle=0.0, threshold=cfg["tb"], noise_sigma=cfg["noise_b"], efficiency=cfg["efficiency_b"]
+    )
+    if not hasattr(args, "alpha"):
+        del cfg["alpha"]
+    return station_a, station_b, cfg
 
 
 def _resolve_source(args, res: _Resolver):
-    name = res.get(args.source, "source", "model", "isotropic", cast=str)
+    """The pair source and its config entries {"source", "basis"}."""
+    name = res.get(args.source, "source", "model", "isotropic", cast=_source_model)
     basis = res.get(args.basis, "source", "basis", 0.0)
-    if name == "fixed-hv":
-        return FixedBasisSource(basis=basis), name, basis
-    return IsotropicSource(), name, basis
+    source = FixedBasisSource(basis=basis) if name == "fixed-hv" else IsotropicSource()
+    return source, {"source": name, "basis": basis}
 
 
 def _pmf_line(p: JointPmf) -> str:
@@ -219,18 +246,12 @@ def _pmf_line(p: JointPmf) -> str:
 
 
 def _policy(name: str | None, value: float | None) -> KnowledgePolicy:
-    table = {
-        "both-known": BothKnown,
-        "assume-zero": AssumeZero,
-        "assume-random": AssumeRandom,
-        "integrate": IntegrateOver,
-    }
     name = name or "assume-zero"
-    if name == "assume-fixed":
-        if value is None:
-            raise ValueError("--policy assume-fixed needs --policy-value")
-        return AssumeFixed(value=value)
-    return table[name]()
+    if name != "assume-fixed":
+        return _POLICIES[name]()
+    if value is None:
+        raise ValueError("--policy assume-fixed needs --policy-value")
+    return AssumeFixed(value=value)
 
 
 # --- disk-demo ---------------------------------------------------------------
@@ -239,11 +260,8 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     n = res.get(args.n, "run", "n", 100_000, cast=int)
-    kind = _KINDS[args.kind]
-    theta = args.theta
-    alpha = args.alpha
-    beta = args.beta
-    outputs: list[str] = []
+    kind = SingletKind(args.kind)
+    theta, alpha, beta = args.theta, args.alpha, args.beta
     disk_texts: dict[str, str] = {}
     exact: JointPmf | None = None
 
@@ -303,79 +321,43 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     if exact is not None:
         lines.append(f"exact_pmf = {_pmf_line(exact)}")
         lines.append(f"exact_tv_distance = {_fmt(exact.tv_distance(target))}")
-    out = _out_dir(args)
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append("summary.txt")
-    for name, text in disk_texts.items():
-        (out / name).write_text(text, encoding="utf-8")
-        outputs.append(name)
-
     config = {
-        "figure": args.figure,
-        "kind": args.kind,
-        "theta": theta,
-        "alpha": alpha,
-        "beta": beta,
-        "policy": args.policy,
-        "policy_a": args.policy_a,
-        "policy_b": args.policy_b,
-        "policy_value": args.policy_value,
-        "n": n,
-        "seed": seed,
+        "figure": args.figure, "kind": args.kind, "theta": theta, "alpha": alpha, "beta": beta,
+        "policy": args.policy, "policy_a": args.policy_a, "policy_b": args.policy_b,
+        "policy_value": args.policy_value, "n": n, "seed": seed,
     }
-    _write_manifest(out, "disk-demo", argv, seed, config, outputs)
-    return 0
+    files = {"summary.txt": "\n".join(lines) + "\n", **disk_texts}
+    return _write_run(args, "disk-demo", argv, seed, config, files)
 
 
 # --- scan ----------------------------------------------------------------------
 
 def _cmd_scan(args, argv: list[str]) -> int:
     res = _Resolver(args.config)
-    preset = SCAN_PRESETS.get(args.preset, {})
-    if args.ta is None and "ta" in preset:
-        args.ta = preset["ta"]
-    if args.tb is None and "tb" in preset:
-        args.tb = preset["tb"]
-    if args.alpha is None and "alpha" in preset:
-        args.alpha = preset["alpha"]
+    for dest, value in SCAN_PRESETS.get(args.preset, {}).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     steps = res.get(args.steps, "run", "steps", 33, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_step", 100_000, cast=int)
-    ta, tb, na, nb, ea, eb, alpha = _resolve_stations(args, res)
-    source, source_name, basis = _resolve_source(args, res)
+    station_a, station_b, stations = _resolve_stations(args, res)
+    source, source_cfg = _resolve_source(args, res)
 
     cfg = ScanConfig(
-        source=source,
-        station_a=StationConfig(angle=alpha, threshold=ta, noise_sigma=na, efficiency=ea),
-        station_b=StationConfig(angle=0.0, threshold=tb, noise_sigma=nb, efficiency=eb),
-        b_angles=default_b_angles(steps),
-        pairs_per_step=pairs,
-        seed=seed,
+        source=source, station_a=station_a, station_b=station_b,
+        b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
     )
     result = run_scan(cfg)
 
     config = {
-        "preset": args.preset,
-        "source": source_name,
-        "basis": basis,
-        "alpha": alpha,
-        "ta": ta,
-        "tb": tb,
-        "noise_a": na,
-        "noise_b": nb,
-        "efficiency_a": ea,
-        "efficiency_b": eb,
-        "steps": steps,
-        "pairs_per_step": pairs,
-        "seed": seed,
+        "preset": args.preset, **source_cfg, **stations,
+        "steps": steps, "pairs_per_step": pairs, "seed": seed,
     }
-    out = _out_dir(args)
-    (out / "scan.csv").write_text(scan_result_csv(result), encoding="utf-8")
-    (out / "summary.txt").write_text(
-        scan_summary_text(result, _fingerprint(config)), encoding="utf-8"
-    )
-    _write_manifest(out, "scan", argv, seed, config, ["scan.csv", "summary.txt"])
-    return 0
+    files = {
+        "scan.csv": scan_result_csv(result),
+        "summary.txt": scan_summary_text(result, _fingerprint(config)),
+    }
+    return _write_run(args, "scan", argv, seed, config, files)
 
 
 # --- chsh ------------------------------------------------------------------------
@@ -401,37 +383,19 @@ def _cmd_chsh(args, argv: list[str]) -> int:
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_setting", 100_000, cast=int)
-    ta, tb, na, nb, ea, eb, _ = _resolve_stations(args, res)
-    source, source_name, basis = _resolve_source(args, res)
-    a, a2, b, b2 = STANDARD_CHSH_ANGLES
-    angle_a = args.angle_a if args.angle_a is not None else a
-    angle_a2 = args.angle_a2 if args.angle_a2 is not None else a2
-    angle_b = args.angle_b if args.angle_b is not None else b
-    angle_b2 = args.angle_b2 if args.angle_b2 is not None else b2
+    station_a, station_b, stations = _resolve_stations(args, res)
+    source, source_cfg = _resolve_source(args, res)
+    flags = (args.angle_a, args.angle_a2, args.angle_b, args.angle_b2)
+    a, a2, b, b2 = (d if f is None else f for f, d in zip(flags, STANDARD_CHSH_ANGLES))
 
-    pair_a, pair_b = default_chsh_configs(
-        t_a=ta, t_b=tb, noise_a=na, noise_b=nb, efficiency_a=ea, efficiency_b=eb
-    )
-    pair_a = (replace(pair_a[0], angle=angle_a), replace(pair_a[1], angle=angle_a2))
-    pair_b = (replace(pair_b[0], angle=angle_b), replace(pair_b[1], angle=angle_b2))
+    pair_a = (replace(station_a, angle=a), replace(station_a, angle=a2))
+    pair_b = (replace(station_b, angle=b), replace(station_b, angle=b2))
     report = run_chsh(source, pair_a, pair_b, pairs, seed)
 
     config = {
-        "source": source_name,
-        "basis": basis,
-        "ta": ta,
-        "tb": tb,
-        "noise_a": na,
-        "noise_b": nb,
-        "efficiency_a": ea,
-        "efficiency_b": eb,
-        "angles_a": [angle_a, angle_a2],
-        "angles_b": [angle_b, angle_b2],
-        "pairs_per_setting": pairs,
-        "seed": seed,
+        **source_cfg, **stations, "angles_a": [a, a2], "angles_b": [b, b2],
+        "pairs_per_setting": pairs, "seed": seed,
     }
-    out = _out_dir(args)
-    (out / "chsh.csv").write_text(_chsh_csv(report), encoding="utf-8")
     summary = [
         f"s = {_fmt(report.s)}",
         f"abs_s = {_fmt(report.abs_s)}",
@@ -439,9 +403,8 @@ def _cmd_chsh(args, argv: list[str]) -> int:
         f"seed = {seed}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _write_manifest(out, "chsh", argv, seed, config, ["chsh.csv", "summary.txt"])
-    return 0
+    files = {"chsh.csv": _chsh_csv(report), "summary.txt": "\n".join(summary) + "\n"}
+    return _write_run(args, "chsh", argv, seed, config, files)
 
 
 # --- pathology ---------------------------------------------------------------------
@@ -451,36 +414,17 @@ def _cmd_pathology(args, argv: list[str]) -> int:
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     steps = res.get(args.steps, "run", "steps", 33, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_step", 10_000, cast=int)
-    ta, tb, na, nb, ea, eb, alpha = _resolve_stations(args, res, alpha_default=math.pi / 4)
+    station_a, station_b, stations = _resolve_stations(args, res, alpha=math.pi / 4)
     basis = res.get(args.basis, "source", "basis", 0.0)
 
     report = pathology_probe(
-        basis=basis,
-        alpha=alpha,
-        station_a=StationConfig(angle=0.0, threshold=ta, noise_sigma=na, efficiency=ea),
-        station_b=StationConfig(angle=0.0, threshold=tb, noise_sigma=nb, efficiency=eb),
-        b_angles=default_b_angles(steps),
-        pairs_per_step=pairs,
-        seed=seed,
+        basis=basis, alpha=stations["alpha"], station_a=station_a, station_b=station_b,
+        b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
     )
-    config = {
-        "basis": basis,
-        "alpha": alpha,
-        "ta": ta,
-        "tb": tb,
-        "noise_a": na,
-        "noise_b": nb,
-        "efficiency_a": ea,
-        "efficiency_b": eb,
-        "steps": steps,
-        "pairs_per_step": pairs,
-        "seed": seed,
-    }
-    out = _out_dir(args)
+    config = {"basis": basis, **stations, "steps": steps, "pairs_per_step": pairs, "seed": seed}
     lines = ["b_angle_rad,match_fixed_basis,match_isotropic"]
     for f, i in zip(report.fixed_scan.steps, report.isotropic_scan.steps):
         lines.append(f"{_fmt(f.b_angle)},{_fmt(f.match_probability)},{_fmt(i.match_probability)}")
-    (out / "pathology.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary = [
         f"basis = {_fmt(report.basis)}",
         f"alpha = {_fmt(report.alpha)}",
@@ -491,9 +435,8 @@ def _cmd_pathology(args, argv: list[str]) -> int:
         f"seed = {seed}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _write_manifest(out, "pathology", argv, seed, config, ["pathology.csv", "summary.txt"])
-    return 0
+    files = {"pathology.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
+    return _write_run(args, "pathology", argv, seed, config, files)
 
 
 # --- events ----------------------------------------------------------------------
@@ -504,43 +447,21 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     rate = res.get(args.rate, "run", "rate", 10_000.0)
     jitter = res.get(args.jitter, "run", "jitter", 10e-9)
     duration = res.get(args.duration, "run", "duration", 1.0)
-    ta, tb, na, nb, ea, eb, _ = _resolve_stations(args, res)
-    source, source_name, basis = _resolve_source(args, res)
-    a, a2, b, b2 = STANDARD_CHSH_ANGLES
-    settings_a = args.angles_a or (a, a2)
-    settings_b = args.angles_b or (b, b2)
+    station_a, station_b, stations = _resolve_stations(args, res)
+    source, source_cfg = _resolve_source(args, res)
+    settings_a = args.angles_a or STANDARD_CHSH_ANGLES[:2]
+    settings_b = args.angles_b or STANDARD_CHSH_ANGLES[2:]
 
     cfg = GeneratorConfig(
-        source=source,
-        station_a=StationConfig(angle=0.0, threshold=ta, noise_sigma=na, efficiency=ea),
-        station_b=StationConfig(angle=0.0, threshold=tb, noise_sigma=nb, efficiency=eb),
-        settings_a=settings_a,
-        settings_b=settings_b,
-        mean_rate=rate,
-        jitter_sigma=jitter,
+        source=source, station_a=station_a, station_b=station_b,
+        settings_a=settings_a, settings_b=settings_b, mean_rate=rate, jitter_sigma=jitter,
     )
     streams = generate_events(cfg, duration, seed)
-    out = _out_dir(args)
-    write_events(out / "events_a.csv", streams.events_a)
-    write_events(out / "events_b.csv", streams.events_b)
     truth_rows = ("%d,%d\n" * len(streams.truth)) % tuple(streams.truth.ravel().tolist())
-    (out / "truth.csv").write_text(f"a_row,b_row\n{truth_rows}", encoding="utf-8")
 
     config = {
-        "source": source_name,
-        "basis": basis,
-        "ta": ta,
-        "tb": tb,
-        "noise_a": na,
-        "noise_b": nb,
-        "efficiency_a": ea,
-        "efficiency_b": eb,
-        "settings_a": list(settings_a),
-        "settings_b": list(settings_b),
-        "rate": rate,
-        "jitter": jitter,
-        "duration": duration,
-        "seed": seed,
+        **source_cfg, **stations, "settings_a": list(settings_a), "settings_b": list(settings_b),
+        "rate": rate, "jitter": jitter, "duration": duration, "seed": seed,
     }
     counters = {
         "n_pairs": streams.n_pairs,
@@ -550,17 +471,13 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     }
     summary = [f"{key} = {value}" for key, value in counters.items()]
     summary += [f"seed = {seed}", f"config_sha256 = {_fingerprint(config)}"]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    _write_manifest(
-        out,
-        "events gen",
-        argv,
-        seed,
-        config,
-        ["events_a.csv", "events_b.csv", "truth.csv", "summary.txt"],
-        counters=counters,
-    )
-    return 0
+    files = {
+        "events_a.csv": streams.events_a,
+        "events_b.csv": streams.events_b,
+        "truth.csv": f"a_row,b_row\n{truth_rows}",
+        "summary.txt": "\n".join(summary) + "\n",
+    }
+    return _write_run(args, "events gen", argv, seed, config, files, counters=counters)
 
 
 MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
@@ -569,7 +486,6 @@ MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,
 def _cmd_events_match(args, argv: list[str]) -> int:
     events_a, events_b = read_events(args.a), read_events(args.b)
     result = match_coincidences(events_a, events_b, args.window)
-    out = _out_dir(args)
     lines = [MATCH_CSV_HEADER]
     for (sa, sb), t in sorted(result.tables.items()):
         try:
@@ -579,7 +495,6 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         lines.append(
             f"{sa},{sb},{t.n_pp},{t.n_pm},{t.n_mp},{t.n_mm},{t.singles_a},{t.singles_b},{_fmt(e)}"
         )
-    (out / "matched.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     a, a2, b, b2 = STANDARD_CHSH_ANGLES
     try:
@@ -594,7 +509,6 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         f"abs_s = {_fmt(abs(s) if s is not None else None)}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     inputs = {
         side: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
         for side, path in (("a", args.a), ("b", args.b))
@@ -606,11 +520,10 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         "unmatched_a": len(events_a) - result.n_matched,
         "unmatched_b": len(events_b) - result.n_matched,
     }
-    _write_manifest(
-        out, "events match", argv, None, config, ["matched.csv", "summary.txt"],
-        inputs=inputs, counters=counters,
+    files = {"matched.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
+    return _write_run(
+        args, "events match", argv, None, config, files, inputs=inputs, counters=counters
     )
-    return 0
 
 
 # --- parser ------------------------------------------------------------------------
@@ -640,17 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="station A setting for figures 4/5/special (default 0)")
     p.add_argument("--beta", type=_finite_float, default=0.0,
                    help="station B setting for figures 4/5 (default 0)")
-    p.add_argument("--kind", choices=sorted(_KINDS), default="anticorrelated",
+    p.add_argument("--kind", choices=sorted(k.value for k in SingletKind), default="anticorrelated",
                    help="pair preparation (default anticorrelated)")
-    p.add_argument("--policy", choices=["both-known", "assume-zero", "assume-fixed",
-                                        "assume-random", "integrate"],
-                   help="figure-5 knowledge policy for both sides (default assume-zero)")
-    p.add_argument("--policy-a", choices=["both-known", "assume-zero", "assume-fixed",
-                                          "assume-random", "integrate"],
-                   help="override figure-5 policy for side A")
-    p.add_argument("--policy-b", choices=["both-known", "assume-zero", "assume-fixed",
-                                          "assume-random", "integrate"],
-                   help="override figure-5 policy for side B")
+    for flag, text in (
+        ("--policy", "figure-5 knowledge policy for both sides (default assume-zero)"),
+        ("--policy-a", "override figure-5 policy for side A"),
+        ("--policy-b", "override figure-5 policy for side B"),
+    ):
+        p.add_argument(flag, choices=list(_POLICIES), help=text)
     p.add_argument("--policy-value", type=_finite_float,
                    help="assumed remote setting for assume-fixed")
     p.add_argument("--n", type=int, help="trials (default 100000)")

@@ -197,12 +197,19 @@ def _sample_separated_rng(
     n: int,
     rng: np.random.Generator,
 ) -> CountTable:
-    if mode is SamplingMode.SHARED_LAMBDA:
-        lam_a = lam_b = rng.uniform(0.0, TWO_PI, n)
-    else:
-        lam_a = rng.uniform(0.0, TWO_PI, n)
-        lam_b = rng.uniform(0.0, TWO_PI, n)
-    return tabulate_codes(sample_split_many(disk_a, lam_a), sample_split_many(disk_b, lam_b))
+    # Pointers are drawn and looked up in row chunks of _CHUNK_ROWS. A shared
+    # pointer serves both sides chunk by chunk; independent pointers take one
+    # pass per side, A's chunks before B's, the order of one (n,) draw each.
+    side_a = (np.empty(n, dtype=np.int8), [(s.start, s.length, s.outcome) for s in disk_a.sectors])
+    side_b = (np.empty(n, dtype=np.int8), [(s.start, s.length, s.outcome) for s in disk_b.sectors])
+    passes = [(side_a, side_b)] if mode is SamplingMode.SHARED_LAMBDA else [(side_a,), (side_b,)]
+    for sides in passes:
+        for start in range(0, n, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, n))
+            lams = rng.uniform(0.0, TWO_PI, rows.stop - start)
+            for codes, arcs in sides:
+                codes[rows] = _sector_lookup(lams, arcs)
+    return tabulate_codes(side_a[0], side_b[0])
 
 
 def sample_separated(

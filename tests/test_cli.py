@@ -1,9 +1,15 @@
+import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eprblab
 from eprblab.cli import build_parser, main
 
 
@@ -294,10 +300,26 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
     assert not out.exists()
 
 
-def test_events_gen_failure_leaves_no_out_dir(tmp_path, capsys):
-    out = tmp_path / "g"
-    assert run_cli("events", "gen", "--duration=-1", "--out", str(out)) == 1
-    assert "duration" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (("disk-demo", "--figure", "1", "--n", "0"), "n must be positive"),
+        (("scan", "--steps", "1"), "n_steps"),
+        (("chsh", "--pairs", "0"), "pairs_per_setting"),
+        (("pathology", "--steps", "1"), "n_steps"),
+        (("events", "gen", "--duration=-1"), "duration"),
+        (("events", "match", "--a", "none_a.csv", "--b", "none_b.csv", "--window", "10"),
+         "none_a.csv"),
+    ],
+    ids=["disk-demo", "scan", "chsh", "pathology", "events-gen", "events-match"],
+)
+def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and word in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
 
 
@@ -349,24 +371,52 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
     assert "argument --angles-b: wants two comma-separated angles" in err
 
 
-def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, text, words",
+    [
+        ("scan", "[source]\nbasis = nan\n", ("[source] basis", "finite")),
+        ("chsh", "[source]\nmodel = fixd-hv\n", ("[source] model", "isotropic, fixed-hv")),
+        ("scan", "[source]\nmodel = fixd-hv\n", ("[source] model", "'fixd-hv'")),
+        ("chsh", "[run]\nseed = 1.5\n", ("[run] seed", "'1.5'")),
+        ("scan", "[station_b]\nthreshold = abc\n", ("[station_b] threshold", "'abc'")),
+    ],
+    ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "threshold-text"],
+)
+def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
+    # A bad config-file value exits 1 with one line naming [section] key,
+    # before any output.
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[source]\nbasis = nan\n")
+    cfg.write_text(text)
     out = tmp_path / "s"
-    assert run_cli("scan", "--config", str(cfg), "--steps", "3", "--pairs", "100",
-                   "--out", str(out)) == 1
+    assert run_cli(command, "--config", str(cfg), "--pairs", "100", "--out", str(out)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("eprblab: error:") and "[source] basis" in err and "finite" in err
+    assert err.startswith("eprblab: error: config ") and len(err.strip().splitlines()) == 1
+    assert all(word in err for word in words), err
     assert not out.exists()
 
 
 def test_manifest_refuses_non_finite_json(tmp_path):
-    from eprblab.cli import _fingerprint, _write_manifest
+    from eprblab.cli import _fingerprint, _write_run
 
     with pytest.raises(ValueError):
         _fingerprint({"basis": math.nan})
+    args = argparse.Namespace(out=str(tmp_path / "o"))
     with pytest.raises(ValueError):
-        _write_manifest(tmp_path, "scan", [], 0, {"basis": math.inf}, [])
+        _write_run(args, "scan", [], 0, {"basis": math.inf}, {"summary.txt": "x\n"})
+    with pytest.raises(ValueError):
+        _write_run(args, "scan", [], 0, {}, {"summary.txt": "x\n"}, counters={"n": math.nan})
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_thread_pool_module_unloaded():
+    # The station kernel imports concurrent.futures on first use; importing
+    # it with the CLI would cost every command's start-up.
+    code = "import sys, eprblab.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(eprblab.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_events_match_names_bad_line(tmp_path, capsys):

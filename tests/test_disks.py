@@ -389,6 +389,11 @@ def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
     monkeypatch.setattr(disks, "_CHUNK_ROWS", block_rows)
     args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
     assert sample_param_setup(*args) == reference_param_setup(*args)
+    # The static path: sample_separated, directly and through sample_param_setup.
+    static = (0.4, 0.1, AssumeZero(), AssumeFixed(0.3), ANTI, 203, 5, mode)
+    da, db = build_param_disks(*static[:5])
+    assert sample_separated(da, db, mode, 203, 5) == reference_param_setup(*static)
+    assert sample_param_setup(*static) == reference_param_setup(*static)
 
 
 def test_assume_random_averages_to_quarter():

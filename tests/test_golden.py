@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of every output file except manifest.json from
 small in-process CLI runs, pinned so a refactor cannot silently change a
-number. manifest.json is left out because it records argv (with --out) and
-run telemetry, neither of which is part of the reproducibility promise.
+number. Each manifest is pinned separately, without argv (which records
+--out): the sha256 of its command, config, config_sha256, outputs, seed,
+counters and inputs, so the recorded run cannot drift either.
 
 The digests were taken with numpy NUMPY_VERSION. PCG64 streams and the
 ziggurat normal/exponential samplers belong to numpy, so another numpy
@@ -12,6 +13,7 @@ To print the digests of the current code: PYTHONPATH=src python tests/test_golde
 """
 
 import hashlib
+import json
 import os
 from pathlib import Path
 
@@ -129,9 +131,32 @@ GOLDEN = {
     },
 }
 
+MANIFEST_KEYS = ("command", "config", "config_sha256", "counters", "inputs", "outputs", "seed")
 
-def run_digests(name: str, workdir: Path) -> dict[str, str]:
-    """Run one golden case inside workdir and hash its outputs."""
+MANIFESTS = {
+    "chsh": "6052cde7d9c2a1ef1b639bac41655f2a0b229a560ed776c93d5e6ed7f920bdcb",
+    "disk-demo-1": "53a94a46d6a443aae8a9a1a755d5e185804ba934b11ee02960c297c1121aa4b4",
+    "disk-demo-2": "6bfc363e65401ce01e01951e25cdea0ff0e1bf3db154c02ee06a5760226d5c2d",
+    "disk-demo-3": "cdc567df44a2dbdfc453dedf0312e75dc7a017e92e2eaff2067ec028b5d95f04",
+    "disk-demo-4": "e181049acfd69fbb1d56bdbe6e7a86940fb972d441c4f1cc3bb381ea5c78a1c4",
+    "disk-demo-5-assume-random": "5cbf0b556690b75cec69ac111072b4ca3f04f68a6118e909e4d3a728a77a08ff",
+    "disk-demo-5-assume-zero": "2c72c1e2817e346926d255d0a9deba151a9c639600651fb3669504395665d4ba",
+    "disk-demo-5-integrate-correlated":
+        "81873fc36f3b2eefb376948f90df9f42a30fb973b6b474b4b32dd8b0e51b11f1",
+    "disk-demo-5-random-a": "0a76e96d074033ee3c7170715cd441f4366728ab59216e44ce2ff18bd4b3ae00",
+    "disk-demo-special": "0ab672ee5017ed9372a475a40d0b3786ba491ce670082744f10ef813784c8d58",
+    "events-gen": "76c4a03b482ba85fb540d7851d0c13704f82d7a1755666defe6242f6b86b2a72",
+    "events-match": "8db23fc9c556bceb417b363fb9eb2570c8678384aa5e4b32ec96bd982379bcf3",
+    "pathology": "b8b8ee7254fd0d06363fdcbd67271cd19c09d42ef3ceaf63325af5e0d0f83a5d",
+    "scan-figure6": "90a3431d1f3202b7b047a961ae6289c77a111afaac89eb328088ef60821e47f8",
+    "scan-figure7": "7b1a190607e44a239857facf5005c40949007c92cbb6c48b8112b17aec195dc4",
+    "scan-figure8-left": "6eb708476075ab4b7785f8b41d012f47dc222c7d0f6994dd7aee5b3430b8a7d3",
+    "scan-figure8-right": "769999af266c11c440ae9078fd57e8c2067e856298fa1f6a423cb5cd1c40c5ef",
+}
+
+
+def run_case(name: str, workdir: Path) -> Path:
+    """Run one golden case inside workdir; return its output directory."""
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
@@ -140,11 +165,24 @@ def run_digests(name: str, workdir: Path) -> dict[str, str]:
         assert main([*RUNS[name], "--out", "out"]) == 0
     finally:
         os.chdir(cwd)
+    return workdir / "out"
+
+
+def run_digests(name: str, workdir: Path) -> dict[str, str]:
+    """Run one golden case inside workdir and hash its outputs."""
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted((workdir / "out").iterdir())
+        for p in sorted(run_case(name, workdir).iterdir())
         if p.name != "manifest.json"
     }
+
+
+def manifest_digest(name: str, workdir: Path) -> str:
+    """Run one golden case inside workdir and hash its manifest's MANIFEST_KEYS."""
+    manifest = json.loads((run_case(name, workdir) / "manifest.json").read_text())
+    pinned = {key: manifest[key] for key in MANIFEST_KEYS if key in manifest}
+    text = json.dumps(pinned, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -154,9 +192,17 @@ def test_golden_digests(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_manifest_digests(name, tmp_path):
+    assert manifest_digest(name, tmp_path) == MANIFESTS[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
     for name in sorted(RUNS):
         with tempfile.TemporaryDirectory() as tmp:
             print(f"    {name!r}: {run_digests(name, Path(tmp))!r},")
+    for name in sorted(RUNS):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"    {name!r}: {manifest_digest(name, Path(tmp))!r},")
