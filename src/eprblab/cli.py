@@ -111,8 +111,8 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
 
     files maps each output name to its text, or to an EventStream, which
     write_events writes. The manifest is serialized before --out is created,
-    so a value JSON cannot hold stops the run with nothing written; it is
-    written last, after every output.
+    so a NaN or infinity in it stops the run before anything is written;
+    it is written last, after every output.
     """
     doc = {
         "tool": "eprblab",
@@ -226,7 +226,8 @@ def _resolve_stations(args, res: _Resolver, **defaults: float):
         efficiency=cfg["efficiency_a"],
     )
     station_b = StationConfig(
-        angle=0.0, threshold=cfg["tb"], noise_sigma=cfg["noise_b"], efficiency=cfg["efficiency_b"]
+        angle=0.0, threshold=cfg["tb"], noise_sigma=cfg["noise_b"],
+        efficiency=cfg["efficiency_b"],
     )
     if not hasattr(args, "alpha"):
         del cfg["alpha"]

@@ -34,7 +34,7 @@ _OUTCOMES = (-1, 1)
 #: Per-side outcomes of the singlet sectors (+,+), (+,-), (-,+), (-,-).
 _SINGLET_A = (1, 1, -1, -1)
 _SINGLET_B = (1, -1, 1, -1)
-#: Trials per row chunk of the per-trial draws; any value gives the same
+#: Trials per row chunk of the disk draws; any value gives the same
 #: tables, and this one bounds a chunk's temporaries to a few MB.
 _CHUNK_ROWS = 1 << 15
 
@@ -200,16 +200,16 @@ def _sample_separated_rng(
     # Pointers are drawn and looked up in row chunks of _CHUNK_ROWS. A shared
     # pointer serves both sides chunk by chunk; independent pointers take one
     # pass per side, A's chunks before B's, the order of one (n,) draw each.
-    side_a = (np.empty(n, dtype=np.int8), [(s.start, s.length, s.outcome) for s in disk_a.sectors])
-    side_b = (np.empty(n, dtype=np.int8), [(s.start, s.length, s.outcome) for s in disk_b.sectors])
+    side_a = (disk_a, np.empty(n, dtype=np.int8))
+    side_b = (disk_b, np.empty(n, dtype=np.int8))
     passes = [(side_a, side_b)] if mode is SamplingMode.SHARED_LAMBDA else [(side_a,), (side_b,)]
     for sides in passes:
         for start in range(0, n, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, n))
             lams = rng.uniform(0.0, TWO_PI, rows.stop - start)
-            for codes, arcs in sides:
-                codes[rows] = _sector_lookup(lams, arcs)
-    return tabulate_codes(side_a[0], side_b[0])
+            for disk, codes in sides:
+                codes[rows] = sample_split_many(disk, lams)
+    return tabulate_codes(side_a[1], side_b[1])
 
 
 def sample_separated(
