@@ -4,12 +4,13 @@ Subcommands: disk-demo, scan, chsh, pathology, events gen, events match.
 Every run resolves its full configuration (hard defaults, then the optional
 key = value config file, then explicit flags) and computes all of its
 outputs. One helper, _write_run, then writes the run record: it creates
---out, writes every output, and writes manifest.json last, recording the
-command line, the resolved configuration and its hash, the seed, and the
-output names. A run that fails before that point leaves no --out.
-Re-running the manifest's argv reproduces every CSV byte for byte. The
-events subcommands also record run counters (and, for match, the sha256 of
-each input file's contents) in the manifest, outside the hashed config.
+--out, deletes the outputs an earlier run's manifest there lists and this
+run does not write, writes every output, and writes manifest.json last,
+recording the command line, the resolved configuration and its hash, the
+seed, and the output names. A run that fails before that point leaves no
+--out. Re-running the manifest's argv reproduces every CSV byte for byte.
+The events subcommands also record run counters (and, for match, the sha256
+of each input file's contents) in the manifest, outside the hashed config.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Calibration parameters (thresholds, noise widths, efficiencies) are never
@@ -105,6 +106,21 @@ def _fingerprint(config: dict) -> str:
     ).hexdigest()
 
 
+def _stale_outputs(out: Path, files: dict) -> list[Path]:
+    """Files an earlier run's manifest in out lists that this run does not write.
+
+    Only plain files directly in out count; a file no manifest lists, or an
+    unreadable manifest, leaves everything in place.
+    """
+    try:
+        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return []
+    names = listed if isinstance(listed, list) else []
+    paths = [out / name for name in names if isinstance(name, str) and name not in files]
+    return [path for path in paths if path.parent == out and path.is_file()]
+
+
 def _write_run(args, command: str, argv: list[str], seed: int | None, config: dict,
                files: dict, **blocks: dict) -> int:
     """Write one run record into --out and return the exit code 0.
@@ -112,7 +128,10 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     files maps each output name to its text, or to an EventStream, which
     write_events writes. The manifest is serialized before --out is created,
     so a NaN or infinity in it stops the run before anything is written;
-    it is written last, after every output.
+    it is written last, after every output. When --out holds an earlier
+    run, the outputs its manifest lists and this run does not write are
+    deleted first, so no output of the earlier run stays beside the new
+    ones.
     """
     doc = {
         "tool": "eprblab",
@@ -128,6 +147,8 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in _stale_outputs(out, files):
+        stale.unlink()
     for name, content in files.items():
         if isinstance(content, str):
             (out / name).write_text(content, encoding="utf-8")
@@ -194,9 +215,10 @@ def _source_model(text: str) -> str:
     return text
 
 
-def _station_flags(p: argparse.ArgumentParser, scanned_b: bool) -> None:
+def _station_flags(p: argparse.ArgumentParser, scanned_b: bool, alpha_help: str = "") -> None:
     for dest, (_, _, _, text) in _STATION_KEYS.items():
         if scanned_b or dest != "alpha":
+            text = alpha_help if dest == "alpha" and alpha_help else text
             p.add_argument("--" + dest.replace("_", "-"), type=_finite_float, help=text)
 
 
@@ -593,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pathology", help="fixed-basis source probe with A at alpha")
     p.add_argument("--basis", type=_finite_float, help="source basis angle (default 0)")
-    _station_flags(p, scanned_b=True)
+    _station_flags(p, scanned_b=True, alpha_help="station A analyzer angle, rad (default pi/4)")
     p.add_argument("--steps", type=int, help="scan steps (default 33)")
     p.add_argument("--pairs", type=int, help="pairs per step (default 10000)")
     _common_flags(p, "pathology-out")

@@ -11,6 +11,12 @@ own sectors from a guess about the remote analyzer setting, the target
 joint is generally lost as well. The constructions here make each of those
 regimes runnable and measurable.
 
+A pointer reads the first sector whose half-open arc holds it. On a static
+disk the lookup is compiled once and total: a pointer in a gap of a few
+ulps, where rounded arc ends miss each other, reads the sector that begins
+next, and one outside [0, 2*pi) is first reduced as wrap_angle reduces one.
+Per-trial disks keep the per-arc test, which refuses a gap.
+
 Disks are immutable after construction; sampling takes an explicit seed and
 is pure given (inputs, seed).
 """
@@ -18,7 +24,9 @@ is pure given (inputs, seed).
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,13 @@ def _check_outcome(value: int, name: str) -> None:
         raise ValueError(f"{name} must be +1 or -1, got {value!r}")
 
 
+def _check_arc(start: float, length: float) -> None:
+    # The compiled lookup needs starts in [0, 2*pi]: see _compile_lookup.
+    for name, value in (("start", start), ("length", length)):
+        if not 0.0 <= value <= TWO_PI:
+            raise ValueError(f"sector {name} {value!r} outside [0, 2*pi]")
+
+
 @dataclass(frozen=True)
 class Sector:
     """One labeled arc of a joint disk: [start, start + length) -> (a, b)."""
@@ -56,8 +71,7 @@ class Sector:
     def __post_init__(self) -> None:
         _check_outcome(self.outcome_a, "outcome_a")
         _check_outcome(self.outcome_b, "outcome_b")
-        if not 0.0 <= self.length <= TWO_PI:
-            raise ValueError(f"sector length {self.length!r} outside [0, 2*pi]")
+        _check_arc(self.start, self.length)
 
 
 @dataclass(frozen=True)
@@ -70,8 +84,7 @@ class SplitSector:
 
     def __post_init__(self) -> None:
         _check_outcome(self.outcome, "outcome")
-        if not 0.0 <= self.length <= TWO_PI:
-            raise ValueError(f"sector length {self.length!r} outside [0, 2*pi]")
+        _check_arc(self.start, self.length)
 
 
 def _check_partition(lengths: list[float]) -> None:
@@ -113,6 +126,11 @@ class SplitDisk:
         object.__setattr__(self, "sectors", tuple(self.sectors))
         _check_partition([s.length for s in self.sectors])
 
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled lookup, built on first use (see _compile_lookup)."""
+        return _compile_lookup([(s.start, s.length, s.outcome) for s in self.sectors])
+
 
 class SamplingMode(enum.Enum):
     """One shared pointer draw per trial, or an independent draw per side."""
@@ -148,26 +166,102 @@ def build_singlet_disk(theta: float, kind: SingletKind) -> DiskPreparation:
     return DiskPreparation(tuple(Sector(*arc) for arc in arcs))
 
 
+def _holds(lams, start, length):
+    """Whether the arc [start, start + length) holds lams (an array or a float).
+
+    The one arc test: (lam - start) % 2*pi < length. Arcs are half-open, the
+    boundary belongs to the arc that starts there, and a zero-length arc
+    holds nothing.
+    """
+    return (lams - start) % TWO_PI < length
+
+
 def _sector_lookup(lams, arcs) -> np.ndarray:
-    """Outcome (int8) of the first arc holding each pointer angle.
+    """Outcome (int8) of the first arc holding each pointer angle, 0 if none.
 
     arcs yields (start, length, outcome) in sector order; start and length
-    are floats or arrays shaped like lams. An arc holds lam when
-    (lam - start) % 2*pi < length: arcs are half-open, the boundary belongs
-    to the arc that starts there, and a zero-length arc holds nothing.
+    are floats or arrays shaped like lams.
     """
     lams = np.asarray(lams, dtype=float)
     out = np.zeros(lams.shape, dtype=np.int8)
     for start, length, outcome in reversed(list(arcs)):  # earlier arcs win
-        out[(lams - start) % TWO_PI < length] = outcome
-    if not out.all():
-        raise RuntimeError("pointer angle fell outside every sector")
+        out[_holds(lams, start, length)] = outcome
     return out
 
 
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+#: The doubles in [0, 2*pi), in order, are _double(0) .. _double(_TWO_PI_BITS - 1).
+_TWO_PI_BITS = _bits(TWO_PI)
+
+
+def _first_unheld(lo: int, hi: int, start: float, length: float) -> int:
+    """Bits of the first double in bits [lo, hi) the arc does not hold, or hi.
+
+    Bisection; the arc must hold a prefix of the range. On one Python float,
+    _holds computes what numpy computes elementwise: both % take fmod and
+    move a negative remainder up by 2*pi.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _holds(_double(mid), start, length):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _compile_lookup(arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted boundaries and outcomes that equal _sector_lookup on [0, 2*pi).
+
+    For a start in [0, 2*pi], lam - start rounds monotonically in lam, and so
+    does the 2*pi that % adds to it below the start. So an arc holds a prefix
+    of [0, start) and a prefix of [start, 2*pi), and bisection finds where
+    each prefix ends, exactly. The cuts are 0 and, per arc, its start and
+    those two ends; every arc's test is constant from one cut to the next,
+    so _sector_lookup at a segment's first double gives the whole segment.
+    A segment no arc holds (a gap of a few ulps at a rounded arc end) takes
+    the outcome of the segment after it, that of the arc beginning there,
+    which makes the table total. Adjacent equal segments merge.
+    """
+    cuts = {0}
+    for start, length, _ in arcs:
+        s = _bits(start + 0.0)  # -0.0 -> +0.0, whose bits are 0
+        ends = _first_unheld(0, s, start, length), _first_unheld(s, _TWO_PI_BITS, start, length)
+        cuts |= {s, *ends}
+    bounds = np.array([_double(c) for c in sorted(cuts - {_TWO_PI_BITS})])
+    codes = _sector_lookup(bounds, arcs)
+    held = np.flatnonzero(codes)
+    codes = codes[held[np.searchsorted(held, np.arange(len(codes))) % len(held)]]
+    keep = np.concatenate([[True], codes[1:] != codes[:-1]])
+    return bounds[keep], codes[keep]
+
+
 def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
-    """One side's outcomes at an array of pointer angles."""
-    return _sector_lookup(lams, [(s.start, s.length, s.outcome) for s in disk.sectors])
+    """One side's outcomes (int8) at an array of pointer angles.
+
+    The lookup is total. On [0, 2*pi) a pointer reads the first sector whose
+    half-open arc holds it; a pointer in a gap no arc holds (a few ulps where
+    rounded arc ends miss each other) reads the sector that begins next.
+    Pointers outside [0, 2*pi) are first reduced as wrap_angle reduces one;
+    a non-finite pointer raises ValueError. The disk is compiled once, on
+    first use, into sorted boundaries searched with np.searchsorted.
+    """
+    lams = np.asarray(lams, dtype=float)
+    # In-range pointers skip np.remainder, which costs more than the search.
+    if lams.size and not (lams.min() >= 0.0 and lams.max() < TWO_PI):
+        if not np.isfinite(lams).all():
+            raise ValueError("pointer angles must be finite")
+        lams = lams % TWO_PI
+        lams = np.where(lams >= TWO_PI, 0.0, lams)
+    bounds, outcomes = disk._table
+    return outcomes[np.searchsorted(bounds, lams, side="right") - 1]
 
 
 def split_disk(disk: DiskPreparation) -> tuple[SplitDisk, SplitDisk]:
@@ -357,6 +451,8 @@ def sample_param_setup(
         arcs_b = zip(*_singlet_arcs(alpha_hat - beta, kind), _SINGLET_B)
         side_a[rows] = _sector_lookup(lam_a, arcs_a)
         side_b[rows] = _sector_lookup(lam_b, arcs_b)
+    if not (side_a.all() and side_b.all()):
+        raise RuntimeError("pointer angle fell outside every sector")
     return tabulate_codes(side_a, side_b)
 
 

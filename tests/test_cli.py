@@ -114,6 +114,15 @@ def test_help_lists_calibration_knobs(capsys):
         assert "default" in text
 
 
+def test_alpha_help_states_each_command_default(capsys):
+    # pathology runs station A at pi/4 unless told otherwise; scan at 0.
+    for command, default in (("scan", "0"), ("pathology", "pi/4")):
+        with pytest.raises(SystemExit):
+            run_cli(command, "--help")
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"--alpha ALPHA station A analyzer angle, rad (default {default})" in text
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     for argv in (
@@ -182,6 +191,24 @@ def test_disk_demo_figure1_joint(tmp_path):
     assert (out / "disk.txt").exists()
     summary = _read_summary(out / "summary.txt")
     assert float(summary["tv_distance"]) < 0.01
+
+
+def test_reused_out_drops_outputs_of_the_earlier_run(tmp_path):
+    out = tmp_path / "d"
+    common = ("--n", "1000", "--seed", "3", "--out", str(out))
+    assert run_cli("disk-demo", "--figure", "1", *common) == 0
+    assert (out / "disk.txt").exists()
+    (out / "notes.txt").write_text("kept: no manifest lists it\n")
+    assert run_cli("disk-demo", "--figure", "2", *common) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == ["disk_a.txt", "disk_b.txt", "summary.txt"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*outputs, "manifest.json", "notes.txt"]
+    )
+    # An unreadable manifest lists nothing, so nothing is deleted.
+    (out / "manifest.json").write_text("not json\n")
+    assert run_cli("disk-demo", "--figure", "1", *common) == 0
+    assert {"disk_a.txt", "disk_b.txt", "notes.txt"} <= {p.name for p in out.iterdir()}
 
 
 # --- chsh / pathology ----------------------------------------------------------------

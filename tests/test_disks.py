@@ -44,7 +44,8 @@ kinds = st.sampled_from([ANTI, CORR])
 
 # --- scalar reference -------------------------------------------------------------
 # The per-sector scalar walks and the per-trial loop that the array path
-# replaced, kept as the reference the array code is checked against.
+# replaced, and the masked per-arc lookup that the compiled table replaced
+# on static disks, kept as the references the library code is checked against.
 
 def _arc_contains(start: float, length: float, lam: float) -> bool:
     # Half-open arc [start, start + length) with wraparound.
@@ -66,6 +67,23 @@ def outcome_at(disk: SplitDisk, lam: float) -> int:
         if s.length > 0.0 and _arc_contains(s.start, s.length, lam):
             return s.outcome
     raise RuntimeError(f"no sector contains {lam!r}")
+
+
+def reference_sector_lookup(lams, arcs) -> np.ndarray:
+    """Outcome (int8) of the first arc holding each pointer angle.
+
+    arcs yields (start, length, outcome) in sector order; start and length
+    are floats or arrays shaped like lams. An arc holds lam when
+    (lam - start) % 2*pi < length: arcs are half-open, the boundary belongs
+    to the arc that starts there, and a zero-length arc holds nothing.
+    """
+    lams = np.asarray(lams, dtype=float)
+    out = np.zeros(lams.shape, dtype=np.int8)
+    for start, length, outcome in reversed(list(arcs)):  # earlier arcs win
+        out[(lams - start) % TWO_PI < length] = outcome
+    if not out.all():
+        raise RuntimeError("pointer angle fell outside every sector")
+    return out
 
 
 def _assumed_remote(policy, true_value: float, rng) -> float:
@@ -198,6 +216,11 @@ def test_disk_rejects_bad_partitions():
         SplitDisk((SplitSector(0.0, math.pi, 1), SplitSector(math.pi, math.pi / 2, -1)))
     with pytest.raises(ValueError):
         Sector(0.0, 1.0, 2, 1)
+    for start in (-0.1, TWO_PI + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="start"):
+            SplitSector(start, math.pi, 1)
+        with pytest.raises(ValueError, match="start"):
+            Sector(start, math.pi, 1, 1)
 
 
 # --- sampling ------------------------------------------------------------------
@@ -229,6 +252,111 @@ def test_sample_disk_monte_carlo_matches_implied_pmf():
         float(np.mean((a == -1) & (b == -1))),
     )
     assert max(abs(p - q) for p, q in zip(emp.as_tuple(), target.as_tuple())) < 0.002
+
+
+# --- the compiled lookup ------------------------------------------------------------
+
+def _nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+@st.composite
+def split_disks(draw) -> SplitDisk:
+    """Split singlet disks, special disks, and random partitions whose arc
+    lengths are nudged by a few ulps, so arcs overlap or leave gaps."""
+    source = draw(st.sampled_from(["singlet", "special", "random"]))
+    side = draw(st.sampled_from([0, 1]))
+    if source == "singlet":
+        return split_disk(build_singlet_disk(draw(angles), draw(kinds)))[side]
+    if source == "special":
+        return build_bell_special(draw(angles))[side]
+    cuts = draw(st.lists(st.floats(0.0, TWO_PI), min_size=1, max_size=5, unique=True))
+    cuts.sort()
+    arcs = []
+    for start, end in zip(cuts, cuts[1:] + [cuts[0] + TWO_PI]):
+        length = min(_nudged(end - start, draw(st.integers(-3, 3))), TWO_PI)
+        arcs.append(SplitSector(start, max(length, 0.0), draw(st.sampled_from([-1, 1]))))
+    return SplitDisk(tuple(draw(st.permutations(arcs))))
+
+
+def _probe_pointers(disk: SplitDisk, extra) -> list[float]:
+    """0, the last double below 2*pi, and every table boundary, arc start and
+    nominal arc end with both of its neighbours, plus extra; all in [0, 2*pi)."""
+    marks = [*disk._table[0], *(s.start for s in disk.sectors)]
+    marks += [wrap_angle(s.start + s.length) for s in disk.sectors]
+    points = {0.0, math.nextafter(TWO_PI, 0.0), *extra}
+    for x in marks:
+        points.update((_nudged(x, -1), x, _nudged(x, 1)))
+    return sorted(x for x in points if 0.0 <= x < TWO_PI)
+
+
+def _reference_or_none(lam: float, arcs):
+    try:
+        return int(reference_sector_lookup([lam], arcs)[0])
+    except RuntimeError:  # a gap: no arc holds lam
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_disks(), st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=20))
+@example(build_bell_special(math.pi / 4)[0], [math.pi / 2])
+def test_compiled_lookup_equals_reference(disk, lams):
+    arcs = [(s.start, s.length, s.outcome) for s in disk.sectors]
+    bounds, outcomes = disk._table
+    assert bounds[0] == 0.0 and (np.diff(bounds) > 0).all() and bounds[-1] < TWO_PI
+    assert set(outcomes.tolist()) <= {-1, 1} and (outcomes[1:] != outcomes[:-1]).all()
+    # A held stretch begins at an arc's start or at 0, so a pointer in a gap
+    # reads the first of those after it, wrapping round the circle.
+    starts = sorted(s.start for s in disk.sectors if s.length > 0.0 and s.start < TWO_PI)
+    points = _probe_pointers(disk, lams)
+    for lam, got in zip(points, sample_split_many(disk, points).tolist()):
+        ahead = [lam, *(x for x in starts if x > lam), 0.0, *starts]
+        want = next(w for w in (_reference_or_none(x, arcs) for x in ahead) if w is not None)
+        assert got == want, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, TWO_PI),
+    st.floats(0.0, TWO_PI),
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=30),
+)
+@example(TWO_PI, 1e-300, [])
+@example(0.0, TWO_PI, [])
+@example(4.71238898038469, math.pi, [])
+def test_arc_test_is_monotone_on_each_side_of_start(start, length, lams):
+    # The claim the compiled table's bisection rests on: below its start and
+    # from its start up, an arc holds a prefix of the pointers and no more.
+    points = {0.0, math.nextafter(TWO_PI, 0.0), *lams}
+    for mark in (start, wrap_angle(start + length)):
+        points.update(_nudged(mark, k) for k in range(-8, 9))
+    points = np.array(sorted(x for x in points if 0.0 <= x < TWO_PI))
+    held = disks._holds(points, start, length)
+    for side in (points < start, points >= start):
+        h = held[side]
+        assert not (h[1:] & ~h[:-1]).any()
+
+
+def test_special_disk_gap_pointer_reads_the_next_arc():
+    # fl(pi/2) is what rng.uniform(0, 2*pi) returns for a raw uniform of
+    # 0.25. At alpha = pi/4 side A's + arc starts one ulp above it and the -
+    # arc ends just below, so the masked lookup found no sector there.
+    da, db = build_bell_special(math.pi / 4)
+    arcs = [(s.start, s.length, s.outcome) for s in da.sectors]
+    with pytest.raises(RuntimeError, match="outside every sector"):
+        reference_sector_lookup([math.pi / 2], arcs)
+    assert sample_split_many(da, [math.pi / 2]).tolist() == [1]
+
+
+def test_lookup_wraps_out_of_range_pointers():
+    da, _ = split_disk(build_singlet_disk(0.3, ANTI))
+    lams = [-1e-300, -0.5, TWO_PI, 7.0, -20.0, 1e6]
+    wrapped = [wrap_angle(x) for x in lams]
+    assert sample_split_many(da, lams).tolist() == sample_split_many(da, wrapped).tolist()
+    with pytest.raises(ValueError, match="finite"):
+        sample_split_many(da, [0.1, math.nan])
 
 
 # --- splitting -------------------------------------------------------------------
