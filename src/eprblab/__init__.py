@@ -91,7 +91,6 @@ from .eventio import (
     UnsortedEventsError,
     generate_events,
     match_coincidences,
-    match_files,
     read_events,
     write_events,
 )

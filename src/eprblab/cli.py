@@ -51,10 +51,12 @@ from .disks import (
 )
 from .domain import JointPmf, NoCoincidencesError, SingletKind, correlation
 from .eventio import (
+    EventStream,
     GeneratorConfig,
+    _parse_events,
+    _write_csv,
     generate_events,
     match_coincidences,
-    read_events,
     write_events,
 )
 from .optics import FixedBasisSource, IsotropicSource, StationConfig
@@ -125,13 +127,14 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
                files: dict, **blocks: dict) -> int:
     """Write one run record into --out and return the exit code 0.
 
-    files maps each output name to its text, or to an EventStream, which
-    write_events writes. The manifest is serialized before --out is created,
-    so a NaN or infinity in it stops the run before anything is written;
-    it is written last, after every output. When --out holds an earlier
-    run, the outputs its manifest lists and this run does not write are
-    deleted first, so no output of the earlier run stays beside the new
-    ones.
+    files maps each output name to its text, to an EventStream, which
+    write_events writes, or to a (header, integer columns) pair, which the
+    same chunked CSV writer writes as one row per index. The manifest is
+    serialized before --out is created, so a NaN or infinity in it stops the
+    run before anything is written; it is written last, after every output.
+    When --out holds an earlier run, the outputs its manifest lists and this
+    run does not write are deleted first, so no output of the earlier run
+    stays beside the new ones.
     """
     doc = {
         "tool": "eprblab",
@@ -152,8 +155,10 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     for name, content in files.items():
         if isinstance(content, str):
             (out / name).write_text(content, encoding="utf-8")
-        else:
+        elif isinstance(content, EventStream):
             write_events(out / name, content)
+        else:
+            _write_csv(out / name, *content)
     (out / "manifest.json").write_text(manifest, encoding="utf-8")
     return 0
 
@@ -480,7 +485,6 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
         settings_a=settings_a, settings_b=settings_b, mean_rate=rate, jitter_sigma=jitter,
     )
     streams = generate_events(cfg, duration, seed)
-    truth_rows = ("%d,%d\n" * len(streams.truth)) % tuple(streams.truth.ravel().tolist())
 
     config = {
         **source_cfg, **stations, "settings_a": list(settings_a), "settings_b": list(settings_b),
@@ -497,7 +501,7 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     files = {
         "events_a.csv": streams.events_a,
         "events_b.csv": streams.events_b,
-        "truth.csv": f"a_row,b_row\n{truth_rows}",
+        "truth.csv": ("a_row,b_row", streams.truth.T),
         "summary.txt": "\n".join(summary) + "\n",
     }
     return _write_run(args, "events gen", argv, seed, config, files, counters=counters)
@@ -506,8 +510,15 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
 MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
 
 
+def _read_input(path: str) -> tuple[EventStream, dict]:
+    """Parse one stream file and its manifest entry, both from one read of it."""
+    data = Path(path).read_bytes()
+    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return _parse_events(data, str(path)), entry
+
+
 def _cmd_events_match(args, argv: list[str]) -> int:
-    events_a, events_b = read_events(args.a), read_events(args.b)
+    (events_a, input_a), (events_b, input_b) = _read_input(args.a), _read_input(args.b)
     result = match_coincidences(events_a, events_b, args.window)
     lines = [MATCH_CSV_HEADER]
     for (sa, sb), t in sorted(result.tables.items()):
@@ -532,10 +543,6 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         f"abs_s = {_fmt(abs(s) if s is not None else None)}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
-    inputs = {
-        side: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-        for side, path in (("a", args.a), ("b", args.b))
-    }
     counters = {
         "records_a": len(events_a),
         "records_b": len(events_b),
@@ -545,7 +552,8 @@ def _cmd_events_match(args, argv: list[str]) -> int:
     }
     files = {"matched.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
     return _write_run(
-        args, "events match", argv, None, config, files, inputs=inputs, counters=counters
+        args, "events match", argv, None, config, files,
+        inputs={"a": input_a, "b": input_b}, counters=counters,
     )
 
 

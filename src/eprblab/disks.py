@@ -15,7 +15,8 @@ A pointer reads the first sector whose half-open arc holds it. On a static
 disk the lookup is compiled once and total: a pointer in a gap of a few
 ulps, where rounded arc ends miss each other, reads the sector that begins
 next, and one outside [0, 2*pi) is first reduced as wrap_angle reduces one.
-Per-trial disks keep the per-arc test, which refuses a gap.
+Per-trial disks keep the per-arc test and send only a gap pointer to the
+compiled table of its trial's arcs, so every lookup is total.
 
 Disks are immutable after construction; sampling takes an explicit seed and
 is pure given (inputs, seed).
@@ -243,6 +244,22 @@ def _compile_lookup(arcs) -> tuple[np.ndarray, np.ndarray]:
     return bounds[keep], codes[keep]
 
 
+def _per_trial_lookup(lams: np.ndarray, theta, kind: SingletKind, outcomes) -> np.ndarray:
+    """Outcomes (int8) at lams on singlet disks laid out per trial at theta.
+
+    theta is a float or an array shaped like lams. Each row reads the first
+    of its own arcs that holds its pointer; a pointer no arc holds (a gap of
+    a few ulps) reads what the compiled table of its row's arcs reads, the
+    sector that begins next, so this lookup is total like the static one.
+    """
+    out = _sector_lookup(lams, zip(*_singlet_arcs(theta, kind), outcomes))
+    for i in np.flatnonzero(out == 0).tolist():
+        row_theta = float(np.broadcast_to(theta, lams.shape)[i])
+        bounds, codes = _compile_lookup(list(zip(*_singlet_arcs(row_theta, kind), outcomes)))
+        out[i] = codes[np.searchsorted(bounds, lams[i], side="right") - 1]
+    return out
+
+
 def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
     """One side's outcomes (int8) at an array of pointer angles.
 
@@ -447,12 +464,8 @@ def sample_param_setup(
         alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
         lam_a = next(columns)
         lam_b = lam_a if shared else next(columns)
-        arcs_a = zip(*_singlet_arcs(alpha - beta_hat, kind), _SINGLET_A)
-        arcs_b = zip(*_singlet_arcs(alpha_hat - beta, kind), _SINGLET_B)
-        side_a[rows] = _sector_lookup(lam_a, arcs_a)
-        side_b[rows] = _sector_lookup(lam_b, arcs_b)
-    if not (side_a.all() and side_b.all()):
-        raise RuntimeError("pointer angle fell outside every sector")
+        side_a[rows] = _per_trial_lookup(lam_a, alpha - beta_hat, kind, _SINGLET_A)
+        side_b[rows] = _per_trial_lookup(lam_b, alpha_hat - beta, kind, _SINGLET_B)
     return tabulate_codes(side_a, side_b)
 
 

@@ -12,7 +12,10 @@ Each stream is an EventStream of three numpy columns validated once, as
 arrays; no stage of the pipeline builds a per-record object.
 
 File format: text CSV, header ``t_ns,setting,channel``, one record per
-line, LF line endings, rows sorted by t_ns ascending. Timestamps are
+line, rows sorted by t_ns ascending. Files are written with LF line ends,
+in row chunks, and read as one array pass at a time over their bytes; the
+reader also takes CRLF line ends and a missing final line end, and each
+field must be -?digits within int64. Timestamps are
 integer nanoseconds, setting is the index (0 or 1) of the analyzer angle
 active for that event, channel is +1 or -1. Misses and doubles produce no
 record (a record carries exactly one fired channel), which keeps
@@ -204,48 +207,164 @@ def generate_events(
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
 
 
+#: Rows per chunk of the CSV writer and parser. Any value gives the same
+#: bytes and streams; this one keeps a chunk's temporaries in cache.
+_CHUNK_ROWS = 1 << 14
+#: ASCII tens and units digits of 0..99.
+_TENS = np.repeat(np.arange(48, 58, dtype=np.uint8), 10)
+_UNITS = np.tile(np.arange(48, 58, dtype=np.uint8), 10)
+#: Digits of the longest int64 magnitude, 2**63.
+_MAX_DIGITS = 19
+
+
+def _format_rows(columns) -> bytes:
+    """One "%d,...,%d\n" row per index of equal-length integer columns.
+
+    Each field gets fixed cells in a (width, rows) uint8 matrix: a sign cell
+    if any value is negative, then its digits right-aligned, two per // 100
+    step through the digit tables. A plus sign or a leading zero leaves its
+    cell 0, and dropping every 0 byte of the row-major matrix leaves the text.
+    """
+    rows = len(columns[0])
+    planes: list[tuple[int, object]] = []
+    width = 0
+    for j, col in enumerate(columns):
+        values = col.astype(np.int64, copy=False)
+        neg = values < 0
+        mag = values.view(np.uint64)
+        if neg.any():
+            mag = np.where(neg, 0 - mag, mag)  # two's complement, so INT64_MIN too
+            planes.append((width, neg * np.uint8(45)))
+            width += 1
+        digits = len(str(int(mag.max())))
+        width += digits
+        q = mag
+        for i in range(0, digits, 2):  # i counts digits from the right
+            q100 = q // 100
+            r = q - q100 * 100
+            planes.append((width - 1 - i, _UNITS[r] if i == 0 else _UNITS[r] * (q > 0)))
+            if i + 1 < digits:
+                planes.append((width - 2 - i, _TENS[r] * (q >= 10)))
+            q = q100
+        planes.append((width, np.uint8(10 if j == len(columns) - 1 else 44)))
+        width += 1
+    cells = np.empty((width, rows), dtype=np.uint8)
+    for k, plane in planes:
+        cells[k] = plane
+    return cells.T.tobytes().translate(None, b"\0")
+
+
+def _write_csv(path: Path | str, header: str, columns) -> None:
+    """Write header, then one integer row per index of columns, in row chunks."""
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii"))
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            fh.write(_format_rows([col[start : start + _CHUNK_ROWS] for col in columns]))
+
+
 def write_events(path: Path | str, events: EventStream) -> None:
-    columns = np.column_stack((events.t_ns, events.setting, events.channel))
-    body = ("%d,%d,%d\n" * len(events)) % tuple(columns.ravel().tolist())
-    Path(path).write_text(f"{EVENTS_CSV_HEADER}\n{body}", encoding="ascii")
+    _write_csv(path, EVENTS_CSV_HEADER, (events.t_ns, events.setting, events.channel))
+
+
+def _parse_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Values of the fields buf[starts:stops] and whether each is -?digits in int64.
+
+    A field holds 1 to 19 digits after an optional '-'. Digits are gathered
+    right-aligned from each stop, one plane per digit place; every stop lies
+    past the 20-byte header, so no gather reaches below byte 0.
+    """
+    neg = buf[starts] == 45
+    lengths = stops - starts - neg
+    ok = (lengths >= 1) & (lengths <= _MAX_DIGITS)
+    lengths *= ok
+    at = stops - _MAX_DIGITS  # buf[stops - 1 - k] is buf[_MAX_DIGITS - 1 - k:][at]
+    always = lengths.min(initial=_MAX_DIGITS)  # digit places every field holds
+    places = int(lengths.max(initial=0))
+    mag = np.zeros(len(starts), dtype=np.uint64)
+    worst = np.zeros(len(starts), dtype=np.uint8)  # largest byte - '0' seen
+    for k in range(places):
+        digit = buf[_MAX_DIGITS - 1 - k :][at] - 48
+        if k >= always:
+            digit *= lengths > k
+        if k:
+            np.maximum(worst, digit, out=worst)
+            mag += digit * np.uint64(10**k)
+        else:
+            worst, mag = digit, digit.astype(np.uint64)
+    ok &= worst < 10
+    if places == _MAX_DIGITS:  # fewer digits always fit int64
+        ok &= mag <= np.uint64(_INT64_MAX) + neg
+    if neg.any():
+        mag = np.where(neg, 0 - mag, mag)
+    return mag.view(np.int64), ok
+
+
+def _parse_events(data: bytes, where: str) -> EventStream:
+    """Parse one stream file's bytes; a bad record raises ValueError naming
+    where:line, numbering lines from 1 at the header.
+
+    Accepted: the header line, then rows of three -?digits fields in int64,
+    with LF or CRLF line ends; the final line end may be missing. Each check
+    is one array pass over the bytes, the separators or the fields.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.max(initial=0) >= 0x80:
+        k = int(np.argmax(buf >= 0x80))
+        line_no = data.count(b"\n", 0, k) + 1
+        raise ValueError(f"{where}:{line_no}: non-ASCII byte {data[k : k + 1]!r}")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+        buf = np.frombuffer(data, dtype=np.uint8)
+    body = data.index(b"\n") + 1
+    if data[: body - 1].removesuffix(b"\r") != EVENTS_CSV_HEADER.encode():
+        raise ValueError(f"{where}: missing '{EVENTS_CSV_HEADER}' header")
+
+    # Lines before `first` hold two commas each, which cut them into fields.
+    # In a bad file, bytes below '-' other than ',' and LF (a CR before an
+    # LF ends its line) are left in the fields, whose digit check finds them.
+    seps = np.flatnonzero(buf <= 44)
+    seps = seps[np.searchsorted(seps, body) :]
+    kinds = buf[seps]
+    n = len(seps) // 3
+    lf_every_third = len(seps) == 3 * n and (kinds[2::3] == 10).all()
+    if lf_every_third and np.count_nonzero(kinds == 44) == 2 * n:  # and commas between
+        ends = seps[2::3]
+        first = n
+    else:
+        seps = seps[(kinds == 44) | (kinds == 10)]
+        lf_at = np.flatnonzero(buf[seps] == 10)
+        ends = seps[lf_at]
+        wrong = np.flatnonzero(np.diff(lf_at, prepend=-1) != 3)  # other than two commas
+        first = int(wrong[0]) if wrong.size else len(ends)
+    columns = np.empty((3, first), dtype=np.int64)
+    bad = np.zeros(first, dtype=bool)
+    start = body
+    for lo in range(0, first, _CHUNK_ROWS):
+        rows = slice(lo, min(lo + _CHUNK_ROWS, first))
+        comma_1, comma_2, lf = seps[3 * rows.start : 3 * rows.stop].reshape(-1, 3).T.copy()
+        starts = np.concatenate(([start], lf[:-1] + 1))
+        start = lf[-1] + 1
+        stops = lf - (buf[lf - 1] == 13)
+        bounds = (starts, comma_1), (comma_1 + 1, comma_2), (comma_2 + 1, stops)
+        for column, (field_starts, field_stops) in zip(columns, bounds):
+            column[rows], ok = _parse_fields(buf, field_starts, field_stops)
+            bad[rows] |= ~ok
+    if bad.any():
+        first = int(np.argmax(bad))
+    if first < len(ends):
+        start = ends[first - 1] + 1 if first else body
+        line = data[start : ends[first]].removesuffix(b"\r").decode("ascii")
+        raise ValueError(f"{where}:{first + 2}: bad record {line!r}")
+    try:
+        return EventStream(*columns)
+    except ValueError:
+        _check_records(*columns, f"{where}:", 2)
+        raise
 
 
 def read_events(path: Path | str) -> EventStream:
     """Parse one stream file; a bad record raises ValueError naming path:line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        # Count lines as str.splitlines does, through the failing line.
-        line_no = len((data[: exc.start] + b"x").decode("ascii").splitlines())
-        byte = data[exc.start : exc.start + 1]
-        raise ValueError(f"{path}:{line_no}: non-ASCII byte {byte!r}") from None
-    header, *lines = text.splitlines() or [""]
-    if header != EVENTS_CSV_HEADER:
-        raise ValueError(f"{path}: missing '{EVENTS_CSV_HEADER}' header")
-    if not lines:
-        return EventStream([], [], [])
-    try:
-        if "" in lines:  # loadtxt would skip it silently
-            raise ValueError("blank line")
-        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-        if rows.shape != (len(lines), 3):
-            raise ValueError("not three fields per line")
-    except ValueError as exc:
-        # Only a bad file pays for this scan, which names its first bad line.
-        for line_no, line in enumerate(lines, start=2):
-            try:
-                if len([np.int64(f) for f in line.split(",")]) == 3:
-                    continue
-            except (ValueError, OverflowError):
-                pass
-            raise ValueError(f"{path}:{line_no}: bad record {line!r}") from None
-        raise ValueError(f"{path}: {exc}") from None
-    try:
-        return EventStream(*rows.T)
-    except ValueError:
-        _check_records(*rows.T, f"{path}:", 2)
-        raise
+    return _parse_events(Path(path).read_bytes(), str(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +455,3 @@ def match_coincidences(
         for sb in (0, 1)
     }
     return MatchResult(tables=tables, pairs=pairs)
-
-
-def match_files(path_a: Path | str, path_b: Path | str, window_ns: int) -> MatchResult:
-    """match_coincidences over two persisted streams."""
-    return match_coincidences(read_events(path_a), read_events(path_b), window_ns)

@@ -602,3 +602,52 @@ def test_disk_serialization_shape():
     da, _ = split_disk(d)
     stext = split_to_text(da)
     assert all(len(line.split(",")) == 3 for line in stext.strip().splitlines()[1:])
+
+
+# --- per-trial gap pointers --------------------------------------------------------
+
+#: A guessed relative angle and pointer that fall in a gap of side A's arcs.
+GAP_THETA, GAP_LAM = 3.6578319513973883, 3.1415926535897927
+
+
+def _row_table_lookup(lam: float, theta: float, kind, outcomes) -> int:
+    bounds, codes = disks._compile_lookup(list(zip(*disks._singlet_arcs(theta, kind), outcomes)))
+    return int(codes[np.searchsorted(bounds, lam, side="right") - 1])
+
+
+def test_per_trial_gap_pointer_reads_the_next_arc(monkeypatch):
+    arcs = list(zip(*disks._singlet_arcs(GAP_THETA, ANTI), disks._SINGLET_A))
+    with pytest.raises(RuntimeError, match="outside every sector"):
+        reference_sector_lookup([GAP_LAM], arcs)
+    got = disks._per_trial_lookup(np.array([GAP_LAM]), np.array([GAP_THETA]), ANTI, disks._SINGLET_A)
+    da, db = split_disk(build_singlet_disk(GAP_THETA, ANTI))
+    assert got.tolist() == sample_split_many(da, [GAP_LAM]).tolist() == [-1]
+
+    # A run whose one trial draws that guess and pointer completes.
+    class Draws:
+        def uniform(self, low, high, size):
+            return np.array([[0.0, GAP_LAM]])  # A's guess of beta, then the pointer
+
+    monkeypatch.setattr(disks.np.random, "default_rng", lambda seed: Draws())
+    t = sample_param_setup(GAP_THETA, 0.0, AssumeRandom(), BothKnown(), ANTI, 1, 0)
+    cell = (sample_split_many(da, [GAP_LAM])[0], sample_split_many(db, [GAP_LAM])[0])
+    assert (t.n_pp, t.n_pm, t.n_mp, t.n_mm) == tuple(
+        int(cell == c) for c in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(angles, min_size=1, max_size=4), kinds, st.sampled_from([0, 1]))
+@example([GAP_THETA], ANTI, 0)
+def test_per_trial_lookup_equals_each_rows_compiled_table(thetas, kind, side):
+    # Probe every row at its arc ends and their neighbours, where gaps lie.
+    outcomes = (disks._SINGLET_A, disks._SINGLET_B)[side]
+    rows = []
+    for theta in thetas:
+        starts, lengths = disks._singlet_arcs(theta, kind)
+        for mark in (*starts, *(s + n for s, n in zip(starts, lengths))):
+            rows += [(theta, x) for x in (_nudged(mark, k) for k in range(-2, 3))
+                     if 0.0 <= x < TWO_PI]
+    theta_col, lams = (np.array(col) for col in zip(*rows))
+    got = disks._per_trial_lookup(lams, theta_col, kind, outcomes).tolist()
+    assert got == [_row_table_lookup(x, t, kind, outcomes) for t, x in rows]

@@ -1,12 +1,15 @@
 import math
 import re
 from itertools import accumulate
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eprblab import eventio
 from eprblab import (
     CountTable,
     EventStream,
@@ -19,7 +22,6 @@ from eprblab import (
     default_chsh_configs,
     generate_events,
     match_coincidences,
-    match_files,
     read_events,
     run_chsh,
     singles_probability,
@@ -28,6 +30,7 @@ from eprblab import (
 
 A0, A1, B0, B1 = STANDARD_CHSH_ANGLES
 HEADER = "t_ns,setting,channel\n"
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _config(t_a=0.5, t_b=0.75, rate=1_000.0, jitter=0.0):
@@ -203,8 +206,10 @@ def test_crlf_files_are_accepted(tmp_path):
 
 def test_last_line_without_newline_is_read(tmp_path):
     p = tmp_path / "tail.csv"
-    p.write_text(HEADER + "5,0,1\n7,1,-1")
-    assert read_events(p) == _stream([5, 7], setting=[0, 1], channel=[1, -1])
+    expected = _stream([5, 7], setting=[0, 1], channel=[1, -1])
+    for tail in ("", "\r"):  # no line end, or a CRLF cut after its CR
+        p.write_text(HEADER + "5,0,1\n7,1,-1" + tail, newline="")
+        assert read_events(p) == expected
 
 
 @pytest.mark.parametrize(
@@ -233,6 +238,199 @@ def test_bad_records_name_path_and_line(tmp_path, body, line, error):
         read_events(p)
 
 
+@pytest.mark.parametrize(
+    "body, line, text",
+    [
+        ("9223372036854775808,0,1\n", 2, "9223372036854775808,0,1"),  # INT64_MAX + 1
+        ("-9223372036854775809,0,1\n", 2, "-9223372036854775809,0,1"),
+        ("00000000000000000001,0,1\n", 2, "00000000000000000001,0,1"),  # 20 digits
+        ("5,0,1\r7,1,-1\n", 2, "5,0,1\r7,1,-1"),  # lone CR line end
+        ("5, 0,1\n", 2, "5, 0,1"),  # space before a field
+        ("5,0 ,1\n", 2, "5,0 ,1"),  # space after a field
+        ("+5,0,1\n", 2, "+5,0,1"),
+        ("5,0,1\v7,1,-1\n", 2, "5,0,1\v7,1,-1"),
+        ("5,0,1\f7,1,-1\n", 2, "5,0,1\f7,1,-1"),
+        ("5,-,1\n", 2, "5,-,1"),
+        ("5,0,--1\n", 2, "5,0,--1"),
+        ("5,0,1-\n", 2, "5,0,1-"),
+        ("5,0,1\r\r\n", 2, "5,0,1\r"),
+        ("5,0,1\n6,0,1,\n7,0,x\n", 3, "6,0,1,"),  # the first bad line is named
+    ],
+)
+def test_refused_records_are_bad_records(tmp_path, body, line, text):
+    p = tmp_path / "bad.csv"
+    p.write_bytes((HEADER + body).encode("ascii"))
+    with pytest.raises(ValueError, match=re.escape(f"{p}:{line}: bad record {text!r}")):
+        read_events(p)
+
+
+# --- the codec against the %-format writer and loadtxt reader it replaced -------
+
+def reference_write_events(path, events):
+    """The writer the chunked codec replaced, kept verbatim as its reference."""
+    columns = np.column_stack((events.t_ns, events.setting, events.channel))
+    body = ("%d,%d,%d\n" * len(events)) % tuple(columns.ravel().tolist())
+    Path(path).write_text(f"{eventio.EVENTS_CSV_HEADER}\n{body}", encoding="ascii")
+
+
+def reference_read_events(path):
+    """The reader the vectorized parser replaced, kept verbatim as its reference."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Count lines as str.splitlines does, through the failing line.
+        line_no = len((data[: exc.start] + b"x").decode("ascii").splitlines())
+        byte = data[exc.start : exc.start + 1]
+        raise ValueError(f"{path}:{line_no}: non-ASCII byte {byte!r}") from None
+    header, *lines = text.splitlines() or [""]
+    if header != eventio.EVENTS_CSV_HEADER:
+        raise ValueError(f"{path}: missing '{eventio.EVENTS_CSV_HEADER}' header")
+    if not lines:
+        return EventStream([], [], [])
+    try:
+        if "" in lines:  # loadtxt would skip it silently
+            raise ValueError("blank line")
+        rows = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+        if rows.shape != (len(lines), 3):
+            raise ValueError("not three fields per line")
+    except ValueError as exc:
+        # Only a bad file pays for this scan, which names its first bad line.
+        for line_no, line in enumerate(lines, start=2):
+            try:
+                if len([np.int64(f) for f in line.split(",")]) == 3:
+                    continue
+            except (ValueError, OverflowError):
+                pass
+            raise ValueError(f"{path}:{line_no}: bad record {line!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return EventStream(*rows.T)
+    except ValueError:
+        eventio._check_records(*rows.T, f"{path}:", 2)
+        raise
+
+
+#: 0, +-1, every power of ten with its neighbours, and the int64 ends.
+EDGE_INTS = sorted(
+    {0, 1, -1, INT64_MAX, INT64_MIN}
+    | {s * (10**k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)}
+)
+int64s = st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT64_MIN, INT64_MAX))
+
+
+def reference_csv(header: str, columns) -> bytes:
+    rows = ",".join(["%d"] * len(columns)) + "\n"
+    values = [int(v) for row in zip(*columns) for v in row]
+    return (f"{header}\n" + rows * len(columns[0]) % tuple(values)).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda k: st.integers(0, 40).flatmap(
+            lambda n: st.lists(st.lists(int64s, min_size=n, max_size=n), min_size=k, max_size=k)
+        )
+    ),
+    st.sampled_from([1, 2, 3, 7, eventio._CHUNK_ROWS]),
+)
+@example([[]], eventio._CHUNK_ROWS)  # an empty column
+@example([EDGE_INTS, EDGE_INTS[::-1]], 5)
+def test_writer_equals_percent_format(tmp_path_factory, columns, chunk):
+    path = tmp_path_factory.getbasetemp() / "writer.csv"
+    arrays = [np.array(col, dtype=np.int64) for col in columns]
+    with mock.patch.object(eventio, "_CHUNK_ROWS", chunk):
+        eventio._write_csv(path, "h", arrays)
+    assert path.read_bytes() == reference_csv("h", columns)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, eventio._CHUNK_ROWS + 1])
+def test_writer_at_the_chunk_edge(tmp_path, offset):
+    n = eventio._CHUNK_ROWS + offset
+    rng = np.random.default_rng(offset + 2)
+    columns = [
+        rng.integers(INT64_MIN, INT64_MAX, n, dtype=np.int64, endpoint=True),
+        rng.integers(-3, 4, n).astype(np.int8),
+        np.sort(rng.integers(0, 10**12, n)),
+    ]
+    eventio._write_csv(tmp_path / "edge.csv", "h", columns)
+    assert (tmp_path / "edge.csv").read_bytes() == reference_csv("h", columns)
+
+
+@st.composite
+def valid_streams(draw):
+    n = draw(st.integers(0, 30))
+    t_ns = sorted(draw(st.lists(st.one_of(st.sampled_from([0, 1, INT64_MAX]),
+                                          st.integers(0, INT64_MAX)), min_size=n, max_size=n)))
+    return EventStream(
+        t_ns=np.array(t_ns, dtype=np.int64),
+        setting=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        channel=draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_streams())
+@example(_stream([INT64_MAX]))
+def test_round_trip_and_reference_bytes(tmp_path_factory, events):
+    path = tmp_path_factory.getbasetemp() / "round.csv"
+    ref = tmp_path_factory.getbasetemp() / "round_ref.csv"
+    write_events(path, events)
+    reference_write_events(ref, events)
+    assert path.read_bytes() == ref.read_bytes()
+    assert read_events(path) == events
+    assert reference_read_events(path) == events
+
+
+def accepted_lines(body: str):
+    """The parser's accept set, as a regex: the first line it refuses, or None."""
+    if body and not body.endswith("\n"):
+        body += "\n"
+    for line_no, line in enumerate(body.split("\n")[:-1], start=2):
+        line = line.removesuffix("\r")
+        fields = line.split(",")
+        if not (len(fields) == 3 and all(re.fullmatch(r"-?[0-9]{1,19}", f) for f in fields)
+                and all(INT64_MIN <= int(f) <= INT64_MAX for f in fields)):
+            return line_no, line
+    return None
+
+
+field_texts = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["9223372036854775807", "9223372036854775808", "-9223372036854775808",
+                     "", "-", "+1", " 1", "1 ", "0x1", "1.0", "--1", "\r1", "1\v", "007"]),
+)
+line_texts = st.lists(field_texts, min_size=1, max_size=4).map(",".join)
+bodies = st.tuples(
+    st.lists(st.tuples(line_texts, st.sampled_from(["\n", "\n", "\r\n", "\r"])), max_size=6),
+    st.booleans(),
+).map(lambda x: "".join(a + b for a, b in x[0]).removesuffix("\n" if x[1] else "\0"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bodies)
+@example("5,0,1\n3,0,1")
+@example("1,0,1\r\n2,1,-1")
+def test_parser_accept_set(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "accept.csv"
+    path.write_bytes((HEADER + body).encode("ascii"))
+    refused = accepted_lines(body)
+    if refused is not None:
+        line_no, line = refused
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line_no}: bad record {line!r}")):
+            read_events(path)
+        return
+    # What the parser accepts, the reference accepted too, with the same
+    # stream or the same semantic error.
+    try:
+        expected = reference_read_events(path)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            read_events(path)
+    else:
+        assert read_events(path) == expected
+
+
 # --- matching -----------------------------------------------------------------
 
 def test_match_rejects_unsorted(tmp_path):
@@ -242,7 +440,7 @@ def test_match_rejects_unsorted(tmp_path):
     p = tmp_path / "unsorted.csv"
     p.write_text(HEADER + "10,0,1\n5,0,1\n")
     with pytest.raises(UnsortedEventsError):
-        match_files(p, p, 10)
+        read_events(p)
     with pytest.raises(ValueError, match="window_ns"):
         match_coincidences(_stream([1]), _stream([1]), -1)
 
@@ -292,6 +490,10 @@ def test_accidental_fraction_grows_with_window():
         fractions.append(accidental / max(1, result.n_matched))
     assert fractions == sorted(fractions)
     assert fractions[0] < 0.01 < fractions[-1]
+
+
+def match_files(path_a, path_b, window_ns):
+    return match_coincidences(read_events(path_a), read_events(path_b), window_ns)
 
 
 def test_match_files_equals_match_coincidences(tmp_path):
