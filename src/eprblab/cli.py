@@ -53,10 +53,10 @@ from .domain import JointPmf, NoCoincidencesError, SingletKind, correlation
 from .eventio import (
     EventStream,
     GeneratorConfig,
-    _parse_events,
     _write_csv,
     generate_events,
     match_coincidences,
+    read_events,
     write_events,
 )
 from .optics import FixedBasisSource, IsotropicSource, StationConfig
@@ -510,15 +510,8 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
 MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
 
 
-def _read_input(path: str) -> tuple[EventStream, dict]:
-    """Parse one stream file and its manifest entry, both from one read of it."""
-    data = Path(path).read_bytes()
-    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
-    return _parse_events(data, str(path)), entry
-
-
 def _cmd_events_match(args, argv: list[str]) -> int:
-    (events_a, input_a), (events_b, input_b) = _read_input(args.a), _read_input(args.b)
+    events_a, events_b = read_events(args.a), read_events(args.b)
     result = match_coincidences(events_a, events_b, args.window)
     lines = [MATCH_CSV_HEADER]
     for (sa, sb), t in sorted(result.tables.items()):
@@ -543,6 +536,10 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         f"abs_s = {_fmt(abs(s) if s is not None else None)}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
+    inputs = {
+        side: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+        for side, path in (("a", args.a), ("b", args.b))
+    }
     counters = {
         "records_a": len(events_a),
         "records_b": len(events_b),
@@ -552,8 +549,7 @@ def _cmd_events_match(args, argv: list[str]) -> int:
     }
     files = {"matched.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
     return _write_run(
-        args, "events match", argv, None, config, files,
-        inputs={"a": input_a, "b": input_b}, counters=counters,
+        args, "events match", argv, None, config, files, inputs=inputs, counters=counters
     )
 
 

@@ -12,14 +12,14 @@ Each stream is an EventStream of three numpy columns validated once, as
 arrays; no stage of the pipeline builds a per-record object.
 
 File format: text CSV, header ``t_ns,setting,channel``, one record per
-line, rows sorted by t_ns ascending. Files are written with LF line ends,
-in row chunks, and read as one array pass at a time over their bytes; the
-reader also takes CRLF line ends and a missing final line end, and each
-field must be -?digits within int64. Timestamps are
-integer nanoseconds, setting is the index (0 or 1) of the analyzer angle
-active for that event, channel is +1 or -1. Misses and doubles produce no
-record (a record carries exactly one fired channel), which keeps
-file-derived coincidences aligned with the in-memory both-single rule.
+line, rows sorted by t_ns ascending. Files are written with LF line ends;
+the reader also takes CRLF line ends and a missing final line end, and each
+field must be -?digits within int64. The writer works in row chunks and
+the reader in array passes over the whole file. Timestamps are integer
+nanoseconds, setting is the index (0 or 1) of the analyzer angle active for
+that event, channel is +1 or -1. Misses and doubles produce no record (a
+record carries exactly one fired channel), which keeps file-derived
+coincidences aligned with the in-memory both-single rule.
 """
 
 from __future__ import annotations
@@ -207,8 +207,8 @@ def generate_events(
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
 
 
-#: Rows per chunk of the CSV writer and parser. Any value gives the same
-#: bytes and streams; this one keeps a chunk's temporaries in cache.
+#: Rows per chunk of the CSV writer. Any value gives the same bytes; this
+#: one bounds the writer's temporaries.
 _CHUNK_ROWS = 1 << 14
 #: ASCII tens and units digits of 0..99.
 _TENS = np.repeat(np.arange(48, 58, dtype=np.uint8), 10)
@@ -299,72 +299,57 @@ def _parse_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return mag.view(np.int64), ok
 
 
-def _parse_events(data: bytes, where: str) -> EventStream:
-    """Parse one stream file's bytes; a bad record raises ValueError naming
-    where:line, numbering lines from 1 at the header.
+def read_events(path: Path | str) -> EventStream:
+    """Parse one stream file; a bad record raises ValueError naming path:line,
+    numbering lines from 1 at the header.
 
     Accepted: the header line, then rows of three -?digits fields in int64,
     with LF or CRLF line ends; the final line end may be missing. Each check
-    is one array pass over the bytes, the separators or the fields.
+    is one array pass, over the bytes, the separators or the fields.
     """
+    data = Path(path).read_bytes()
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.max(initial=0) >= 0x80:
         k = int(np.argmax(buf >= 0x80))
         line_no = data.count(b"\n", 0, k) + 1
-        raise ValueError(f"{where}:{line_no}: non-ASCII byte {data[k : k + 1]!r}")
+        raise ValueError(f"{path}:{line_no}: non-ASCII byte {data[k : k + 1]!r}")
     if not data.endswith(b"\n"):
         data += b"\n"
         buf = np.frombuffer(data, dtype=np.uint8)
     body = data.index(b"\n") + 1
     if data[: body - 1].removesuffix(b"\r") != EVENTS_CSV_HEADER.encode():
-        raise ValueError(f"{where}: missing '{EVENTS_CSV_HEADER}' header")
+        raise ValueError(f"{path}: missing '{EVENTS_CSV_HEADER}' header")
 
-    # Lines before `first` hold two commas each, which cut them into fields.
-    # In a bad file, bytes below '-' other than ',' and LF (a CR before an
-    # LF ends its line) are left in the fields, whose digit check finds them.
-    seps = np.flatnonzero(buf <= 44)
-    seps = seps[np.searchsorted(seps, body) :]
-    kinds = buf[seps]
-    n = len(seps) // 3
-    lf_every_third = len(seps) == 3 * n and (kinds[2::3] == 10).all()
-    if lf_every_third and np.count_nonzero(kinds == 44) == 2 * n:  # and commas between
-        ends = seps[2::3]
-        first = n
-    else:
-        seps = seps[(kinds == 44) | (kinds == 10)]
-        lf_at = np.flatnonzero(buf[seps] == 10)
-        ends = seps[lf_at]
-        wrong = np.flatnonzero(np.diff(lf_at, prepend=-1) != 3)  # other than two commas
-        first = int(wrong[0]) if wrong.size else len(ends)
-    columns = np.empty((3, first), dtype=np.int64)
-    bad = np.zeros(first, dtype=bool)
-    start = body
-    for lo in range(0, first, _CHUNK_ROWS):
-        rows = slice(lo, min(lo + _CHUNK_ROWS, first))
-        comma_1, comma_2, lf = seps[3 * rows.start : 3 * rows.stop].reshape(-1, 3).T.copy()
-        starts = np.concatenate(([start], lf[:-1] + 1))
-        start = lf[-1] + 1
-        stops = lf - (buf[lf - 1] == 13)
-        bounds = (starts, comma_1), (comma_1 + 1, comma_2), (comma_2 + 1, stops)
-        for column, (field_starts, field_stops) in zip(columns, bounds):
-            column[rows], ok = _parse_fields(buf, field_starts, field_stops)
-            bad[rows] |= ~ok
+    # Commas and LFs cut the lines into fields; seps[0] is the header's LF.
+    # Line i is good while seps[3i + 1 : 3i + 4] are ',' ',' LF, so the first
+    # line to break that pattern holds other than two commas. Any other byte
+    # (a CR before an LF ends its line) is left in the fields, whose digit
+    # check finds it.
+    seps = np.flatnonzero((buf == 44) | (buf == 10))[2:]
+    n = (len(seps) - 1) // 3
+    kinds = buf[seps[1 : 3 * n + 1]].reshape(-1, 3)
+    wrong = (kinds[:, 0] != 44) | (kinds[:, 1] != 44) | (kinds[:, 2] != 10)
+    first = int(np.argmax(wrong)) if wrong.any() else n
+    cuts = seps[: 3 * first + 1]
+    lf = cuts[3::3]
+    bounds = (
+        (cuts[:-1:3] + 1, cuts[1::3]),
+        (cuts[1::3] + 1, cuts[2::3]),
+        (cuts[2::3] + 1, lf - (buf[lf - 1] == 13)),
+    )
+    columns, oks = zip(*(_parse_fields(buf, *field) for field in bounds))
+    bad = ~(oks[0] & oks[1] & oks[2])
     if bad.any():
         first = int(np.argmax(bad))
-    if first < len(ends):
-        start = ends[first - 1] + 1 if first else body
-        line = data[start : ends[first]].removesuffix(b"\r").decode("ascii")
-        raise ValueError(f"{where}:{first + 2}: bad record {line!r}")
+    if 3 * first + 1 < len(seps):
+        start = seps[3 * first] + 1
+        line = data[start : data.index(b"\n", start)].removesuffix(b"\r").decode("ascii")
+        raise ValueError(f"{path}:{first + 2}: bad record {line!r}")
     try:
         return EventStream(*columns)
     except ValueError:
-        _check_records(*columns, f"{where}:", 2)
+        _check_records(*columns, f"{path}:", 2)
         raise
-
-
-def read_events(path: Path | str) -> EventStream:
-    """Parse one stream file; a bad record raises ValueError naming path:line."""
-    return _parse_events(Path(path).read_bytes(), str(path))
 
 
 @dataclass(frozen=True, eq=False)

@@ -255,6 +255,7 @@ def test_bad_records_name_path_and_line(tmp_path, body, line, error):
         ("5,0,1-\n", 2, "5,0,1-"),
         ("5,0,1\r\r\n", 2, "5,0,1\r"),
         ("5,0,1\n6,0,1,\n7,0,x\n", 3, "6,0,1,"),  # the first bad line is named
+        ("5,0,1\n6,0,x\n7,0\n", 3, "6,0,x"),
     ],
 )
 def test_refused_records_are_bad_records(tmp_path, body, line, text):
@@ -370,12 +371,13 @@ def valid_streams(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(valid_streams())
-@example(_stream([INT64_MAX]))
-def test_round_trip_and_reference_bytes(tmp_path_factory, events):
+@given(valid_streams(), st.sampled_from([1, 2, 3, eventio._CHUNK_ROWS]))
+@example(_stream([INT64_MAX]), eventio._CHUNK_ROWS)
+def test_round_trip_and_reference_bytes(tmp_path_factory, events, chunk):
     path = tmp_path_factory.getbasetemp() / "round.csv"
     ref = tmp_path_factory.getbasetemp() / "round_ref.csv"
-    write_events(path, events)
+    with mock.patch.object(eventio, "_CHUNK_ROWS", chunk):
+        write_events(path, events)
     reference_write_events(ref, events)
     assert path.read_bytes() == ref.read_bytes()
     assert read_events(path) == events
