@@ -21,9 +21,7 @@ from .domain import (
     correlation_stderr,
     match_probability,
     qm_joint_prediction,
-    qm_marginal_prediction,
     wrap_angle,
-    wrap_pi,
 )
 from .disks import (
     AssumeFixed,

@@ -3,11 +3,9 @@ polarization-correlation experiments.
 
 Angles are plain floats in radians with canonical range [0, 2*pi); where
 polarization symmetry applies, quantities reduce mod pi instead. Outcomes
-are encoded +1/-1 package-wide. The two closed-form predictions here are
-the joint coincidence probability for a correlated or anticorrelated pair
-and the product-of-marginals probability that separated stations realize
-when no joint structure survives; everything else is counting statistics
-over those outcomes.
+are encoded +1/-1 package-wide. The closed-form prediction here is the
+joint coincidence probability for a correlated or anticorrelated pair;
+everything else is counting statistics over those outcomes.
 """
 
 from __future__ import annotations
@@ -43,16 +41,6 @@ def wrap_angle(x: float) -> float:
     return r
 
 
-def wrap_pi(x: float) -> float:
-    """Reduce an angle into [0, pi); polarization quantities have period pi."""
-    if not math.isfinite(x):
-        raise ValueError(f"angle must be finite, got {x!r}")
-    r = x % math.pi
-    if r >= math.pi:
-        r = 0.0
-    return r
-
-
 class SingletKind(enum.Enum):
     """Pair preparation: coincident outcomes favored, or opposite ones."""
 
@@ -71,17 +59,6 @@ def qm_joint_prediction(theta, kind: SingletKind):
     c = np.float_power(np.cos(theta), 2)
     p = 0.5 * c if kind is SingletKind.CORRELATED else 0.5 * (1.0 - c)
     return float(p) if np.ndim(p) == 0 else p
-
-
-def qm_marginal_prediction(alpha: float, beta: float) -> float:
-    """(+,+) probability when each station realizes only its own marginal.
-
-    Both one-station marginals are 1/2 regardless of the settings alpha and
-    beta, so the product is 1/4 for every setting pair. The arguments are
-    kept to make the setting-independence explicit at call sites.
-    """
-    del alpha, beta
-    return 0.25
 
 
 @dataclass(frozen=True)

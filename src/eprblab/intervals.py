@@ -51,7 +51,3 @@ def overlap_length(a: list[Segment], b: list[Segment]) -> float:
                 total += hi - lo
     return total
 
-
-def total_length(segments: list[Segment]) -> float:
-    """Summed length of a segment list."""
-    return math.fsum(hi - lo for lo, hi in segments)

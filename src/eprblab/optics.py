@@ -25,10 +25,22 @@ fixed blocks of _BLOCK_ROWS pairs, spread over one worker thread per
 available core. Each block reads and writes only its own slices, so the
 block size, the number of cores and the scheduling of blocks never change
 an output byte.
+
+_count_zero_noise counts isotropic pairs at two stations with zero noise
+and full efficiency without a cosine per pair. There the pair angle is the
+only draw, and Generator.uniform(0, 2*pi) builds it from one raw PCG64
+uint64, so pairs can be grouped by the top bits of that draw. Per bucket,
+the Malus split at one point and a bound on its slope prove each station's
+code for every angle the bucket holds; the few pairs of unproven buckets
+run through _malus and _fire as above. The counts therefore equal those of
+emit_phis and measure_many on the same generator, as long as numpy builds
+uniform doubles from raw draws as it does today: the same construction
+every seeded output already rests on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -47,6 +59,15 @@ DOUBLE_CODE = 2
 #: Rows per block of the array kernels. Any value gives the same output
 #: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
 _BLOCK_ROWS = 1 << 15
+
+#: Pairs per raw draw of _count_zero_noise. Any value gives the same counts;
+#: 2**14 rows keep each block's arrays on the heap, where a freed block's
+#: pages serve the next (2**16-row blocks took ~200 page faults per 1e5 pairs).
+_TABLE_ROWS = 1 << 14
+
+#: _count_zero_noise groups pairs by this many top bits of their raw draw.
+_BUCKET_BITS = 12
+_BUCKET_SHIFT = 64 - _BUCKET_BITS
 
 #: Station code indexed by fired_plus + 2 * fired_minus.
 _CODE_OF_FIRED = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
@@ -242,6 +263,100 @@ def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig,
     for future in futures:
         future.result()
     return codes_a, codes_b
+
+
+def _phis_of_raw(raw: np.ndarray) -> np.ndarray:
+    """The pair angles Generator.uniform(0, 2*pi) makes of PCG64's raw uint64
+    draws: low + (high - low) * u with u = (raw >> 11) * 2**-53, where adding
+    low = 0.0 changes no double."""
+    return TWO_PI * ((raw >> np.uint64(11)) * 2.0**-53)
+
+
+@functools.cache
+def _bucket_phis() -> np.ndarray:
+    """Rows of the smallest and the largest angle of each bucket of raw draws
+    (read-only: every caller shares them)."""
+    first = np.arange(1 << _BUCKET_BITS, dtype=np.uint64) << np.uint64(_BUCKET_SHIFT)
+    last = first | np.uint64((1 << _BUCKET_SHIFT) - 1)
+    bounds = np.stack([_phis_of_raw(first), _phis_of_raw(last)])
+    bounds.flags.writeable = False
+    return bounds
+
+
+def _bucket_codes(shift: float, cfg: StationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One station's code per bucket, and whether every angle of the bucket
+    is proven to give it.
+
+    Rounding is monotone, so every angle of a bucket lands at a delta
+    (phi + shift) - angle in [lo, hi]. |d(cos^2)/d delta| <= 1, so no channel
+    of the bucket crosses the threshold when its intensity at a point of
+    [lo, hi] clears it by the distance to either end; 1e-9 more covers the
+    rounding of _malus, which is below 1e-15.
+    """
+    phi_lo, phi_hi = _bucket_phis()
+    lo = (phi_lo + shift) - cfg.angle
+    hi = (phi_hi + shift) - cfg.angle
+    mid = 0.5 * (lo + hi)
+    # Both differences are exact (Sterbenz) or far below the 1e-9 slack.
+    margin = np.maximum(hi - mid, mid - lo) + 1e-9
+    i_plus, i_minus = _malus(mid)
+    codes = np.empty(mid.shape[0], dtype=np.int8)
+    _fire(i_plus, i_minus, None, None, cfg, codes)
+    proven = (np.abs(i_plus - cfg.threshold) > margin) & (np.abs(i_minus - cfg.threshold) > margin)
+    return codes, proven
+
+
+def _cells(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+    """The (code_a, code_b) cell of each trial: 4 * (code_a & 3) + (code_b & 3)."""
+    return ((codes_a & 3) << 2) | (codes_b & 3)
+
+
+def _tally(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+    """Counts of the 16 cells of two code arrays, _TABLE_ROWS trials at a time."""
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, codes_a.shape[0], _TABLE_ROWS):
+        rows = slice(start, start + _TABLE_ROWS)
+        counts += np.bincount(_cells(codes_a[rows], codes_b[rows]), minlength=16)
+    return counts
+
+
+def _count_zero_noise(n: int, cfg_a: StationConfig, cfg_b: StationConfig, rng) -> np.ndarray:
+    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, for n
+    isotropic pairs when both stations have noise_sigma 0 and efficiency 1.
+
+    phi is then the only draw, so the counts equal those of emit_phis,
+    measure_many and a tally of their codes on the same rng, which this
+    leaves in the same state. Pairs are grouped by the top _BUCKET_BITS bits
+    of their raw draw; a bucket where _bucket_codes proves both stations'
+    codes is counted from its size, and only the pairs of the other buckets
+    (under 1 % at most thresholds) go through _malus and _fire, in batches
+    of at least _TABLE_ROWS pairs or at the end. Raw draws come _TABLE_ROWS
+    at a time, so memory does not grow with n.
+    """
+    code_a, proven_a = _bucket_codes(0.0, cfg_a)
+    code_b, proven_b = _bucket_codes(0.5 * math.pi, cfg_b)
+    proven = proven_a & proven_b
+    unproven = ~proven
+    per_bucket = np.zeros(1 << _BUCKET_BITS, dtype=np.int64)
+    counts = np.zeros(16, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    n_pending = 0
+    for start in range(0, n, _TABLE_ROWS):
+        raw = rng.bit_generator.random_raw(min(_TABLE_ROWS, n - start))
+        # bincount takes signed indices; the shifted words are below 2**_BUCKET_BITS.
+        bucket = (raw >> np.uint64(_BUCKET_SHIFT)).view(np.int64)
+        per_bucket += np.bincount(bucket, minlength=per_bucket.shape[0])
+        pending.append(raw[unproven[bucket]])
+        n_pending += pending[-1].shape[0]
+        if n_pending >= _TABLE_ROWS or start + _TABLE_ROWS >= n:
+            phis = _phis_of_raw(np.concatenate(pending))
+            codes = np.empty((2, phis.shape[0]), dtype=np.int8)
+            _station_block(phis, 0.0, cfg_a.angle, None, None, cfg_a, codes[0])
+            _station_block(phis, 0.5 * math.pi, cfg_b.angle, None, None, cfg_b, codes[1])
+            counts += _tally(*codes)
+            pending, n_pending = [], 0
+    np.add.at(counts, _cells(code_a, code_b)[proven], per_bucket[proven])
+    return counts
 
 
 def measure_many(

@@ -11,10 +11,13 @@ instead of sampling them.
 
 Every step runs on its own random stream derived from (base seed, step
 index), so steps can execute in any order or in parallel without changing
-the result, and identical (config, seed) reproduce identical output. Within
-a step, optics.measure_many evaluates the stations block by block on every
-available core; neither the blocking nor the core count changes an output
-byte.
+the result, and identical (config, seed) reproduce identical output. A
+step or CHSH sub-run with an isotropic source and two stations without
+noise or losses is counted by optics._count_zero_noise from a per-bucket
+code table, in bounded memory; every other stream goes through
+optics.measure_many, which evaluates the stations block by block on every
+available core. Both give the counts of the same per-pair kernel, and
+neither the blocking nor the core count changes an output byte.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .optics import (
     IsotropicSource,
     SourceModel,
     StationConfig,
+    _count_zero_noise,
+    _tally,
     detection_windows,
     emit_phis,
     measure_many,
@@ -115,40 +120,58 @@ class ScanResult:
         return sum(s.counts.singles_b for s in self.steps)
 
 
+def _table_from_cells(cells: np.ndarray) -> CountTable:
+    """CountTable from the 16 (code_a, code_b) cell counts that optics._tally
+    and optics._count_zero_noise return, at 4 * (code_a & 3) + (code_b & 3)."""
+    m = cells.reshape(4, 4)
+    miss, plus, minus, double = (c & 3 for c in (MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE))
+    single = [plus, minus]
+    return CountTable(
+        n_pp=int(m[plus, plus]),
+        n_pm=int(m[plus, minus]),
+        n_mp=int(m[minus, plus]),
+        n_mm=int(m[minus, minus]),
+        singles_a=int(m[single].sum()),
+        singles_b=int(m[:, single].sum()),
+        doubles_a=int(m[double].sum()),
+        doubles_b=int(m[:, double].sum()),
+        misses_a=int(m[miss].sum()),
+        misses_b=int(m[:, miss].sum()),
+        n_pairs=int(m.sum()),
+    )
+
+
 def tabulate_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> CountTable:
     """CountTable from two stations' outcome-code arrays.
 
     Coincidence cells count trials where both stations produced a single;
     doubles and misses are excluded from the cells but reported per side.
     """
-    single_a = (codes_a == PLUS_CODE) | (codes_a == MINUS_CODE)
-    single_b = (codes_b == PLUS_CODE) | (codes_b == MINUS_CODE)
-    coin = single_a & single_b
-    a_plus = codes_a == PLUS_CODE
-    b_plus = codes_b == PLUS_CODE
-    return CountTable(
-        n_pp=int(np.count_nonzero(coin & a_plus & b_plus)),
-        n_pm=int(np.count_nonzero(coin & a_plus & ~b_plus)),
-        n_mp=int(np.count_nonzero(coin & ~a_plus & b_plus)),
-        n_mm=int(np.count_nonzero(coin & ~a_plus & ~b_plus)),
-        singles_a=int(np.count_nonzero(single_a)),
-        singles_b=int(np.count_nonzero(single_b)),
-        doubles_a=int(np.count_nonzero(codes_a == DOUBLE_CODE)),
-        doubles_b=int(np.count_nonzero(codes_b == DOUBLE_CODE)),
-        misses_a=int(np.count_nonzero(codes_a == MISS_CODE)),
-        misses_b=int(np.count_nonzero(codes_b == MISS_CODE)),
-        n_pairs=int(codes_a.shape[0]),
-    )
+    return _table_from_cells(_tally(codes_a, codes_b))
+
+
+def _count_stream(
+    source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
+) -> CountTable:
+    """Counts of n pairs emitted by source on rng and measured by the two stations.
+
+    Isotropic pairs at stations with zero noise and full efficiency take
+    optics._count_zero_noise, which counts them from a per-bucket code
+    table; every other regime draws and measures every pair.
+    """
+    if isinstance(source, IsotropicSource) and all(
+        c.noise_sigma == 0.0 and c.efficiency == 1.0 for c in (cfg_a, cfg_b)
+    ):
+        return _table_from_cells(_count_zero_noise(n, cfg_a, cfg_b, rng))
+    return tabulate_codes(*measure_many(emit_phis(source, n, rng), cfg_a, cfg_b, rng))
 
 
 def run_scan_step(cfg: ScanConfig, step_index: int) -> ScanStep:
     """Run one scan step on its own stream derived from (seed, step_index)."""
     b_angle = cfg.b_angles[step_index]
     rng = np.random.default_rng([cfg.seed, step_index])
-    phis = emit_phis(cfg.source, cfg.pairs_per_step, rng)
     station_b = replace(cfg.station_b, angle=b_angle)
-    codes_a, codes_b = measure_many(phis, cfg.station_a, station_b, rng)
-    counts = tabulate_codes(codes_a, codes_b)
+    counts = _count_stream(cfg.source, cfg.station_a, station_b, cfg.pairs_per_step, rng)
     try:
         match = match_probability(counts)
         corr = correlation(counts)
@@ -347,9 +370,7 @@ def run_chsh(
     tables: dict[tuple[int, int], CountTable] = {}
     for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         rng = np.random.default_rng([seed, idx])
-        phis = emit_phis(source, pairs_per_setting, rng)
-        codes_a, codes_b = measure_many(phis, cfg_a_pair[i], cfg_b_pair[j], rng)
-        tables[(i, j)] = tabulate_codes(codes_a, codes_b)
+        tables[(i, j)] = _count_stream(source, cfg_a_pair[i], cfg_b_pair[j], pairs_per_setting, rng)
     angles_a = (cfg_a_pair[0].angle, cfg_a_pair[1].angle)
     angles_b = (cfg_b_pair[0].angle, cfg_b_pair[1].angle)
     return _report_from_tables(tables, angles_a, angles_b)

@@ -14,10 +14,31 @@ from eprblab import (
     correlation_stderr,
     match_probability,
     qm_joint_prediction,
-    qm_marginal_prediction,
     wrap_angle,
-    wrap_pi,
 )
+
+
+# Reference copies of two helpers the library no longer exports.
+def wrap_pi(x: float) -> float:
+    """Reduce an angle into [0, pi); polarization quantities have period pi."""
+    if not math.isfinite(x):
+        raise ValueError(f"angle must be finite, got {x!r}")
+    r = x % math.pi
+    if r >= math.pi:
+        r = 0.0
+    return r
+
+
+def qm_marginal_prediction(alpha: float, beta: float) -> float:
+    """(+,+) probability when each station realizes only its own marginal.
+
+    Both one-station marginals are 1/2 regardless of the settings alpha and
+    beta, so the product is 1/4 for every setting pair. The arguments are
+    kept to make the setting-independence explicit at call sites.
+    """
+    del alpha, beta
+    return 0.25
+
 
 angles = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 any_float = st.floats(allow_nan=False, allow_infinity=False)

@@ -317,6 +317,43 @@ def test_per_pair_angles_equal_reference(n):
     assert np.array_equal(got[0], want_a) and np.array_equal(got[1], want_b)
 
 
+# --- the numpy identities the zero-noise count table rests on ------------------------------
+
+TABLE_ROWS = optics._TABLE_ROWS
+TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
+IDENTITY_SEEDS = ([0, 0], [1, 7], [2**32 - 1, 32], [123456789, 3])
+
+
+@pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+@pytest.mark.parametrize("n", TABLE_EDGE_N)
+def test_uniform_angles_are_built_from_raw_draws(seed, n):
+    # _count_zero_noise reads the pair angles of emit_phis off raw PCG64 draws.
+    want = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(n)
+    assert np.array_equal(optics._phis_of_raw(raw), want)
+    assert np.array_equal(emit_phis(IsotropicSource(), n, np.random.default_rng(seed)), want)
+
+
+@pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+@pytest.mark.parametrize("n", TABLE_EDGE_N)
+def test_raw_draws_in_blocks_equal_one_draw(seed, n):
+    whole = np.random.default_rng(seed).bit_generator
+    blocked = np.random.default_rng(seed).bit_generator
+    parts = [blocked.random_raw(min(TABLE_ROWS, n - s)) for s in range(0, n, TABLE_ROWS)]
+    assert np.array_equal(np.concatenate(parts), whole.random_raw(n))
+    assert blocked.random_raw() == whole.random_raw()
+
+
+def test_bucket_angles_bound_their_draws():
+    # Every raw draw's angle lies between its bucket's first and last angle.
+    raw = np.random.default_rng(5).bit_generator.random_raw(100_000)
+    bucket = (raw >> np.uint64(optics._BUCKET_SHIFT)).astype(np.intp)
+    phi_lo, phi_hi = optics._bucket_phis()
+    phis = optics._phis_of_raw(raw)
+    assert np.all(phi_lo[bucket] <= phis) and np.all(phis <= phi_hi[bucket])
+    assert phi_lo[0] == 0.0 and phi_hi[-1] < TWO_PI
+
+
 def test_bisected_fixed_basis_tie_stays_an_exact_double():
     # Both pair polarizations sit exactly between A's channels, on every block.
     phis = emit_phis(FixedBasisSource(0.0), 2 * BLOCK_ROWS + 3, _rng(13))

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprblab import (
     TWO_PI,
+    CountTable,
     FixedBasisSource,
     IsotropicSource,
     NoCoincidencesError,
@@ -19,7 +21,9 @@ from eprblab import (
     default_b_angles,
     default_chsh_configs,
     detect_many,
+    emit_phis,
     malus_intensities,
+    measure_many,
     pathology_probe,
     run_chsh,
     run_scan,
@@ -31,7 +35,9 @@ from eprblab import (
     tabulate_codes,
     triangle_correlation,
 )
-from eprblab.optics import MINUS_CODE, PLUS_CODE
+import eprblab.optics as optics
+import eprblab.scan as scan
+from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
 from eprblab.scan import SCAN_CSV_HEADER
 
 PI = math.pi
@@ -321,6 +327,108 @@ def test_chsh_report_from_tables_roundtrip():
     assert rebuilt.s == report.s
     with pytest.raises(ValueError):
         chsh_report_from_tables({(0, 0): tables[(0, 0)]}, report.angles_a, report.angles_b)
+
+
+# --- stream counts against the per-pair path ----------------------------------------------
+
+def reference_tabulate_codes(codes_a, codes_b):
+    """tabulate_codes as a chain of masks and count_nonzero, kept as the oracle."""
+    single_a = (codes_a == PLUS_CODE) | (codes_a == MINUS_CODE)
+    single_b = (codes_b == PLUS_CODE) | (codes_b == MINUS_CODE)
+    coin = single_a & single_b
+    a_plus = codes_a == PLUS_CODE
+    b_plus = codes_b == PLUS_CODE
+    return CountTable(
+        n_pp=int(np.count_nonzero(coin & a_plus & b_plus)),
+        n_pm=int(np.count_nonzero(coin & a_plus & ~b_plus)),
+        n_mp=int(np.count_nonzero(coin & ~a_plus & b_plus)),
+        n_mm=int(np.count_nonzero(coin & ~a_plus & ~b_plus)),
+        singles_a=int(np.count_nonzero(single_a)),
+        singles_b=int(np.count_nonzero(single_b)),
+        doubles_a=int(np.count_nonzero(codes_a == DOUBLE_CODE)),
+        doubles_b=int(np.count_nonzero(codes_b == DOUBLE_CODE)),
+        misses_a=int(np.count_nonzero(codes_a == MISS_CODE)),
+        misses_b=int(np.count_nonzero(codes_b == MISS_CODE)),
+        n_pairs=int(codes_a.shape[0]),
+    )
+
+
+def reference_count(source, cfg_a, cfg_b, n, rng):
+    """Every pair emitted, measured and tabulated: the path of every regime."""
+    return reference_tabulate_codes(*measure_many(emit_phis(source, n, rng), cfg_a, cfg_b, rng))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 5000), st.integers(0, 2**32))
+def test_tabulate_codes_equals_reference(n, seed):
+    codes = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
+    rng = np.random.default_rng(seed)
+    codes_a, codes_b = codes[rng.integers(0, 4, n)], codes[rng.integers(0, 4, n)]
+    assert tabulate_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
+
+
+TABLE_ROWS = optics._TABLE_ROWS
+BIG = (1e6, -1e6, 1e12, -1e12)
+table_angles = (
+    st.integers(-16, 16).map(lambda k: k * PI / 8)
+    | st.floats(-7.0, 7.0, allow_nan=False)
+    | st.sampled_from(BIG)
+    | st.sampled_from(BIG).flatmap(lambda big: st.floats(-7.0, 7.0).map(lambda x: big + x))
+)
+table_thresholds = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+zero_noise_stations = st.builds(StationConfig, angle=table_angles, threshold=table_thresholds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((1, 2, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 2 * TABLE_ROWS + 1))
+    | st.integers(1, 3000),
+    zero_noise_stations,
+    zero_noise_stations,
+    st.integers(0, 2**32),
+)
+@example(2 * TABLE_ROWS + 1, StationConfig(1e12, 0.0), StationConfig(-1e6, 1.0), 3)
+@example(TABLE_ROWS + 1, StationConfig(PI / 4, 0.5), StationConfig(3 * PI / 8, 0.92), 4)
+@example(TABLE_ROWS, StationConfig(-PI, 1.0), StationConfig(PI / 8, 0.0), 5)
+# ~7 % of pairs unproven: the unproven batch fills up before the last block
+@example(20 * TABLE_ROWS + 3, StationConfig(0.1, 0.0), StationConfig(0.2, 1.0), 6)
+def test_zero_noise_counts_equal_every_pair_measured(n, cfg_a, cfg_b, seed):
+    rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    got = scan._count_stream(IsotropicSource(), cfg_a, cfg_b, n, rng)
+    assert got == reference_count(IsotropicSource(), cfg_a, cfg_b, n, ref_rng)
+    assert rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize(
+    "source, cfg_b, table",
+    [
+        (IsotropicSource(), StationConfig(0.3, 0.75), True),
+        (FixedBasisSource(0.0), StationConfig(0.3, 0.75), False),
+        (IsotropicSource(), StationConfig(0.3, 0.75, noise_sigma=0.05), False),
+        (IsotropicSource(), StationConfig(0.3, 0.75, efficiency=0.3), False),
+    ],
+)
+def test_count_stream_takes_the_table_only_without_noise_or_loss(monkeypatch, source, cfg_b, table):
+    calls = []
+    monkeypatch.setattr(scan, "measure_many", lambda *a: calls.append(1) or measure_many(*a))
+    cfg_a = StationConfig(0.0, 0.5)
+    got = scan._count_stream(source, cfg_a, cfg_b, 1000, np.random.default_rng(4))
+    assert got == reference_count(source, cfg_a, cfg_b, 1000, np.random.default_rng(4))
+    assert (not calls) == table
+
+
+def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
+    n = 1 << 20
+    assert n >= 16 * TABLE_ROWS  # at least 16 raw-draw blocks per setting
+    pair_a, pair_b = default_chsh_configs(t_a=0.5, t_b=0.75)
+    tracemalloc.start()
+    try:
+        report = run_chsh(IsotropicSource(), pair_a, pair_b, n, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tables[0][0].n_pairs == n
+    assert peak < 4 * 2**20  # a single float64 angle array of n pairs is 8 MiB
 
 
 # --- pathology probe ----------------------------------------------------------------------------
