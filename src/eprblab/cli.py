@@ -10,8 +10,12 @@ recording the command line, the resolved configuration and its hash, the
 seed, and the output names. A run that fails before that point leaves no
 --out. Re-running the manifest's argv reproduces every CSV byte for byte.
 The events subcommands also record run counters (and, for match, the sha256
-of each input file's contents) in the manifest, outside the hashed config.
+of the input bytes it parsed) in the manifest, outside the hashed config.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+Each handler imports the modules it runs when it is dispatched, as names
+local to the handler, so a launch compiles only its subcommand's modules
+and a name patched in its module is seen at the next call.
 
 Calibration parameters (thresholds, noise widths, efficiencies) are never
 silent: each subcommand's --help states them with their defaults, and the
@@ -21,7 +25,6 @@ resolved values always land in the manifest.
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
 import math
@@ -30,47 +33,14 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .disks import (
-    AssumeFixed,
-    AssumeRandom,
-    AssumeZero,
-    BothKnown,
-    IntegrateOver,
-    KnowledgePolicy,
-    SamplingMode,
-    build_bell_special,
-    build_param_disks,
-    build_singlet_disk,
-    disk_to_text,
-    joint_pmf_from_splits,
-    policy_is_per_trial,
-    sample_param_setup,
-    sample_separated,
-    split_disk,
-    split_to_text,
-)
-from .domain import JointPmf, NoCoincidencesError, SingletKind, correlation
-from .eventio import (
-    EventStream,
-    GeneratorConfig,
-    _write_csv,
-    generate_events,
-    match_coincidences,
-    read_events,
-    write_events,
-)
-from .optics import FixedBasisSource, IsotropicSource, StationConfig
-from .scan import (
+from .domain import (
     STANDARD_CHSH_ANGLES,
-    ScanConfig,
+    JointPmf,
+    NoCoincidencesError,
+    SingletKind,
     _fmt,
-    chsh_report_from_tables,
-    default_b_angles,
-    pathology_probe,
-    run_chsh,
-    run_scan,
-    scan_result_csv,
-    scan_summary_text,
+    check_angle,
+    correlation,
 )
 
 SCAN_PRESETS = {
@@ -82,12 +52,13 @@ SCAN_PRESETS = {
 
 _SOURCES = ("isotropic", "fixed-hv")
 
+#: --policy name -> the disks knowledge-policy class it builds.
 _POLICIES = {
-    "both-known": BothKnown,
-    "assume-zero": AssumeZero,
-    "assume-fixed": AssumeFixed,
-    "assume-random": AssumeRandom,
-    "integrate": IntegrateOver,
+    "both-known": "BothKnown",
+    "assume-zero": "AssumeZero",
+    "assume-fixed": "AssumeFixed",
+    "assume-random": "AssumeRandom",
+    "integrate": "IntegrateOver",
 }
 
 #: Station flags: dest -> (config section, config key, default, help).
@@ -155,7 +126,10 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     for name, content in files.items():
         if isinstance(content, str):
             (out / name).write_text(content, encoding="utf-8")
-        elif isinstance(content, EventStream):
+            continue
+        from .eventio import EventStream, _write_csv, write_events
+
+        if isinstance(content, EventStream):
             write_events(out / name, content)
         else:
             _write_csv(out / name, *content)
@@ -169,6 +143,8 @@ class _Resolver:
     def __init__(self, config_path: str | None):
         self.cp = None
         if config_path:
+            import configparser
+
             cp = configparser.ConfigParser()
             if not cp.read(config_path):
                 raise FileNotFoundError(f"config file not found: {config_path}")
@@ -176,14 +152,14 @@ class _Resolver:
 
     def get(self, flag_value, section: str, key: str, default, cast=float):
         """A file value that cast refuses, or a non-finite float, raises a
-        ValueError naming [section] key."""
+        ValueError naming [section] key. cast may be a flag's argparse type."""
         if flag_value is not None:
             return flag_value
         if self.cp is None or not self.cp.has_option(section, key):
             return default
         try:
             value = cast(self.cp.get(section, key))
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"config [{section}] {key}: {exc}") from None
         if cast is float and not math.isfinite(value):
             raise ValueError(f"config [{section}] {key} must be finite, got {value!r}")
@@ -207,11 +183,21 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _angle(text: str) -> float:
+    """An analyzer or basis angle, rad, as StationConfig and FixedBasisSource take it."""
+    value = _finite_float(text)
+    try:
+        check_angle("angle", value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _angle_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"wants two comma-separated angles, got {text!r}")
-    return _finite_float(parts[0]), _finite_float(parts[1])
+    return _angle(parts[0]), _angle(parts[1])
 
 
 def _source_model(text: str) -> str:
@@ -224,12 +210,13 @@ def _station_flags(p: argparse.ArgumentParser, scanned_b: bool, alpha_help: str 
     for dest, (_, _, _, text) in _STATION_KEYS.items():
         if scanned_b or dest != "alpha":
             text = alpha_help if dest == "alpha" and alpha_help else text
-            p.add_argument("--" + dest.replace("_", "-"), type=_finite_float, help=text)
+            kind = _angle if dest == "alpha" else _finite_float
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text)
 
 
 def _source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--source", choices=_SOURCES, help="pair source model (default isotropic)")
-    p.add_argument("--basis", type=_finite_float, help="fixed-hv basis angle, rad (default 0)")
+    p.add_argument("--basis", type=_angle, help="fixed-hv basis angle, rad (default 0)")
 
 
 def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
@@ -244,8 +231,13 @@ def _resolve_stations(args, res: _Resolver, **defaults: float):
     defaults overrides a _STATION_KEYS default by dest. alpha is an entry
     only where the subcommand has --alpha.
     """
+    from .optics import StationConfig
+
     cfg = {
-        dest: res.get(getattr(args, dest, None), section, key, defaults.get(dest, default))
+        dest: res.get(
+            getattr(args, dest, None), section, key, defaults.get(dest, default),
+            _angle if dest == "alpha" else float,
+        )
         for dest, (section, key, default, _) in _STATION_KEYS.items()
     }
     station_a = StationConfig(
@@ -263,8 +255,10 @@ def _resolve_stations(args, res: _Resolver, **defaults: float):
 
 def _resolve_source(args, res: _Resolver):
     """The pair source and its config entries {"source", "basis"}."""
+    from .optics import FixedBasisSource, IsotropicSource
+
     name = res.get(args.source, "source", "model", "isotropic", cast=_source_model)
-    basis = res.get(args.basis, "source", "basis", 0.0)
+    basis = res.get(args.basis, "source", "basis", 0.0, cast=_angle)
     source = FixedBasisSource(basis=basis) if name == "fixed-hv" else IsotropicSource()
     return source, {"source": name, "basis": basis}
 
@@ -273,18 +267,36 @@ def _pmf_line(p: JointPmf) -> str:
     return ",".join(_fmt(x) for x in p.as_tuple())
 
 
-def _policy(name: str | None, value: float | None) -> KnowledgePolicy:
+def _policy(name: str | None, value: float | None):
+    """The disks knowledge policy a --policy name and --policy-value build."""
+    from . import disks
+
     name = name or "assume-zero"
     if name != "assume-fixed":
-        return _POLICIES[name]()
+        return getattr(disks, _POLICIES[name])()
     if value is None:
         raise ValueError("--policy assume-fixed needs --policy-value")
-    return AssumeFixed(value=value)
+    return disks.AssumeFixed(value=value)
 
 
 # --- disk-demo ---------------------------------------------------------------
 
 def _cmd_disk_demo(args, argv: list[str]) -> int:
+    from .disks import (
+        BothKnown,
+        SamplingMode,
+        build_bell_special,
+        build_param_disks,
+        build_singlet_disk,
+        disk_to_text,
+        joint_pmf_from_splits,
+        policy_is_per_trial,
+        sample_param_setup,
+        sample_separated,
+        split_disk,
+        split_to_text,
+    )
+
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     n = res.get(args.n, "run", "n", 100_000, cast=int)
@@ -311,8 +323,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     elif args.figure in ("4", "5"):
         target = build_singlet_disk(alpha - beta, kind).implied_pmf()
         if args.figure == "4":
-            policy_a: KnowledgePolicy = BothKnown()
-            policy_b: KnowledgePolicy = BothKnown()
+            policy_a = policy_b = BothKnown()
         else:
             policy_a = _policy(args.policy_a or args.policy, args.policy_value)
             policy_b = _policy(args.policy_b or args.policy, args.policy_value)
@@ -361,6 +372,8 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
 # --- scan ----------------------------------------------------------------------
 
 def _cmd_scan(args, argv: list[str]) -> int:
+    from .scan import ScanConfig, default_b_angles, run_scan, scan_result_csv, scan_summary_text
+
     res = _Resolver(args.config)
     for dest, value in SCAN_PRESETS.get(args.preset, {}).items():
         if getattr(args, dest) is None:
@@ -408,6 +421,8 @@ def _chsh_csv(report) -> str:
 
 
 def _cmd_chsh(args, argv: list[str]) -> int:
+    from .scan import run_chsh
+
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_setting", 100_000, cast=int)
@@ -438,12 +453,14 @@ def _cmd_chsh(args, argv: list[str]) -> int:
 # --- pathology ---------------------------------------------------------------------
 
 def _cmd_pathology(args, argv: list[str]) -> int:
+    from .scan import default_b_angles, pathology_probe
+
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     steps = res.get(args.steps, "run", "steps", 33, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_step", 10_000, cast=int)
     station_a, station_b, stations = _resolve_stations(args, res, alpha=math.pi / 4)
-    basis = res.get(args.basis, "source", "basis", 0.0)
+    basis = res.get(args.basis, "source", "basis", 0.0, cast=_angle)
 
     report = pathology_probe(
         basis=basis, alpha=stations["alpha"], station_a=station_a, station_b=station_b,
@@ -470,6 +487,8 @@ def _cmd_pathology(args, argv: list[str]) -> int:
 # --- events ----------------------------------------------------------------------
 
 def _cmd_events_gen(args, argv: list[str]) -> int:
+    from .eventio import GeneratorConfig, generate_events
+
     res = _Resolver(args.config)
     seed = res.get(args.seed, "run", "seed", 0, cast=int)
     rate = res.get(args.rate, "run", "rate", 10_000.0)
@@ -510,8 +529,19 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
 MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
 
 
+def _read_input(path: str):
+    """One events file and the sha256 of the bytes parsed, from one read."""
+    from .eventio import read_events
+
+    data = Path(path).read_bytes()
+    return read_events(path, data), hashlib.sha256(data).hexdigest()
+
+
 def _cmd_events_match(args, argv: list[str]) -> int:
-    events_a, events_b = read_events(args.a), read_events(args.b)
+    from .eventio import match_coincidences
+    from .scan import chsh_report_from_tables
+
+    (events_a, sha_a), (events_b, sha_b) = _read_input(args.a), _read_input(args.b)
     result = match_coincidences(events_a, events_b, args.window)
     lines = [MATCH_CSV_HEADER]
     for (sa, sb), t in sorted(result.tables.items()):
@@ -529,6 +559,10 @@ def _cmd_events_match(args, argv: list[str]) -> int:
     except NoCoincidencesError:
         s = None
     config = {"a": str(args.a), "b": str(args.b), "window_ns": args.window}
+    inputs = {
+        side: {"path": str(path), "sha256": sha}
+        for side, path, sha in (("a", args.a, sha_a), ("b", args.b, sha_b))
+    }
     summary = [
         f"window_ns = {args.window}",
         f"n_matched = {result.n_matched}",
@@ -536,10 +570,6 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         f"abs_s = {_fmt(abs(s) if s is not None else None)}",
         f"config_sha256 = {_fingerprint(config)}",
     ]
-    inputs = {
-        side: {"path": str(path), "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-        for side, path in (("a", args.a), ("b", args.b))
-    }
     counters = {
         "records_a": len(events_a),
         "records_b": len(events_b),
@@ -609,16 +639,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", help="four-setting CHSH run")
     _station_flags(p, scanned_b=False)
     _source_flags(p)
-    p.add_argument("--angle-a", type=_finite_float, help="setting a (default 0)")
-    p.add_argument("--angle-a2", type=_finite_float, help="setting a' (default pi/4)")
-    p.add_argument("--angle-b", type=_finite_float, help="setting b (default pi/8)")
-    p.add_argument("--angle-b2", type=_finite_float, help="setting b' (default 3*pi/8)")
+    p.add_argument("--angle-a", type=_angle, help="setting a (default 0)")
+    p.add_argument("--angle-a2", type=_angle, help="setting a' (default pi/4)")
+    p.add_argument("--angle-b", type=_angle, help="setting b (default pi/8)")
+    p.add_argument("--angle-b2", type=_angle, help="setting b' (default 3*pi/8)")
     p.add_argument("--pairs", type=int, help="pairs per setting (default 100000)")
     _common_flags(p, "chsh-out")
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("pathology", help="fixed-basis source probe with A at alpha")
-    p.add_argument("--basis", type=_finite_float, help="source basis angle (default 0)")
+    p.add_argument("--basis", type=_angle, help="source basis angle (default 0)")
     _station_flags(p, scanned_b=True, alpha_help="station A analyzer angle, rad (default pi/4)")
     p.add_argument("--steps", type=int, help="scan steps (default 33)")
     p.add_argument("--pairs", type=int, help="pairs per step (default 10000)")

@@ -34,7 +34,6 @@ import numpy as np
 
 from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
 from .intervals import overlap_length, unroll_arc
-from .scan import tabulate_codes
 
 #: Tolerance for sector lengths covering the full circle.
 PARTITION_TOL = 1e-9
@@ -320,7 +319,7 @@ def _sample_separated_rng(
             lams = rng.uniform(0.0, TWO_PI, rows.stop - start)
             for disk, codes in sides:
                 codes[rows] = sample_split_many(disk, lams)
-    return tabulate_codes(side_a[1], side_b[1])
+    return CountTable.from_codes(side_a[1], side_b[1])
 
 
 def sample_separated(
@@ -466,7 +465,7 @@ def sample_param_setup(
         lam_b = lam_a if shared else next(columns)
         side_a[rows] = _per_trial_lookup(lam_a, alpha - beta_hat, kind, _SINGLET_A)
         side_b[rows] = _per_trial_lookup(lam_b, alpha_hat - beta, kind, _SINGLET_B)
-    return tabulate_codes(side_a, side_b)
+    return CountTable.from_codes(side_a, side_b)
 
 
 def build_bell_special(alpha: float) -> tuple[SplitDisk, SplitDisk]:

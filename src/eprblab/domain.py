@@ -3,9 +3,11 @@ polarization-correlation experiments.
 
 Angles are plain floats in radians with canonical range [0, 2*pi); where
 polarization symmetry applies, quantities reduce mod pi instead. Outcomes
-are encoded +1/-1 package-wide. The closed-form prediction here is the
-joint coincidence probability for a correlated or anticorrelated pair;
-everything else is counting statistics over those outcomes.
+are encoded +1/-1 package-wide, and a station's trial as one of four
+outcome codes. The closed-form prediction here is the joint coincidence
+probability for a correlated or anticorrelated pair; everything else is
+counting statistics over those outcomes, including the one tally of two
+stations' code arrays into a CountTable.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ TWO_PI = 2.0 * math.pi
 
 #: Tolerance for a probability table summing to one.
 PMF_TOL = 1e-12
+
+#: Largest analyzer or source-basis angle magnitude accepted, rad. Past 2**43
+#: one ulp of a double exceeds 1e-3 rad, so the value no longer names a
+#: setting (and past ~9e307 the Malus split's cos(2 * delta) is NaN).
+MAX_ANGLE = 2.0**43
+
+#: Standard CHSH analyzer angles (a, a', b, b').
+STANDARD_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
+
+#: Outcome codes of one station's trial, as stored in int8 code arrays.
+MISS_CODE = 0
+PLUS_CODE = 1
+MINUS_CODE = -1
+DOUBLE_CODE = 2
+
+#: Trials per bincount of a tally. Any value gives the same counts; 2**14
+#: rows keep each chunk's cell indices in cache.
+_TALLY_ROWS = 1 << 14
 
 
 class NoCoincidencesError(ValueError):
@@ -39,6 +59,19 @@ def wrap_angle(x: float) -> float:
     if r >= TWO_PI:
         r = 0.0
     return r
+
+
+def check_angle(name: str, x: float) -> None:
+    """Raise ValueError naming name unless x is finite with |x| <= MAX_ANGLE."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    if abs(x) > MAX_ANGLE:
+        raise ValueError(f"{name} {x!r} exceeds 2**43 rad in magnitude")
+
+
+def _fmt(x: float | None) -> str:
+    """A number as every CSV and summary writes it: repr of the float, nan for None."""
+    return "nan" if x is None else repr(float(x))
 
 
 class SingletKind(enum.Enum):
@@ -146,6 +179,35 @@ class CountTable:
                         f"side {side}: singles+doubles+misses = {parts} != n_pairs = {self.n_pairs}"
                     )
 
+    @classmethod
+    def from_cells(cls, cells: np.ndarray) -> "CountTable":
+        """The table of the 16 (code_a, code_b) cell counts, indexed as _cells does."""
+        m = cells.reshape(4, 4)
+        miss, plus, minus, double = (c & 3 for c in (MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE))
+        single = [plus, minus]
+        return cls(
+            n_pp=int(m[plus, plus]),
+            n_pm=int(m[plus, minus]),
+            n_mp=int(m[minus, plus]),
+            n_mm=int(m[minus, minus]),
+            singles_a=int(m[single].sum()),
+            singles_b=int(m[:, single].sum()),
+            doubles_a=int(m[double].sum()),
+            doubles_b=int(m[:, double].sum()),
+            misses_a=int(m[miss].sum()),
+            misses_b=int(m[:, miss].sum()),
+            n_pairs=int(m.sum()),
+        )
+
+    @classmethod
+    def from_codes(cls, codes_a: np.ndarray, codes_b: np.ndarray) -> "CountTable":
+        """The table of two stations' outcome-code arrays, trial by trial.
+
+        Coincidence cells count trials where both stations produced a single;
+        doubles and misses are excluded from the cells but reported per side.
+        """
+        return cls.from_cells(_tally(codes_a, codes_b))
+
     @property
     def coincidences(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
@@ -158,6 +220,20 @@ class CountTable:
         return JointPmf(
             self.n_pp / total, self.n_pm / total, self.n_mp / total, self.n_mm / total
         )
+
+
+def _cells(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+    """The (code_a, code_b) cell of each trial: 4 * (code_a & 3) + (code_b & 3)."""
+    return ((codes_a & 3) << 2) | (codes_b & 3)
+
+
+def _tally(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
+    """Counts of the 16 cells of two code arrays, _TALLY_ROWS trials at a time."""
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, codes_a.shape[0], _TALLY_ROWS):
+        rows = slice(start, start + _TALLY_ROWS)
+        counts += np.bincount(_cells(codes_a[rows], codes_b[rows]), minlength=16)
+    return counts
 
 
 def correlation(counts: CountTable) -> float:

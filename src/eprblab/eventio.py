@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import CountTable
-from .optics import MINUS_CODE, PLUS_CODE, SourceModel, StationConfig, _measure, emit_phis
+from .domain import MINUS_CODE, PLUS_CODE, CountTable, check_angle
+from .optics import SourceModel, StationConfig, _measure, emit_phis
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
@@ -125,8 +125,8 @@ class GeneratorConfig:
             raise ValueError(f"mean_rate must be positive and finite, got {self.mean_rate!r}")
         if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
             raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
-        if not all(map(math.isfinite, (*self.settings_a, *self.settings_b))):
-            raise ValueError(f"settings must be finite, got {self.settings_a}, {self.settings_b}")
+        for angle in (*self.settings_a, *self.settings_b):
+            check_angle("settings angle", angle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,15 +299,19 @@ def _parse_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     return mag.view(np.int64), ok
 
 
-def read_events(path: Path | str) -> EventStream:
+def read_events(path: Path | str, data: bytes | None = None) -> EventStream:
     """Parse one stream file; a bad record raises ValueError naming path:line,
     numbering lines from 1 at the header.
+
+    data, when given, is the file's content, already read: it is parsed in
+    place of reading path, which then only names the file in messages.
 
     Accepted: the header line, then rows of three -?digits fields in int64,
     with LF or CRLF line ends; the final line end may be missing. Each check
     is one array pass, over the bytes, the separators or the fields.
     """
-    data = Path(path).read_bytes()
+    if data is None:
+        data = Path(path).read_bytes()
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.max(initial=0) >= 0x80:
         k = int(np.argmax(buf >= 0x80))

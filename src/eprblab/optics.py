@@ -48,13 +48,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import TWO_PI
-
-#: Outcome codes used by the vectorized kernels (int8 arrays).
-MISS_CODE = 0
-PLUS_CODE = 1
-MINUS_CODE = -1
-DOUBLE_CODE = 2
+from .domain import (
+    DOUBLE_CODE,
+    MINUS_CODE,
+    MISS_CODE,
+    PLUS_CODE,
+    TWO_PI,
+    _cells,
+    _tally,
+    check_angle,
+)
 
 #: Rows per block of the array kernels. Any value gives the same output
 #: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
@@ -80,13 +83,15 @@ class IsotropicSource:
 
 @dataclass(frozen=True)
 class FixedBasisSource:
-    """Pairs confined to one orthogonal basis: phi in {basis, basis + pi/2}."""
+    """Pairs confined to one orthogonal basis: phi in {basis, basis + pi/2}.
+
+    basis is in radians, at most MAX_ANGLE (2**43) in magnitude.
+    """
 
     basis: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.basis):
-            raise ValueError(f"basis must be finite, got {self.basis!r}")
+        check_angle("basis", self.basis)
 
 
 SourceModel = IsotropicSource | FixedBasisSource
@@ -96,10 +101,11 @@ SourceModel = IsotropicSource | FixedBasisSource
 class StationConfig:
     """One station's analyzer angle and detection calibration.
 
-    threshold is a fraction of the normalized pulse energy; noise_sigma is
-    the per-channel additive Gaussian width in the same units; efficiency
-    is the probability of keeping a trial's outcome rather than recording
-    a miss.
+    angle is in radians, at most MAX_ANGLE (2**43) in magnitude, where one
+    ulp of a double still stays under 1e-3 rad. threshold is a fraction of
+    the normalized pulse energy; noise_sigma is the per-channel additive
+    Gaussian width in the same units; efficiency is the probability of
+    keeping a trial's outcome rather than recording a miss.
     """
 
     angle: float
@@ -108,8 +114,7 @@ class StationConfig:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"angle must be finite, got {self.angle!r}")
+        check_angle("angle", self.angle)
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold {self.threshold!r} outside [0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
@@ -304,20 +309,6 @@ def _bucket_codes(shift: float, cfg: StationConfig) -> tuple[np.ndarray, np.ndar
     _fire(i_plus, i_minus, None, None, cfg, codes)
     proven = (np.abs(i_plus - cfg.threshold) > margin) & (np.abs(i_minus - cfg.threshold) > margin)
     return codes, proven
-
-
-def _cells(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """The (code_a, code_b) cell of each trial: 4 * (code_a & 3) + (code_b & 3)."""
-    return ((codes_a & 3) << 2) | (codes_b & 3)
-
-
-def _tally(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """Counts of the 16 cells of two code arrays, _TABLE_ROWS trials at a time."""
-    counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, codes_a.shape[0], _TABLE_ROWS):
-        rows = slice(start, start + _TABLE_ROWS)
-        counts += np.bincount(_cells(codes_a[rows], codes_b[rows]), minlength=16)
-    return counts
 
 
 def _count_zero_noise(n: int, cfg_a: StationConfig, cfg_b: StationConfig, rng) -> np.ndarray:

@@ -28,8 +28,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
+    STANDARD_CHSH_ANGLES,
     CountTable,
     NoCoincidencesError,
+    _fmt,
     chsh,
     correlation,
     correlation_stderr,
@@ -37,16 +39,11 @@ from .domain import (
 )
 from .intervals import overlap_length, unroll_arc
 from .optics import (
-    DOUBLE_CODE,
-    MINUS_CODE,
-    MISS_CODE,
-    PLUS_CODE,
     FixedBasisSource,
     IsotropicSource,
     SourceModel,
     StationConfig,
     _count_zero_noise,
-    _tally,
     detection_windows,
     emit_phis,
     measure_many,
@@ -54,9 +51,6 @@ from .optics import (
 
 DEFAULT_SCAN_STEPS = 33
 DEFAULT_PAIRS_PER_STEP = 100_000
-
-#: Standard CHSH analyzer angles (a, a', b, b').
-STANDARD_CHSH_ANGLES = (0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
 
 
 def default_b_angles(n_steps: int = DEFAULT_SCAN_STEPS) -> tuple[float, ...]:
@@ -120,34 +114,14 @@ class ScanResult:
         return sum(s.counts.singles_b for s in self.steps)
 
 
-def _table_from_cells(cells: np.ndarray) -> CountTable:
-    """CountTable from the 16 (code_a, code_b) cell counts that optics._tally
-    and optics._count_zero_noise return, at 4 * (code_a & 3) + (code_b & 3)."""
-    m = cells.reshape(4, 4)
-    miss, plus, minus, double = (c & 3 for c in (MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE))
-    single = [plus, minus]
-    return CountTable(
-        n_pp=int(m[plus, plus]),
-        n_pm=int(m[plus, minus]),
-        n_mp=int(m[minus, plus]),
-        n_mm=int(m[minus, minus]),
-        singles_a=int(m[single].sum()),
-        singles_b=int(m[:, single].sum()),
-        doubles_a=int(m[double].sum()),
-        doubles_b=int(m[:, double].sum()),
-        misses_a=int(m[miss].sum()),
-        misses_b=int(m[:, miss].sum()),
-        n_pairs=int(m.sum()),
-    )
-
-
 def tabulate_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> CountTable:
     """CountTable from two stations' outcome-code arrays.
 
-    Coincidence cells count trials where both stations produced a single;
-    doubles and misses are excluded from the cells but reported per side.
+    The public name of CountTable.from_codes: coincidence cells count trials
+    where both stations produced a single; doubles and misses are excluded
+    from the cells but reported per side.
     """
-    return _table_from_cells(_tally(codes_a, codes_b))
+    return CountTable.from_codes(codes_a, codes_b)
 
 
 def _count_stream(
@@ -162,7 +136,7 @@ def _count_stream(
     if isinstance(source, IsotropicSource) and all(
         c.noise_sigma == 0.0 and c.efficiency == 1.0 for c in (cfg_a, cfg_b)
     ):
-        return _table_from_cells(_count_zero_noise(n, cfg_a, cfg_b, rng))
+        return CountTable.from_cells(_count_zero_noise(n, cfg_a, cfg_b, rng))
     return tabulate_codes(*measure_many(emit_phis(source, n, rng), cfg_a, cfg_b, rng))
 
 
@@ -454,10 +428,6 @@ SCAN_CSV_HEADER = (
     "b_angle_rad,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,"
     "doubles_a,doubles_b,misses_a,misses_b,match_prob,E"
 )
-
-
-def _fmt(x: float | None) -> str:
-    return "nan" if x is None else repr(float(x))
 
 
 def scan_result_csv(result: ScanResult) -> str:

@@ -453,3 +453,94 @@ def test_events_match_names_bad_line(tmp_path, capsys):
                  "--out", str(tmp_path / "m"))
     assert rc == 1
     assert f"{bad}:3:" in capsys.readouterr().err
+
+
+# --- angle magnitudes --------------------------------------------------------------
+
+TOO_BIG = "8796093022209"  # 2**43 + 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("scan", "--steps", "3", "--pairs", "1000"), "--alpha", "1e308"),
+        (("scan", "--steps", "3"), "--basis", "-" + TOO_BIG),
+        (("pathology", "--steps", "3"), "--alpha", TOO_BIG),
+        (("pathology", "--steps", "3"), "--basis", "1e13"),
+        (("chsh",), "--angle-a", TOO_BIG),
+        (("chsh",), "--angle-a2", "-1e308"),
+        (("chsh",), "--angle-b", "1e20"),
+        (("chsh",), "--angle-b2", "-" + TOO_BIG),
+        (("chsh",), "--basis", "1e308"),
+        (("events", "gen"), "--angles-a", "0,1e308"),
+        (("events", "gen"), "--angles-b", "0,-1e13"),
+        (("events", "gen"), "--basis", TOO_BIG),
+    ],
+)
+def test_angle_flags_past_two_to_the_43_are_usage_errors(tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "o"
+    err = usage_error(capsys, *argv, f"{flag}={value}", "--out", str(out))
+    assert f"argument {flag}: angle {float(value.split(',')[-1])!r} exceeds 2**43 rad" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("scan", "[station_a]\nangle = 1e308\n"),
+        ("pathology", "[station_a]\nangle = -8796093022209\n"),
+        ("pathology", "[source]\nbasis = 1e13\n"),
+        ("scan", "[source]\nmodel = fixed-hv\nbasis = -1e308\n"),
+        ("chsh", "[source]\nbasis = 1e20\n"),
+    ],
+)
+def test_config_angles_past_two_to_the_43_are_runtime_errors(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--pairs", "100", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error: config [") and len(err.strip().splitlines()) == 1
+    assert "angle " in err and " exceeds 2**43 rad in magnitude" in err
+    assert not out.exists()
+
+
+def test_angles_up_to_two_to_the_43_still_run(tmp_path):
+    for value in ("-1e12", "8796093022208"):
+        out = tmp_path / value
+        assert run_cli("scan", f"--alpha={value}", "--steps", "3", "--pairs", "500",
+                       "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["alpha"] == float(value)
+
+
+# --- events match reads each input once ----------------------------------------------
+
+def test_events_match_digests_the_bytes_it_matched(tmp_path, monkeypatch):
+    from eprblab import eventio
+
+    gen_out = tmp_path / "gen"
+    assert run_cli("events", "gen", "--rate", "2000", "--duration", "0.2", "--seed", "4",
+                   "--out", str(gen_out)) == 0
+    a, b = gen_out / "events_a.csv", gen_out / "events_b.csv"
+    matched = a.read_bytes()
+    parse = eventio.read_events
+    parsed = []
+
+    def parse_then_replace(path, *rest):
+        # A writer replacing the file just after the parse: the digest must
+        # still be of the bytes the match used, not of the file's new content.
+        stream = parse(path, *rest)
+        parsed.append(Path(path))
+        if Path(path) == a:
+            a.write_text(eventio.EVENTS_CSV_HEADER + "\n")
+        return stream
+
+    monkeypatch.setattr(eventio, "read_events", parse_then_replace)
+    out = tmp_path / "m"
+    assert run_cli("events", "match", "--a", str(a), "--b", str(b), "--window", "100",
+                   "--out", str(out)) == 0
+    assert parsed == [a, b]  # both parses go through the public eventio.read_events
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"]["a"]["sha256"] == hashlib.sha256(matched).hexdigest()
+    assert manifest["inputs"]["b"]["sha256"] == hashlib.sha256(b.read_bytes()).hexdigest()
+    assert manifest["counters"]["records_a"] == len(matched.splitlines()) - 1 > 0

@@ -119,6 +119,21 @@ def test_generator_config_rejects_non_finite_settings():
         )
 
 
+@pytest.mark.parametrize(
+    "settings_a, settings_b", [((A0, A1), (B0, -1e308)), ((2.0**44, A1), (B0, B1))]
+)
+def test_generator_config_rejects_settings_past_two_to_the_43(settings_a, settings_b):
+    with pytest.raises(ValueError, match="settings angle .* exceeds 2\\*\\*43"):
+        GeneratorConfig(
+            source=IsotropicSource(),
+            station_a=StationConfig(angle=0.0, threshold=0.5),
+            station_b=StationConfig(angle=0.0, threshold=0.5),
+            settings_a=settings_a,
+            settings_b=settings_b,
+            mean_rate=1_000.0,
+        )
+
+
 @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.0, -1.0])
 def test_generate_events_rejects_bad_duration(duration):
     with pytest.raises(ValueError, match="duration"):
@@ -196,6 +211,14 @@ def test_header_only_and_empty_streams(tmp_path):
     assert len(read_events(p)) == 0
     p.write_text(HEADER.rstrip("\n"))  # no final newline
     assert read_events(p) == _stream([])
+
+
+def test_given_bytes_are_parsed_in_place_of_the_file(tmp_path):
+    p = tmp_path / "gone.csv"  # never written: the path only names the bytes
+    data = (HEADER + "5,0,1\n7,1,-1\n").encode()
+    assert read_events(p, data) == _stream([5, 7], setting=[0, 1], channel=[1, -1])
+    with pytest.raises(ValueError, match=f"{re.escape(str(p))}:3: bad record"):
+        read_events(p, (HEADER + "5,0,1\n7,2\n").encode())
 
 
 def test_crlf_files_are_accepted(tmp_path):

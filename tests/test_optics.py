@@ -178,6 +178,20 @@ def test_station_config_validation():
             FixedBasisSource(basis=value)
 
 
+def test_angles_past_two_to_the_43_are_refused():
+    # Past 2**43 one ulp of the angle exceeds 1e-3 rad, and at 1e308 the
+    # Malus split's cos(2 * delta) is NaN: neither names a setting.
+    edge = 2.0**43
+    for value in (edge, -edge, 1e12, -1e12):
+        assert StationConfig(angle=value).angle == value
+        assert FixedBasisSource(basis=value).basis == value
+    for value in (math.nextafter(edge, math.inf), -math.nextafter(edge, math.inf), 1e308):
+        with pytest.raises(ValueError, match="angle .* exceeds 2\\*\\*43"):
+            StationConfig(angle=value)
+        with pytest.raises(ValueError, match="basis .* exceeds 2\\*\\*43"):
+            FixedBasisSource(basis=value)
+
+
 # --- sources -----------------------------------------------------------------------
 
 def test_emit_phis_isotropic_uniformity():

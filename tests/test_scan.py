@@ -367,6 +367,17 @@ def test_tabulate_codes_equals_reference(n, seed):
     assert tabulate_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
 
 
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 29])
+def test_tally_row_chunks_are_invisible(monkeypatch, n):
+    import eprblab.domain as domain
+
+    monkeypatch.setattr(domain, "_TALLY_ROWS", 7)
+    codes = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
+    rng = np.random.default_rng(n)
+    codes_a, codes_b = codes[rng.integers(0, 4, n)], codes[rng.integers(0, 4, n)]
+    assert CountTable.from_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
+
+
 TABLE_ROWS = optics._TABLE_ROWS
 BIG = (1e6, -1e6, 1e12, -1e12)
 table_angles = (
