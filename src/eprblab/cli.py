@@ -28,6 +28,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,6 +52,11 @@ SCAN_PRESETS = {
 }
 
 _SOURCES = ("isotropic", "fixed-hv")
+
+#: A negative decimal float literal, exponent optional, or -inf/-infinity/-nan.
+_NEGATIVE_FLOAT = re.compile(
+    r"-(?:(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+)
 
 #: --policy name -> the disks knowledge-policy class it builds.
 _POLICIES = {
@@ -167,7 +173,15 @@ class _Resolver:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 2 with one line on stderr, naming the flag."""
+    """Usage errors exit 2 with one line on stderr, naming the flag.
+
+    Every float literal that begins with "-" is a flag's value, not an
+    option: argparse's own pattern misses exponents and -inf/-nan.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")

@@ -19,12 +19,10 @@ All kernels are stateless and draw from an explicit random generator, so
 trials may run in parallel if each batch derives its stream from its own
 seed material.
 
-measure_many draws every random number on the calling thread, in the
-documented order, and then evaluates the Malus split and the threshold in
-fixed blocks of _BLOCK_ROWS pairs, spread over one worker thread per
-available core. Each block reads and writes only its own slices, so the
-block size, the number of cores and the scheduling of blocks never change
-an output byte.
+measure_many draws every random number in the documented order, and then
+evaluates the Malus split and the threshold in fixed blocks of _BLOCK_ROWS
+pairs, one after another on the calling thread. Each block reads and writes
+only its own slices, so the block size never changes an output byte.
 
 _count_zero_noise counts isotropic pairs at two stations with zero noise
 and full efficiency without a cosine per pair. There the pair angle is the
@@ -42,8 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,19 +132,6 @@ def _malus(delta):
     return i_plus, 1.0 - i_plus
 
 
-def malus_intensities(phi, analyzer):
-    """Channel energy fractions (cos^2, sin^2) of phi - analyzer.
-
-    Accepts scalars or arrays elementwise. Uses cos^2 x = (1 + cos 2x)/2 and
-    i_minus = 1 - i_plus so the two fractions sum to exactly 1.0 and the
-    bisecting case yields exactly (0.5, 0.5).
-    """
-    i_plus, i_minus = _malus(np.asarray(phi, dtype=float) - np.asarray(analyzer, dtype=float))
-    if np.ndim(i_plus) == 0:
-        return float(i_plus), float(i_minus)
-    return i_plus, i_minus
-
-
 def _station_draws(cfg: StationConfig, n: int, rng: np.random.Generator):
     """One station's random draws for n trials: (noise, thinning uniforms).
 
@@ -181,64 +164,9 @@ def _fire(i_plus, i_minus, noise, thin, cfg: StationConfig, out: np.ndarray) -> 
     np.take(_CODE_OF_FIRED, index, out=out, mode="clip")
 
 
-def detect_many(
-    i_plus: np.ndarray,
-    i_minus: np.ndarray,
-    cfg: StationConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Station outcome codes for arrays of channel intensities.
-
-    A channel fires when intensity (+ Gaussian channel noise, independent
-    per channel) is >= the threshold; the station outcome is then thinned to
-    a miss with probability 1 - efficiency. Draw order: one normal block of
-    shape (n, 2) when noise_sigma > 0, then one uniform block of shape (n,)
-    when efficiency < 1; both are skipped entirely otherwise.
-    """
-    i_plus = np.asarray(i_plus, dtype=float)
-    i_minus = np.asarray(i_minus, dtype=float)
-    codes = np.empty(i_plus.shape[0], dtype=np.int8)
-    _fire(i_plus, i_minus, *_station_draws(cfg, len(codes), rng), cfg, codes)
-    return codes
-
-
 def _station_block(phi, shift, angle, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
     """Codes of one block of one station: Malus split of phi + shift, then _fire."""
     _fire(*_malus((phi + shift) - angle), noise, thin, cfg, out)
-
-
-_pool = None  # the block executor, made on first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool_in_child() -> None:
-    """A forked child inherits the executor but none of its threads, and
-    maybe a lock held by a parent thread: start both afresh."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_in_child)
-
-
-def _workers() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _block_pool():
-    """The process's block executor, one thread per available core."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # Imported here: a module-level import costs every CLI start-up.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_workers(), thread_name_prefix="eprblab-block")
-        return _pool
 
 
 def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig, rng):
@@ -253,8 +181,6 @@ def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig,
     draws_b = _station_draws(cfg_b, n, rng)
     codes_a = np.empty(n, dtype=np.int8)
     codes_b = np.empty(n, dtype=np.int8)
-    pool = _block_pool()
-    futures = []
     stations = (
         (0.0, angle_a, draws_a, cfg_a, codes_a),
         (0.5 * math.pi, angle_b, draws_b, cfg_b, codes_b),
@@ -263,10 +189,7 @@ def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig,
         for start in range(0, n, _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
             per_pair = [x[rows] if isinstance(x, np.ndarray) else x for x in (angle, *draws)]
-            task = (phis[rows], shift, *per_pair, cfg, out[rows])
-            futures.append(pool.submit(_station_block, *task))
-    for future in futures:
-        future.result()
+            _station_block(phis[rows], shift, *per_pair, cfg, out[rows])
     return codes_a, codes_b
 
 
@@ -358,10 +281,9 @@ def measure_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both stations' outcome codes for an array of pair polarizations.
 
-    Station A's pulses carry phis, station B's phis + pi/2. A's random
-    draws (noise, thinning) complete before B's begin. The result equals
-    detect_many over malus_intensities for each station in turn, byte for
-    byte, whatever the number of cores.
+    Station A's pulses carry phis, station B's phis + pi/2. Draw order: A's
+    normal block of shape (n, 2) when its noise_sigma > 0, then A's uniform
+    block of shape (n,) when its efficiency < 1, then B's likewise.
     """
     return _measure(phis, cfg_a.angle, cfg_b.angle, cfg_a, cfg_b, rng)
 

@@ -15,9 +15,9 @@ the result, and identical (config, seed) reproduce identical output. A
 step or CHSH sub-run with an isotropic source and two stations without
 noise or losses is counted by optics._count_zero_noise from a per-bucket
 code table, in bounded memory; every other stream goes through
-optics.measure_many, which evaluates the stations block by block on every
-available core. Both give the counts of the same per-pair kernel, and
-neither the blocking nor the core count changes an output byte.
+optics.measure_many, which evaluates the stations block by block. Both
+give the counts of the same per-pair kernel, and the blocking changes no
+output byte.
 """
 
 from __future__ import annotations

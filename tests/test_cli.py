@@ -351,12 +351,13 @@ def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize("flag", ["--noise-a", "--noise-b", "--alpha"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-nan"])
 def test_scan_rejects_non_finite_station_inputs(tmp_path, capsys, flag, value):
     out = tmp_path / "s"
     err = usage_error(capsys, "scan", flag, value, "--steps", "3", "--pairs", "1000",
                       "--out", str(out))
-    assert err.startswith("eprblab scan: error:") and "finite" in err and flag in err
+    assert err.startswith("eprblab scan: error:")
+    assert f"argument {flag}: must be a finite number, got {value!r}" in err
     assert not out.exists()
 
 
@@ -390,6 +391,14 @@ def test_every_disk_demo_float_flag_is_checked(tmp_path, capsys, flag):
     err = usage_error(capsys, "disk-demo", "--figure", "1", flag, "-inf",
                       "--out", str(tmp_path / "o"))
     assert f"argument {flag}:" in err
+
+
+def test_negative_exponent_value_reads_as_its_flag_value(tmp_path):
+    argv = ("scan", "--steps", "3", "--pairs", "100", "--seed", "4")
+    assert run_cli(*argv, "--alpha", "-1e-3", "--out", str(tmp_path / "spaced")) == 0
+    assert run_cli(*argv, "--alpha=-1e-3", "--out", str(tmp_path / "joined")) == 0
+    spaced = (tmp_path / "spaced" / "scan.csv").read_bytes()
+    assert spaced == (tmp_path / "joined" / "scan.csv").read_bytes()
 
 
 def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, capsys):
@@ -435,15 +444,24 @@ def test_manifest_refuses_non_finite_json(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_leaves_thread_pool_module_unloaded():
-    # The station kernel imports concurrent.futures on first use; importing
-    # it with the CLI would cost every command's start-up.
-    code = "import sys, eprblab.cli; print('concurrent.futures' in sys.modules)"
+def test_cli_import_leaves_thread_pool_module_unloaded(tmp_path):
+    # The station kernel runs its blocks on the calling thread: neither the
+    # CLI import nor a noisy scan or an events gen starts a thread or loads
+    # concurrent.futures.
+    code = (
+        "import sys, threading, eprblab.cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "assert eprblab.cli.main(['scan', '--noise-b', '0.05', '--steps', '2', '--pairs',"
+        " '1000', '--out', 'scan']) == 0\n"
+        "assert eprblab.cli.main(['events', 'gen', '--rate', '1000', '--duration', '0.05',"
+        " '--out', 'gen']) == 0\n"
+        "print(threading.active_count(), 'concurrent.futures' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(eprblab.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=env, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "1", "False"]
 
 
 def test_events_match_names_bad_line(tmp_path, capsys):

@@ -13,10 +13,8 @@ from eprblab import (
     FixedBasisSource,
     IsotropicSource,
     StationConfig,
-    detect_many,
     detection_windows,
     emit_phis,
-    malus_intensities,
     measure_many,
     singles_probability,
 )
@@ -28,6 +26,37 @@ angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def malus_intensities(phi, analyzer):
+    """Channel energy fractions (cos^2, sin^2) of phi - analyzer.
+
+    Accepts scalars or arrays elementwise. Uses cos^2 x = (1 + cos 2x)/2 and
+    i_minus = 1 - i_plus so the two fractions sum to exactly 1.0 and the
+    bisecting case yields exactly (0.5, 0.5).
+    """
+    i_plus, i_minus = optics._malus(
+        np.asarray(phi, dtype=float) - np.asarray(analyzer, dtype=float)
+    )
+    if np.ndim(i_plus) == 0:
+        return float(i_plus), float(i_minus)
+    return i_plus, i_minus
+
+
+def detect_many(i_plus, i_minus, cfg, rng):
+    """Station outcome codes for arrays of channel intensities.
+
+    A channel fires when intensity (+ Gaussian channel noise, independent
+    per channel) is >= the threshold; the station outcome is then thinned to
+    a miss with probability 1 - efficiency. Draw order: one normal block of
+    shape (n, 2) when noise_sigma > 0, then one uniform block of shape (n,)
+    when efficiency < 1; both are skipped entirely otherwise.
+    """
+    i_plus = np.asarray(i_plus, dtype=float)
+    i_minus = np.asarray(i_minus, dtype=float)
+    codes = np.empty(i_plus.shape[0], dtype=np.int8)
+    optics._fire(i_plus, i_minus, *optics._station_draws(cfg, len(codes), rng), cfg, codes)
+    return codes
 
 
 def detect_one(intensities, cfg, rng) -> int:
@@ -377,22 +406,10 @@ def test_bisected_fixed_basis_tie_stays_an_exact_double():
     assert np.all(codes_a == DOUBLE_CODE)
 
 
-def test_measure_many_is_the_same_on_one_core(monkeypatch):
-    phis = emit_phis(IsotropicSource(), 3 * BLOCK_ROWS + 7, _rng(15))
-    cfg_a = StationConfig(angle=0.2, threshold=0.6, noise_sigma=0.05, efficiency=0.8)
-    cfg_b = StationConfig(angle=1.1, threshold=0.4, noise_sigma=0.1, efficiency=0.6)
-    pooled = measure_many(phis, cfg_a, cfg_b, _rng(16))
-    monkeypatch.setattr(optics, "_workers", lambda: 1)
-    monkeypatch.setattr(optics, "_pool", None)  # the next call makes a one-thread pool
-    one_core = measure_many(phis, cfg_a, cfg_b, _rng(16))
-    assert optics._pool._max_workers == 1
-    optics._pool.shutdown()
-    assert all(np.array_equal(p, q) for p, q in zip(pooled, one_core))
-
-
 def test_concurrent_callers_get_their_serial_results():
-    # More callers than cores share the block pool, with frequent thread
-    # switches; a shared scratch buffer would mix their blocks up.
+    # The kernel stays reentrant: callers on several threads, with frequent
+    # thread switches, each get their serial result; shared module-level
+    # scratch state would mix their blocks up.
     n = 3 * BLOCK_ROWS + 7
     cfg_a = StationConfig(angle=0.3, threshold=0.5, noise_sigma=0.02, efficiency=0.9)
     cfg_b = StationConfig(angle=0.9, threshold=0.75, noise_sigma=0.05)
@@ -431,37 +448,15 @@ def _measure_in_child(queue, phis, cfg):
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
-def test_forked_child_gets_its_own_block_pool():
+def test_forked_child_measures_like_its_parent():
+    # A child forked after the parent has measured measures as the parent does.
     phis = emit_phis(IsotropicSource(), 2 * BLOCK_ROWS + 1, _rng(17))
     cfg = StationConfig(angle=0.4, threshold=0.6)
-    parent = measure_many(phis, cfg, cfg, _rng(18))  # the parent's pool now exists
+    parent = measure_many(phis, cfg, cfg, _rng(18))
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
     child.start()
-    try:
-        codes_a, codes_b = queue.get(timeout=60)
-    finally:
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-    assert child.exitcode == 0
-    assert np.array_equal(codes_a, parent[0]) and np.array_equal(codes_b, parent[1])
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
-def test_fork_while_the_pool_lock_is_held():
-    # A child forked while a parent thread holds the pool lock gets a free one.
-    phis = emit_phis(IsotropicSource(), BLOCK_ROWS + 1, _rng(19))
-    cfg = StationConfig(angle=0.7, threshold=0.55)
-    parent = measure_many(phis, cfg, cfg, _rng(18))
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    with optics._pool_lock:
-        child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
-        child.start()
     try:
         codes_a, codes_b = queue.get(timeout=60)
     finally:

@@ -20,9 +20,7 @@ from eprblab import (
     correlation,
     default_b_angles,
     default_chsh_configs,
-    detect_many,
     emit_phis,
-    malus_intensities,
     measure_many,
     pathology_probe,
     run_chsh,
@@ -44,6 +42,37 @@ PI = math.pi
 
 thetas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 thresholds = st.floats(min_value=0.5, max_value=0.99, allow_nan=False)
+
+
+def malus_intensities(phi, analyzer):
+    """Channel energy fractions (cos^2, sin^2) of phi - analyzer.
+
+    Accepts scalars or arrays elementwise. Uses cos^2 x = (1 + cos 2x)/2 and
+    i_minus = 1 - i_plus so the two fractions sum to exactly 1.0 and the
+    bisecting case yields exactly (0.5, 0.5).
+    """
+    i_plus, i_minus = optics._malus(
+        np.asarray(phi, dtype=float) - np.asarray(analyzer, dtype=float)
+    )
+    if np.ndim(i_plus) == 0:
+        return float(i_plus), float(i_minus)
+    return i_plus, i_minus
+
+
+def detect_many(i_plus, i_minus, cfg, rng):
+    """Station outcome codes for arrays of channel intensities.
+
+    A channel fires when intensity (+ Gaussian channel noise, independent
+    per channel) is >= the threshold; the station outcome is then thinned to
+    a miss with probability 1 - efficiency. Draw order: one normal block of
+    shape (n, 2) when noise_sigma > 0, then one uniform block of shape (n,)
+    when efficiency < 1; both are skipped entirely otherwise.
+    """
+    i_plus = np.asarray(i_plus, dtype=float)
+    i_minus = np.asarray(i_minus, dtype=float)
+    codes = np.empty(i_plus.shape[0], dtype=np.int8)
+    optics._fire(i_plus, i_minus, *optics._station_draws(cfg, len(codes), rng), cfg, codes)
+    return codes
 
 
 def grid_correlation(theta: float, t_a: float, t_b: float, n: int = 200_000) -> float:

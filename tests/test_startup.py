@@ -29,9 +29,8 @@ EXPORTED = {
         "split_disk", "split_to_text",
     ),
     "optics": (
-        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig", "detect_many",
-        "detection_windows", "emit_phis", "malus_intensities", "measure_many",
-        "singles_probability",
+        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig",
+        "detection_windows", "emit_phis", "measure_many", "singles_probability",
     ),
     "scan": (
         "STANDARD_CHSH_ANGLES", "ChshReport", "PathologyReport", "ScanConfig", "ScanResult",
