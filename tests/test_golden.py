@@ -30,6 +30,8 @@ GEN = ("events", "gen", "--rate", "2000", "--jitter", "10e-9", "--duration", "0.
 # Relative paths: `events match` fingerprints its input paths into summary.txt.
 MATCH = ("events", "match", "--a", "gen/events_a.csv", "--b", "gen/events_b.csv",
          "--window", "100")
+# A run that leaves one setting pair without coincidences, so E and s read nan.
+GEN_NAN = ("events", "gen", "--rate", "2000", "--duration", "0.05", "--seed", "0")
 
 RUNS = {
     "disk-demo-1": ("disk-demo", "--figure", "1", *SMALL),
@@ -54,7 +56,14 @@ RUNS = {
     "pathology": ("pathology", "--steps", "4", "--pairs", "1000", "--seed", "14"),
     "events-gen": GEN,
     "events-match": MATCH,
+    # Thresholds of 1 detect nothing: every match_prob, E and singles_ratio is nan.
+    "scan-nan": ("scan", "--ta", "1", "--tb", "1", "--steps", "3", "--pairs", "100",
+                 "--seed", "12"),
+    "events-match-nan": (*MATCH[:-1], "0"),
 }
+
+#: Golden case -> the `events gen` run whose streams it reads from gen/.
+INPUTS = {"events-match": GEN, "events-match-nan": GEN_NAN}
 
 GOLDEN = {
     "chsh": {
@@ -105,6 +114,10 @@ GOLDEN = {
         "summary.txt": "e09c464ff71422792b7939cb60145249e54e65f0e278a199bcd43d0730da61f0",
         "truth.csv": "af4ac3503bcb8a1ac697f9911746e9981a6d21dd9bd0a17e3e8fa869c26651e3",
     },
+    "events-match-nan": {
+        "matched.csv": "9d70381b12cf80ed21f2ac2e4f692fad8651143217cd99364894b58b9aa26395",
+        "summary.txt": "3ad9a9a749360828fc9bfbf55c6e94f66fd93fdb7e6942e8c0a1d99aabaec0b4",
+    },
     "events-match": {
         "matched.csv": "25d971a493029a61a0f03e4908ce9521923cb726c68b62fde43207b65d559063",
         "summary.txt": "3a89dfb5150c17d1622ec7a69ff224337590000c6977bb232badd9aa981e7d80",
@@ -112,6 +125,10 @@ GOLDEN = {
     "pathology": {
         "pathology.csv": "8f76f3db15bbd8055a54d4aca53036f97d55bbcaec985a713ea6b5a7c4b8d468",
         "summary.txt": "46eb7d00638dc7bb4dfd2cd7716d17531168ed510a5df315f39d421f454eccd9",
+    },
+    "scan-nan": {
+        "scan.csv": "2f710b22b4bc5b0f2b1bd36fde9a51195116639a8042909eb1e293a704783c0a",
+        "summary.txt": "f6fa8bd146ebf3ec52a638cee308f0bdc7b4fb2698a4831ce5fc3a3d605ebb45",
     },
     "scan-figure6": {
         "scan.csv": "c579028562f7930901f977d64bf6823fb6c5f45ec9abf60e2ae51c6dcaf657a2",
@@ -146,8 +163,10 @@ MANIFESTS = {
     "disk-demo-5-random-a": "0a76e96d074033ee3c7170715cd441f4366728ab59216e44ce2ff18bd4b3ae00",
     "disk-demo-special": "0ab672ee5017ed9372a475a40d0b3786ba491ce670082744f10ef813784c8d58",
     "events-gen": "76c4a03b482ba85fb540d7851d0c13704f82d7a1755666defe6242f6b86b2a72",
+    "events-match-nan": "9bbb00d74ca73e34135b4358d4323dedcf5968bc90e46269a1855e9a005e2488",
     "events-match": "8db23fc9c556bceb417b363fb9eb2570c8678384aa5e4b32ec96bd982379bcf3",
     "pathology": "b8b8ee7254fd0d06363fdcbd67271cd19c09d42ef3ceaf63325af5e0d0f83a5d",
+    "scan-nan": "c060955d2a493cee378a8b692e648154e8628595ad38fe0c9036b2f879417f0f",
     "scan-figure6": "90a3431d1f3202b7b047a961ae6289c77a111afaac89eb328088ef60821e47f8",
     "scan-figure7": "7b1a190607e44a239857facf5005c40949007c92cbb6c48b8112b17aec195dc4",
     "scan-figure8-left": "6eb708476075ab4b7785f8b41d012f47dc222c7d0f6994dd7aee5b3430b8a7d3",
@@ -160,8 +179,8 @@ def run_case(name: str, workdir: Path) -> Path:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        if name == "events-match":
-            assert main([*GEN, "--out", "gen"]) == 0
+        if name in INPUTS:
+            assert main([*INPUTS[name], "--out", "gen"]) == 0
         assert main([*RUNS[name], "--out", "out"]) == 0
     finally:
         os.chdir(cwd)
