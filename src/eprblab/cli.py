@@ -30,7 +30,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import __version__
@@ -39,7 +39,8 @@ from .domain import (
     JointPmf,
     NoCoincidencesError,
     SingletKind,
-    _fmt,
+    _summary,
+    _table,
     check_angle,
     correlation,
 )
@@ -53,19 +54,20 @@ SCAN_PRESETS = {
 
 _SOURCES = ("isotropic", "fixed-hv")
 
-#: A negative decimal float literal, exponent optional, or -inf/-infinity/-nan.
+SCAN_CSV_HEADER = (
+    "b_angle_rad,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,"
+    "doubles_a,doubles_b,misses_a,misses_b,match_prob,E"
+)
+CHSH_CSV_HEADER = "setting,angle_a_rad,angle_b_rad,n_pp,n_pm,n_mp,n_mm,coincidences,E,stderr"
+MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
+
+#: A negative decimal float literal, exponent optional, or -inf/-infinity/-nan,
+#: optionally followed by a comma and the rest of an angle pair.
 _NEGATIVE_FLOAT = re.compile(
-    r"-(?:(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)\Z", re.IGNORECASE
+    r"-(?:(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?:,.*)?\Z", re.IGNORECASE
 )
 
-#: --policy name -> the disks knowledge-policy class it builds.
-_POLICIES = {
-    "both-known": "BothKnown",
-    "assume-zero": "AssumeZero",
-    "assume-fixed": "AssumeFixed",
-    "assume-random": "AssumeRandom",
-    "integrate": "IntegrateOver",
-}
+_POLICIES = ("both-known", "assume-zero", "assume-fixed", "assume-random", "integrate")
 
 #: Station flags: dest -> (config section, config key, default, help).
 _STATION_KEYS = {
@@ -207,6 +209,16 @@ def _angle(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _angle_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -234,7 +246,7 @@ def _source_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
-    p.add_argument("--seed", type=int, help="random seed, u64 (default 0)")
+    p.add_argument("--seed", type=_seed, help="random seed, u64 (default 0)")
     p.add_argument("--out", default=default_out, help=f"output directory (default {default_out})")
     p.add_argument("--config", help="key = value config file with per-station sections")
 
@@ -277,20 +289,24 @@ def _resolve_source(args, res: _Resolver):
     return source, {"source": name, "basis": basis}
 
 
-def _pmf_line(p: JointPmf) -> str:
-    return ",".join(_fmt(x) for x in p.as_tuple())
-
-
 def _policy(name: str | None, value: float | None):
-    """The disks knowledge policy a --policy name and --policy-value build."""
-    from . import disks
+    """The disks knowledge policy a --policy name and --policy-value build.
+
+    assume-zero assumes the remote setting is 0. integrate averages over the
+    unknown remote setting, which a fresh uniform guess every trial samples.
+    """
+    from .disks import AssumeFixed, AssumeRandom, BothKnown
 
     name = name or "assume-zero"
-    if name != "assume-fixed":
-        return getattr(disks, _POLICIES[name])()
+    if name == "both-known":
+        return BothKnown()
+    if name in ("assume-random", "integrate"):
+        return AssumeRandom()
+    if name == "assume-zero":
+        return AssumeFixed(value=0.0)
     if value is None:
         raise ValueError("--policy assume-fixed needs --policy-value")
-    return disks.AssumeFixed(value=value)
+    return AssumeFixed(value=value)
 
 
 # --- disk-demo ---------------------------------------------------------------
@@ -302,21 +318,19 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         build_bell_special,
         build_param_disks,
         build_singlet_disk,
-        disk_to_text,
         joint_pmf_from_splits,
         policy_is_per_trial,
         sample_param_setup,
         sample_separated,
         split_disk,
-        split_to_text,
     )
 
     res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=int)
+    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
     n = res.get(args.n, "run", "n", 100_000, cast=int)
     kind = SingletKind(args.kind)
     theta, alpha, beta = args.theta, args.alpha, args.beta
-    disk_texts: dict[str, str] = {}
+    disks: dict = {}
     exact: JointPmf | None = None
 
     if args.figure in ("1", "2", "3"):
@@ -329,11 +343,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
             SamplingMode.INDEPENDENT_LAMBDAS if args.figure == "3" else SamplingMode.SHARED_LAMBDA
         )
         counts = sample_separated(da, db, mode, n, seed)
-        if args.figure == "1":
-            disk_texts["disk.txt"] = disk_to_text(disk)
-        else:
-            disk_texts["disk_a.txt"] = split_to_text(da)
-            disk_texts["disk_b.txt"] = split_to_text(db)
+        disks = {"disk.txt": disk} if args.figure == "1" else {"disk_a.txt": da, "disk_b.txt": db}
     elif args.figure in ("4", "5"):
         target = build_singlet_disk(alpha - beta, kind).implied_pmf()
         if args.figure == "4":
@@ -344,55 +354,54 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         counts = sample_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed)
         if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
             da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind)
-            disk_texts["disk_a.txt"] = split_to_text(da)
-            disk_texts["disk_b.txt"] = split_to_text(db)
+            disks = {"disk_a.txt": da, "disk_b.txt": db}
     else:  # special
+        if kind is not SingletKind.ANTICORRELATED:
+            raise ValueError("--figure special builds anticorrelated pairs only")
         da, db = build_bell_special(alpha)
-        target = build_singlet_disk(alpha, SingletKind.ANTICORRELATED).implied_pmf()
+        target = build_singlet_disk(alpha, kind).implied_pmf()
         counts = sample_separated(da, db, SamplingMode.SHARED_LAMBDA, n, seed)
         exact = joint_pmf_from_splits(da, db)
-        disk_texts["disk_a.txt"] = split_to_text(da)
-        disk_texts["disk_b.txt"] = split_to_text(db)
+        disks = {"disk_a.txt": da, "disk_b.txt": db}
 
     empirical = counts.to_pmf()
-    lines = [
-        f"figure = {args.figure}",
-        f"kind = {args.kind}",
-        f"theta = {_fmt(theta)}",
-        f"alpha = {_fmt(alpha)}",
-        f"beta = {_fmt(beta)}",
-        f"n = {n}",
-        f"seed = {seed}",
-        f"n_pp = {counts.n_pp}",
-        f"n_pm = {counts.n_pm}",
-        f"n_mp = {counts.n_mp}",
-        f"n_mm = {counts.n_mm}",
-        f"empirical_pmf = {_pmf_line(empirical)}",
-        f"target_pmf = {_pmf_line(target)}",
-        f"tv_distance = {_fmt(empirical.tv_distance(target))}",
-    ]
+    summary = dict(
+        figure=args.figure, kind=args.kind, theta=theta, alpha=alpha, beta=beta, n=n, seed=seed,
+        n_pp=counts.n_pp, n_pm=counts.n_pm, n_mp=counts.n_mp, n_mm=counts.n_mm,
+        empirical_pmf=empirical.as_tuple(), target_pmf=target.as_tuple(),
+        tv_distance=empirical.tv_distance(target),
+    )
     if exact is not None:
-        lines.append(f"exact_pmf = {_pmf_line(exact)}")
-        lines.append(f"exact_tv_distance = {_fmt(exact.tv_distance(target))}")
+        summary.update(exact_pmf=exact.as_tuple(), exact_tv_distance=exact.tv_distance(target))
     config = {
         "figure": args.figure, "kind": args.kind, "theta": theta, "alpha": alpha, "beta": beta,
         "policy": args.policy, "policy_a": args.policy_a, "policy_b": args.policy_b,
         "policy_value": args.policy_value, "n": n, "seed": seed,
     }
-    files = {"summary.txt": "\n".join(lines) + "\n", **disk_texts}
+    files = {"summary.txt": _summary(**summary)}
+    for name, disk in disks.items():
+        # One line per sector, its fields in order.
+        outcomes = "outcome_a,outcome_b" if name == "disk.txt" else "outcome"
+        files[name] = _table(f"# start_rad,length_rad,{outcomes}", map(astuple, disk.sectors))
     return _write_run(args, "disk-demo", argv, seed, config, files)
 
 
 # --- scan ----------------------------------------------------------------------
 
 def _cmd_scan(args, argv: list[str]) -> int:
-    from .scan import ScanConfig, default_b_angles, run_scan, scan_result_csv, scan_summary_text
+    from .scan import (
+        ScanConfig,
+        coincidence_modulation,
+        default_b_angles,
+        run_scan,
+        singles_asymmetry,
+    )
 
     res = _Resolver(args.config)
     for dest, value in SCAN_PRESETS.get(args.preset, {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
-    seed = res.get(args.seed, "run", "seed", 0, cast=int)
+    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
     steps = res.get(args.steps, "run", "steps", 33, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_step", 100_000, cast=int)
     station_a, station_b, stations = _resolve_stations(args, res)
@@ -403,42 +412,36 @@ def _cmd_scan(args, argv: list[str]) -> int:
         b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
     )
     result = run_scan(cfg)
+    try:
+        ratio: float | None = singles_asymmetry(result)
+    except ValueError:
+        ratio = None
 
     config = {
         "preset": args.preset, **source_cfg, **stations,
         "steps": steps, "pairs_per_step": pairs, "seed": seed,
     }
-    files = {
-        "scan.csv": scan_result_csv(result),
-        "summary.txt": scan_summary_text(result, _fingerprint(config)),
-    }
+    rows = []
+    for step in result.steps:
+        c = step.counts
+        rows.append((step.b_angle, c.n_pp, c.n_pm, c.n_mp, c.n_mm, c.singles_a, c.singles_b,
+                     c.doubles_a, c.doubles_b, c.misses_a, c.misses_b, step.match_probability,
+                     step.correlation))
+    summary = _summary(
+        singles_ratio=ratio, coincidence_modulation=coincidence_modulation(result), seed=seed,
+        config_sha256=_fingerprint(config),
+    )
+    files = {"scan.csv": _table(SCAN_CSV_HEADER, rows), "summary.txt": summary}
     return _write_run(args, "scan", argv, seed, config, files)
 
 
 # --- chsh ------------------------------------------------------------------------
 
-CHSH_CSV_HEADER = "setting,angle_a_rad,angle_b_rad,n_pp,n_pm,n_mp,n_mm,coincidences,E,stderr"
-
-
-def _chsh_csv(report) -> str:
-    lines = [CHSH_CSV_HEADER]
-    names = (("ab", "ab_prime"), ("a_prime_b", "a_prime_b_prime"))
-    for i in (0, 1):
-        for j in (0, 1):
-            t = report.tables[i][j]
-            lines.append(
-                f"{names[i][j]},{_fmt(report.angles_a[i])},{_fmt(report.angles_b[j])},"
-                f"{t.n_pp},{t.n_pm},{t.n_mp},{t.n_mm},{t.coincidences},"
-                f"{_fmt(report.e_values[i][j])},{_fmt(report.stderrs[i][j])}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_chsh(args, argv: list[str]) -> int:
     from .scan import run_chsh
 
     res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=int)
+    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
     pairs = res.get(args.pairs, "run", "pairs_per_setting", 100_000, cast=int)
     station_a, station_b, stations = _resolve_stations(args, res)
     source, source_cfg = _resolve_source(args, res)
@@ -453,14 +456,17 @@ def _cmd_chsh(args, argv: list[str]) -> int:
         **source_cfg, **stations, "angles_a": [a, a2], "angles_b": [b, b2],
         "pairs_per_setting": pairs, "seed": seed,
     }
-    summary = [
-        f"s = {_fmt(report.s)}",
-        f"abs_s = {_fmt(report.abs_s)}",
-        f"se_s = {_fmt(report.se_s)}",
-        f"seed = {seed}",
-        f"config_sha256 = {_fingerprint(config)}",
-    ]
-    files = {"chsh.csv": _chsh_csv(report), "summary.txt": "\n".join(summary) + "\n"}
+    rows = []
+    for name, i, j in (("ab", 0, 0), ("ab_prime", 0, 1), ("a_prime_b", 1, 0),
+                       ("a_prime_b_prime", 1, 1)):
+        t = report.tables[i][j]
+        rows.append((name, report.angles_a[i], report.angles_b[j], t.n_pp, t.n_pm, t.n_mp,
+                     t.n_mm, t.coincidences, report.e_values[i][j], report.stderrs[i][j]))
+    summary = _summary(
+        s=report.s, abs_s=report.abs_s, se_s=report.se_s, seed=seed,
+        config_sha256=_fingerprint(config),
+    )
+    files = {"chsh.csv": _table(CHSH_CSV_HEADER, rows), "summary.txt": summary}
     return _write_run(args, "chsh", argv, seed, config, files)
 
 
@@ -470,7 +476,7 @@ def _cmd_pathology(args, argv: list[str]) -> int:
     from .scan import default_b_angles, pathology_probe
 
     res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=int)
+    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
     steps = res.get(args.steps, "run", "steps", 33, cast=int)
     pairs = res.get(args.pairs, "run", "pairs_per_step", 10_000, cast=int)
     station_a, station_b, stations = _resolve_stations(args, res, alpha=math.pi / 4)
@@ -481,20 +487,20 @@ def _cmd_pathology(args, argv: list[str]) -> int:
         b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
     )
     config = {"basis": basis, **stations, "steps": steps, "pairs_per_step": pairs, "seed": seed}
-    lines = ["b_angle_rad,match_fixed_basis,match_isotropic"]
-    for f, i in zip(report.fixed_scan.steps, report.isotropic_scan.steps):
-        lines.append(f"{_fmt(f.b_angle)},{_fmt(f.match_probability)},{_fmt(i.match_probability)}")
-    summary = [
-        f"basis = {_fmt(report.basis)}",
-        f"alpha = {_fmt(report.alpha)}",
-        f"a_double_rate = {_fmt(report.a_double_rate)}",
-        f"a_single_rate = {_fmt(report.a_single_rate)}",
-        f"a_miss_rate = {_fmt(report.a_miss_rate)}",
-        f"max_match_deviation = {_fmt(report.max_match_deviation)}",
-        f"seed = {seed}",
-        f"config_sha256 = {_fingerprint(config)}",
+    rows = [
+        (f.b_angle, f.match_probability, i.match_probability)
+        for f, i in zip(report.fixed_scan.steps, report.isotropic_scan.steps)
     ]
-    files = {"pathology.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
+    summary = _summary(
+        basis=report.basis, alpha=report.alpha, a_double_rate=report.a_double_rate,
+        a_single_rate=report.a_single_rate, a_miss_rate=report.a_miss_rate,
+        max_match_deviation=report.max_match_deviation, seed=seed,
+        config_sha256=_fingerprint(config),
+    )
+    files = {
+        "pathology.csv": _table("b_angle_rad,match_fixed_basis,match_isotropic", rows),
+        "summary.txt": summary,
+    }
     return _write_run(args, "pathology", argv, seed, config, files)
 
 
@@ -504,7 +510,7 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
     from .eventio import GeneratorConfig, generate_events
 
     res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=int)
+    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
     rate = res.get(args.rate, "run", "rate", 10_000.0)
     jitter = res.get(args.jitter, "run", "jitter", 10e-9)
     duration = res.get(args.duration, "run", "duration", 1.0)
@@ -529,18 +535,13 @@ def _cmd_events_gen(args, argv: list[str]) -> int:
         "records_b": len(streams.events_b),
         "truth_pairs": len(streams.truth),
     }
-    summary = [f"{key} = {value}" for key, value in counters.items()]
-    summary += [f"seed = {seed}", f"config_sha256 = {_fingerprint(config)}"]
     files = {
         "events_a.csv": streams.events_a,
         "events_b.csv": streams.events_b,
         "truth.csv": ("a_row,b_row", streams.truth.T),
-        "summary.txt": "\n".join(summary) + "\n",
+        "summary.txt": _summary(**counters, seed=seed, config_sha256=_fingerprint(config)),
     }
     return _write_run(args, "events gen", argv, seed, config, files, counters=counters)
-
-
-MATCH_CSV_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,E"
 
 
 def _read_input(path: str):
@@ -557,15 +558,13 @@ def _cmd_events_match(args, argv: list[str]) -> int:
 
     (events_a, sha_a), (events_b, sha_b) = _read_input(args.a), _read_input(args.b)
     result = match_coincidences(events_a, events_b, args.window)
-    lines = [MATCH_CSV_HEADER]
+    rows = []
     for (sa, sb), t in sorted(result.tables.items()):
         try:
             e: float | None = correlation(t)
         except NoCoincidencesError:
             e = None
-        lines.append(
-            f"{sa},{sb},{t.n_pp},{t.n_pm},{t.n_mp},{t.n_mm},{t.singles_a},{t.singles_b},{_fmt(e)}"
-        )
+        rows.append((sa, sb, t.n_pp, t.n_pm, t.n_mp, t.n_mm, t.singles_a, t.singles_b, e))
 
     a, a2, b, b2 = STANDARD_CHSH_ANGLES
     try:
@@ -577,13 +576,10 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         side: {"path": str(path), "sha256": sha}
         for side, path, sha in (("a", args.a, sha_a), ("b", args.b, sha_b))
     }
-    summary = [
-        f"window_ns = {args.window}",
-        f"n_matched = {result.n_matched}",
-        f"s = {_fmt(s)}",
-        f"abs_s = {_fmt(abs(s) if s is not None else None)}",
-        f"config_sha256 = {_fingerprint(config)}",
-    ]
+    summary = _summary(
+        window_ns=args.window, n_matched=result.n_matched, s=s,
+        abs_s=None if s is None else abs(s), config_sha256=_fingerprint(config),
+    )
     counters = {
         "records_a": len(events_a),
         "records_b": len(events_b),
@@ -591,7 +587,7 @@ def _cmd_events_match(args, argv: list[str]) -> int:
         "unmatched_a": len(events_a) - result.n_matched,
         "unmatched_b": len(events_b) - result.n_matched,
     }
-    files = {"matched.csv": "\n".join(lines) + "\n", "summary.txt": "\n".join(summary) + "\n"}
+    files = {"matched.csv": _table(MATCH_CSV_HEADER, rows), "summary.txt": summary}
     return _write_run(
         args, "events match", argv, None, config, files, inputs=inputs, counters=counters
     )

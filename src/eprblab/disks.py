@@ -348,11 +348,6 @@ class BothKnown:
 
 
 @dataclass(frozen=True)
-class AssumeZero:
-    """Ignore the remote setting entirely, i.e. take it to be 0."""
-
-
-@dataclass(frozen=True)
 class AssumeFixed:
     """Use a fixed guess for the remote setting."""
 
@@ -368,28 +363,16 @@ class AssumeRandom:
     """Draw a fresh uniform guess on [0, 2*pi) for every trial."""
 
 
-@dataclass(frozen=True)
-class IntegrateOver:
-    """Average over the unknown remote setting.
-
-    Sampling-wise identical to AssumeRandom (a per-trial uniform draw); the
-    distinct type records that the run is meant as an expectation over the
-    unknown rather than a sequence of guesses.
-    """
-
-
-KnowledgePolicy = BothKnown | AssumeZero | AssumeFixed | AssumeRandom | IntegrateOver
+KnowledgePolicy = BothKnown | AssumeFixed | AssumeRandom
 
 
 def policy_is_per_trial(policy: KnowledgePolicy) -> bool:
-    return isinstance(policy, (AssumeRandom, IntegrateOver))
+    return isinstance(policy, AssumeRandom)
 
 
 def _assumed_remote(policy: KnowledgePolicy, true_value: float) -> float:
     if isinstance(policy, BothKnown):
         return true_value
-    if isinstance(policy, AssumeZero):
-        return 0.0
     if isinstance(policy, AssumeFixed):
         return policy.value
     raise ValueError(
@@ -413,8 +396,8 @@ def build_param_disks(
     estimates equal alpha - beta, the two disks are projections of one
     joint disk, and shared-pointer sampling reproduces the target exactly.
 
-    Per-trial policies (AssumeRandom, IntegrateOver) lay out new disks every
-    trial, so they raise ValueError here; sample_param_setup runs them.
+    The per-trial policy AssumeRandom lays out new disks every trial, so it
+    raises ValueError here; sample_param_setup runs it.
     """
     disk_for_a = build_singlet_disk(alpha - _assumed_remote(policy_a, beta), kind)
     disk_for_b = build_singlet_disk(_assumed_remote(policy_b, alpha) - beta, kind)
@@ -512,19 +495,3 @@ def joint_pmf_from_splits(disk_a: SplitDisk, disk_b: SplitDisk) -> JointPmf:
         acc[(-1, 1)] / TWO_PI,
         acc[(-1, -1)] / TWO_PI,
     )
-
-
-def disk_to_text(disk: DiskPreparation) -> str:
-    """Serialize a joint disk, one sector per line."""
-    lines = ["# start_rad,length_rad,outcome_a,outcome_b"]
-    for s in disk.sectors:
-        lines.append(f"{float(s.start)!r},{float(s.length)!r},{s.outcome_a},{s.outcome_b}")
-    return "\n".join(lines) + "\n"
-
-
-def split_to_text(disk: SplitDisk) -> str:
-    """Serialize a per-side disk, one sector per line."""
-    lines = ["# start_rad,length_rad,outcome"]
-    for s in disk.sectors:
-        lines.append(f"{float(s.start)!r},{float(s.length)!r},{s.outcome}")
-    return "\n".join(lines) + "\n"

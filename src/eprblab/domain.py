@@ -69,9 +69,24 @@ def check_angle(name: str, x: float) -> None:
         raise ValueError(f"{name} {x!r} exceeds 2**43 rad in magnitude")
 
 
-def _fmt(x: float | None) -> str:
-    """A number as every CSV and summary writes it: repr of the float, nan for None."""
-    return "nan" if x is None else repr(float(x))
+def _cell(x) -> str:
+    """One value as every CSV and summary writes it: an int or a name as itself,
+    a float as its repr, None as nan, and a tuple as its cells joined by commas."""
+    if x is None:
+        return "nan"
+    if isinstance(x, tuple):
+        return ",".join(map(_cell, x))
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _table(header: str, rows) -> str:
+    """A CSV: the header line, then one line of cells per row tuple."""
+    return "".join(f"{line}\n" for line in (header, *map(_cell, rows)))
+
+
+def _summary(**values) -> str:
+    """A summary.txt: one key = value line per entry, in order."""
+    return "".join(f"{key} = {_cell(value)}\n" for key, value in values.items())
 
 
 class SingletKind(enum.Enum):

@@ -302,14 +302,3 @@ def detection_windows(threshold: float) -> tuple[tuple[float, float], tuple[floa
         raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
     w = math.acos(math.sqrt(threshold))
     return (math.pi - w, 2.0 * w), (0.5 * math.pi - w, 2.0 * w)
-
-
-def singles_probability(threshold: float) -> float:
-    """Noise-free single-detection probability over a uniform pair angle.
-
-    Equals 4*acos(sqrt(T))/pi for thresholds in [0.5, 1]: the combined
-    width of the two disjoint channel windows divided by the period.
-    """
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
-    return 4.0 * math.acos(math.sqrt(threshold)) / math.pi

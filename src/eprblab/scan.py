@@ -31,7 +31,6 @@ from .domain import (
     STANDARD_CHSH_ANGLES,
     CountTable,
     NoCoincidencesError,
-    _fmt,
     chsh,
     correlation,
     correlation_stderr,
@@ -236,14 +235,6 @@ def analytic_coincidence_fraction(theta: float, t_a: float, t_b: float) -> float
     return math.fsum(_overlap_matrix(theta, t_a, t_b).values()) / math.pi
 
 
-def triangle_correlation(theta: float) -> float:
-    """The 0.5/0.5 closed form: E = -1 + 4*theta/pi on [0, pi/2], mirrored."""
-    x = theta % math.pi
-    if x > math.pi / 2:
-        x = math.pi - x
-    return -1.0 + 4.0 * x / math.pi
-
-
 # --- CHSH runs ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -420,39 +411,3 @@ def pathology_probe(
         fixed_scan=fixed,
         isotropic_scan=iso,
     )
-
-
-# --- CSV / summary emission ----------------------------------------------------
-
-SCAN_CSV_HEADER = (
-    "b_angle_rad,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,"
-    "doubles_a,doubles_b,misses_a,misses_b,match_prob,E"
-)
-
-
-def scan_result_csv(result: ScanResult) -> str:
-    """The scan's per-step table in the fixed column layout, LF-terminated."""
-    lines = [SCAN_CSV_HEADER]
-    for s in result.steps:
-        c = s.counts
-        lines.append(
-            f"{_fmt(s.b_angle)},{c.n_pp},{c.n_pm},{c.n_mp},{c.n_mm},"
-            f"{c.singles_a},{c.singles_b},{c.doubles_a},{c.doubles_b},"
-            f"{c.misses_a},{c.misses_b},{_fmt(s.match_probability)},{_fmt(s.correlation)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def scan_summary_text(result: ScanResult, config_sha256: str) -> str:
-    """Scan-level record: singles ratio, modulation, seed, config hash."""
-    try:
-        ratio: float | None = singles_asymmetry(result)
-    except ValueError:
-        ratio = None
-    lines = [
-        f"singles_ratio = {_fmt(ratio)}",
-        f"coincidence_modulation = {_fmt(coincidence_modulation(result))}",
-        f"seed = {result.config.seed}",
-        f"config_sha256 = {config_sha256}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -32,12 +32,19 @@ from eprblab import (
     sample_separated,
     singles_asymmetry,
     split_disk,
-    triangle_correlation,
 )
 from eprblab.cli import main as cli_main
 
 PI = math.pi
 ANTI = SingletKind.ANTICORRELATED
+
+
+def triangle_correlation(theta: float) -> float:
+    """The 0.5/0.5 closed form: E = -1 + 4*theta/pi on [0, pi/2], mirrored."""
+    x = theta % math.pi
+    if x > math.pi / 2:
+        x = math.pi - x
+    return -1.0 + 4.0 * x / math.pi
 
 
 def _check(cid: str, desc: str, ok: bool) -> None:

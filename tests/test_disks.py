@@ -8,11 +8,9 @@ from eprblab import (
     TWO_PI,
     AssumeFixed,
     AssumeRandom,
-    AssumeZero,
     BothKnown,
     CountTable,
     DiskPreparation,
-    IntegrateOver,
     JointPmf,
     SamplingMode,
     Sector,
@@ -22,17 +20,16 @@ from eprblab import (
     build_bell_special,
     build_param_disks,
     build_singlet_disk,
-    disk_to_text,
     joint_pmf_from_splits,
     qm_joint_prediction,
     sample_param_setup,
     sample_separated,
     sample_split_many,
     split_disk,
-    split_to_text,
     wrap_angle,
 )
 import eprblab.disks as disks
+from eprblab.cli import main
 from eprblab.disks import policy_is_per_trial
 
 ANTI = SingletKind.ANTICORRELATED
@@ -89,8 +86,6 @@ def reference_sector_lookup(lams, arcs) -> np.ndarray:
 def _assumed_remote(policy, true_value: float, rng) -> float:
     if isinstance(policy, BothKnown):
         return true_value
-    if isinstance(policy, AssumeZero):
-        return 0.0
     if isinstance(policy, AssumeFixed):
         return policy.value
     if rng is None:
@@ -438,7 +433,8 @@ def test_assume_fixed_true_value_reproduces_both_known(alpha, beta, kind):
 
 
 def test_assume_zero_matches_both_known_when_settings_are_zero():
-    assert build_param_disks(0.0, 0.0, AssumeZero(), AssumeZero(), ANTI) == build_param_disks(
+    zero = AssumeFixed(0.0)
+    assert build_param_disks(0.0, 0.0, zero, zero, ANTI) == build_param_disks(
         0.0, 0.0, BothKnown(), BothKnown(), ANTI
     )
 
@@ -446,7 +442,7 @@ def test_assume_zero_matches_both_known_when_settings_are_zero():
 def test_assume_zero_mismatch_breaks_joint_sampling():
     # Wrong guess on the scanned side: B assumes alpha = 0 while alpha = pi/4.
     alpha, beta = math.pi / 4, 0.0
-    da, db = build_param_disks(alpha, beta, AssumeZero(), AssumeZero(), ANTI)
+    da, db = build_param_disks(alpha, beta, AssumeFixed(0.0), AssumeFixed(0.0), ANTI)
     target = build_singlet_disk(alpha - beta, ANTI).implied_pmf()
     swept = grid_sweep_pmf(da, db)
     assert swept.tv_distance(target) > 0.05
@@ -459,7 +455,7 @@ def test_assume_zero_coincidentally_right_guess_still_samples_joint():
     # projection carries no angle structure, so the target joint survives
     # even though A's guess about beta is wrong.
     alpha, beta = 0.0, math.pi / 4
-    da, db = build_param_disks(alpha, beta, AssumeZero(), AssumeZero(), ANTI)
+    da, db = build_param_disks(alpha, beta, AssumeFixed(0.0), AssumeFixed(0.0), ANTI)
     target = build_singlet_disk(alpha - beta, ANTI).implied_pmf()
     assert joint_pmf_from_splits(da, db).tv_distance(target) < 1e-12
 
@@ -467,11 +463,10 @@ def test_assume_zero_coincidentally_right_guess_still_samples_joint():
 def test_per_trial_policies_need_rng():
     # A per-trial policy lays out new disks every trial: there is no single
     # apparatus to build, whichever side holds it.
-    for policy in (AssumeRandom(), IntegrateOver()):
-        with pytest.raises(ValueError, match="every trial"):
-            build_param_disks(0.0, 0.0, policy, BothKnown(), ANTI)
-        with pytest.raises(ValueError, match="every trial"):
-            build_param_disks(0.0, 0.0, AssumeZero(), policy, ANTI)
+    with pytest.raises(ValueError, match="every trial"):
+        build_param_disks(0.0, 0.0, AssumeRandom(), BothKnown(), ANTI)
+    with pytest.raises(ValueError, match="every trial"):
+        build_param_disks(0.0, 0.0, AssumeFixed(0.0), AssumeRandom(), ANTI)
 
 
 def test_non_finite_settings_are_rejected():
@@ -484,7 +479,7 @@ def test_non_finite_settings_are_rejected():
 
 
 policies = st.one_of(
-    st.sampled_from([BothKnown(), AssumeZero(), AssumeRandom(), IntegrateOver()]),
+    st.sampled_from([BothKnown(), AssumeFixed(0.0), AssumeRandom()]),
     st.builds(AssumeFixed, angles),
 )
 
@@ -501,7 +496,7 @@ policies = st.one_of(
     st.integers(min_value=1, max_value=200),
 )
 @example(AssumeRandom(), AssumeRandom(), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 0, 200)
-@example(AssumeZero(), IntegrateOver(), CORR, SamplingMode.INDEPENDENT_LAMBDAS, 0.0, 0.0, 1, 200)
+@example(AssumeFixed(0.0), AssumeRandom(), CORR, SamplingMode.INDEPENDENT_LAMBDAS, 0.0, 0.0, 1, 200)
 @example(AssumeRandom(), AssumeFixed(0.3), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 11, 200)
 def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, seed, n):
     assert sample_param_setup(alpha, beta, pa, pb, kind, n, seed, mode) == reference_param_setup(
@@ -518,7 +513,7 @@ def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
     args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
     assert sample_param_setup(*args) == reference_param_setup(*args)
     # The static path: sample_separated, directly and through sample_param_setup.
-    static = (0.4, 0.1, AssumeZero(), AssumeFixed(0.3), ANTI, 203, 5, mode)
+    static = (0.4, 0.1, AssumeFixed(0.0), AssumeFixed(0.3), ANTI, 203, 5, mode)
     da, db = build_param_disks(*static[:5])
     assert sample_separated(da, db, mode, 203, 5) == reference_param_setup(*static)
     assert sample_param_setup(*static) == reference_param_setup(*static)
@@ -530,12 +525,6 @@ def test_assume_random_averages_to_quarter():
     t = sample_param_setup(0.3, 0.8, BothKnown(), AssumeRandom(), ANTI, 4000, 17)
     sigma = math.sqrt(0.25 * 0.75 / 4000)
     assert t.n_pp / t.n_pairs == pytest.approx(0.25, abs=4 * sigma)
-
-
-def test_integrate_over_matches_assume_random_statistically():
-    t1 = sample_param_setup(0.3, 0.8, BothKnown(), AssumeRandom(), ANTI, 4000, 17)
-    t2 = sample_param_setup(0.3, 0.8, BothKnown(), IntegrateOver(), ANTI, 4000, 17)
-    assert t1 == t2  # same seed, same draw pattern: the flag is semantic only
 
 
 def test_static_policy_sampling_matches_sample_separated():
@@ -593,14 +582,15 @@ def test_joint_pmf_from_splits_matches_grid_sweep(theta, kind):
 
 # --- serialization --------------------------------------------------------------------
 
-def test_disk_serialization_shape():
-    d = build_singlet_disk(0.3, ANTI)
-    text = disk_to_text(d)
-    lines = text.strip().splitlines()
+def test_disk_serialization_shape(tmp_path):
+    # disk-demo writes the joint disk of figure 1 and the split disks of figure 2.
+    for figure in ("1", "2"):
+        argv = ["disk-demo", "--figure", figure, "--theta", "0.3", "--n", "10"]
+        assert main([*argv, "--out", str(tmp_path / figure)]) == 0
+    lines = (tmp_path / "1" / "disk.txt").read_text().strip().splitlines()
     assert lines[0].startswith("#") and len(lines) == 5
     assert all(len(line.split(",")) == 4 for line in lines[1:])
-    da, _ = split_disk(d)
-    stext = split_to_text(da)
+    stext = (tmp_path / "2" / "disk_a.txt").read_text()
     assert all(len(line.split(",")) == 3 for line in stext.strip().splitlines()[1:])
 
 

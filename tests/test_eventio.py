@@ -24,7 +24,6 @@ from eprblab import (
     match_coincidences,
     read_events,
     run_chsh,
-    singles_probability,
     write_events,
 )
 

@@ -16,7 +16,6 @@ from eprblab import (
     detection_windows,
     emit_phis,
     measure_many,
-    singles_probability,
 )
 import eprblab.optics as optics
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
@@ -26,6 +25,17 @@ angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def singles_probability(threshold: float) -> float:
+    """Noise-free single-detection probability over a uniform pair angle.
+
+    Equals 4*acos(sqrt(T))/pi for thresholds in [0.5, 1]: the combined
+    width of the two disjoint channel windows divided by the period.
+    """
+    if not 0.5 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
+    return 4.0 * math.acos(math.sqrt(threshold)) / math.pi
 
 
 def malus_intensities(phi, analyzer):

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -26,21 +27,36 @@ from eprblab import (
     run_chsh,
     run_scan,
     run_scan_step,
-    scan_result_csv,
-    scan_summary_text,
     singles_asymmetry,
-    singles_probability,
     tabulate_codes,
-    triangle_correlation,
 )
 import eprblab.optics as optics
 import eprblab.scan as scan
+from eprblab.cli import SCAN_CSV_HEADER, main
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
-from eprblab.scan import SCAN_CSV_HEADER
 
 PI = math.pi
 
 thetas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+
+
+def singles_probability(threshold: float) -> float:
+    """Noise-free single-detection probability over a uniform pair angle.
+
+    Equals 4*acos(sqrt(T))/pi for thresholds in [0.5, 1]: the combined
+    width of the two disjoint channel windows divided by the period.
+    """
+    if not 0.5 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
+    return 4.0 * math.acos(math.sqrt(threshold)) / math.pi
+
+
+def triangle_correlation(theta: float) -> float:
+    """The 0.5/0.5 closed form: E = -1 + 4*theta/pi on [0, pi/2], mirrored."""
+    x = theta % math.pi
+    if x > math.pi / 2:
+        x = math.pi - x
+    return -1.0 + 4.0 * x / math.pi
 thresholds = st.floats(min_value=0.5, max_value=0.99, allow_nan=False)
 
 
@@ -496,11 +512,17 @@ def test_pathology_noise_splits_tie_to_quarter_doubles():
     assert report.a_double_rate == pytest.approx(0.25, abs=0.015)
 
 
-# --- CSV / summary --------------------------------------------------------------------------------
+# --- CSV / summary, as the scan subcommand writes them ------------------------------------------
 
-def test_scan_csv_layout():
-    result = _scan(0.5, 0.75, steps=3, pairs=500)
-    text = scan_result_csv(result)
+def _scan_out(tmp_path, *flags: str):
+    out = tmp_path / "out"
+    assert main(["scan", *flags, "--steps", "3", "--pairs", "500", "--seed", "5",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_scan_csv_layout(tmp_path):
+    text = (_scan_out(tmp_path, "--tb", "0.75") / "scan.csv").read_text()
     lines = text.strip().split("\n")
     assert lines[0] == SCAN_CSV_HEADER
     assert len(lines) == 4
@@ -510,17 +532,17 @@ def test_scan_csv_layout():
     assert text.endswith("\n") and "\r" not in text
 
 
-def test_scan_csv_nan_for_undefined_steps():
-    report = pathology_probe(basis=0.0, alpha=PI / 4, pairs_per_step=200, seed=3,
-                             b_angles=default_b_angles(3))
-    text = scan_result_csv(report.fixed_scan)
-    assert ",nan,nan" in text.split("\n")[1]
+def test_scan_csv_nan_for_undefined_steps(tmp_path):
+    # A fixed-basis source bisected by A's analyzer: every A trial is a double.
+    out = _scan_out(tmp_path, "--source", "fixed-hv", "--alpha", repr(PI / 4))
+    assert (out / "scan.csv").read_text().split("\n")[1].endswith(",nan,nan")
 
 
-def test_scan_summary_fields():
-    result = _scan(0.5, 0.75, steps=3, pairs=500)
-    text = scan_summary_text(result, "deadbeef")
+def test_scan_summary_fields(tmp_path):
+    out = _scan_out(tmp_path, "--tb", "0.75")
+    text = (out / "summary.txt").read_text()
+    sha = json.loads((out / "manifest.json").read_text())["config_sha256"]
     assert text.splitlines()[0].startswith("singles_ratio = ")
     assert "coincidence_modulation = " in text
     assert "seed = 5" in text
-    assert "config_sha256 = deadbeef" in text
+    assert f"config_sha256 = {sha}" in text

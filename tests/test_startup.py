@@ -14,7 +14,7 @@ from eprblab.cli import main
 
 SRC = str(Path(eprblab.__file__).parents[1])
 
-#: Every name `eprblab` exported when its __init__ imported every module.
+#: Every name `eprblab` exports, by the module that defines it.
 EXPORTED = {
     "domain": (
         "TWO_PI", "CountTable", "JointPmf", "NoCoincidencesError", "SingletKind", "chsh",
@@ -22,23 +22,21 @@ EXPORTED = {
         "wrap_angle",
     ),
     "disks": (
-        "AssumeFixed", "AssumeRandom", "AssumeZero", "BothKnown", "DiskPreparation",
-        "IntegrateOver", "KnowledgePolicy", "SamplingMode", "Sector", "SplitDisk", "SplitSector",
-        "build_bell_special", "build_param_disks", "build_singlet_disk", "disk_to_text",
-        "joint_pmf_from_splits", "sample_param_setup", "sample_separated", "sample_split_many",
-        "split_disk", "split_to_text",
+        "AssumeFixed", "AssumeRandom", "BothKnown", "DiskPreparation", "KnowledgePolicy",
+        "SamplingMode", "Sector", "SplitDisk", "SplitSector", "build_bell_special",
+        "build_param_disks", "build_singlet_disk", "joint_pmf_from_splits", "sample_param_setup",
+        "sample_separated", "sample_split_many", "split_disk",
     ),
     "optics": (
         "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig",
-        "detection_windows", "emit_phis", "measure_many", "singles_probability",
+        "detection_windows", "emit_phis", "measure_many",
     ),
     "scan": (
         "STANDARD_CHSH_ANGLES", "ChshReport", "PathologyReport", "ScanConfig", "ScanResult",
         "ScanStep", "analytic_coincidence_fraction", "analytic_correlation",
         "chsh_report_from_tables", "coincidence_modulation", "default_b_angles",
         "default_chsh_configs", "pathology_probe", "run_chsh", "run_scan", "run_scan_step",
-        "scan_result_csv", "scan_summary_text", "singles_asymmetry", "tabulate_codes",
-        "triangle_correlation",
+        "singles_asymmetry", "tabulate_codes",
     ),
     "eventio": (
         "EventStream", "GeneratedStreams", "GeneratorConfig", "MatchResult",
