@@ -3,12 +3,14 @@
 Subcommands: disk-demo, scan, chsh, pathology, events gen, events match.
 Every run resolves its full configuration (hard defaults, then the optional
 key = value config file, then explicit flags) and computes all of its
-outputs. One helper, _write_run, then writes the run record: it creates
---out, deletes the outputs an earlier run's manifest there lists and this
-run does not write, writes every output, and writes manifest.json last,
-recording the command line, the resolved configuration and its hash, the
-seed, and the output names. A run that fails before that point leaves no
---out. Re-running the manifest's argv reproduces every CSV byte for byte.
+outputs; every table and summary.txt renders through domain's one cell
+rule (_table, _summary). One helper, _write_run, then writes the run
+record: it creates --out, deletes the outputs an earlier run's manifest
+there lists and this run does not write, writes every output, and writes
+manifest.json last, recording the command line, the resolved configuration
+and its hash, the seed, and the output names. A run that fails before that
+point leaves no --out. Re-running the manifest's argv reproduces every CSV
+byte for byte.
 The events subcommands also record run counters (and, for match, the sha256
 of the input bytes it parsed) in the manifest, outside the hashed config.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
@@ -67,6 +69,7 @@ _NEGATIVE_FLOAT = re.compile(
     r"-(?:(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)(?:,.*)?\Z", re.IGNORECASE
 )
 
+#: The --policy names; _policy builds each one's disks knowledge policy.
 _POLICIES = ("both-known", "assume-zero", "assume-fixed", "assume-random", "integrate")
 
 #: Station flags: dest -> (config section, config key, default, help).

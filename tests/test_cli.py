@@ -166,6 +166,25 @@ def test_disk_demo_figure5_policy_mismatch(tmp_path):
     assert float(summary["tv_distance"]) > 0.05
 
 
+@pytest.mark.parametrize(
+    "alias, policy",
+    [(("--policy", "integrate"), ("--policy", "assume-random")),
+     (("--policy", "assume-zero"), ("--policy", "assume-fixed", "--policy-value", "0"))],
+    ids=["integrate", "assume-zero"],
+)
+def test_policy_aliases_sample_as_the_policy_they_name(tmp_path, alias, policy):
+    # integrate averages over the remote setting by a fresh uniform guess every
+    # trial, as assume-random does; assume-zero assumes the remote setting 0.
+    argv = ("disk-demo", "--figure", "5", "--alpha", "0.4", "--n", "2000", "--seed", "8")
+    assert run_cli(*argv, *alias, "--out", str(tmp_path / "alias")) == 0
+    assert run_cli(*argv, *policy, "--out", str(tmp_path / "named")) == 0
+    names = sorted(p.name for p in (tmp_path / "alias").iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in (tmp_path / "named").iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert (tmp_path / "alias" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
+
+
 def test_disk_demo_figure4_shared_params(tmp_path):
     out = tmp_path / "d4"
     assert run_cli("disk-demo", "--figure", "4", "--alpha", "0.9", "--beta", "0.2",
@@ -331,6 +350,7 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
     "argv, word",
     [
         (("disk-demo", "--figure", "1", "--n", "0"), "n must be positive"),
+        (("disk-demo", "--figure", "special", "--kind", "correlated"), "anticorrelated"),
         (("scan", "--steps", "1"), "n_steps"),
         (("chsh", "--pairs", "0"), "pairs_per_setting"),
         (("pathology", "--steps", "1"), "n_steps"),
@@ -338,7 +358,8 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("events", "match", "--a", "none_a.csv", "--b", "none_b.csv", "--window", "10"),
          "none_a.csv"),
     ],
-    ids=["disk-demo", "scan", "chsh", "pathology", "events-gen", "events-match"],
+    ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
+         "events-match"],
 )
 def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
     monkeypatch.chdir(tmp_path)
@@ -401,6 +422,34 @@ def test_negative_exponent_value_reads_as_its_flag_value(tmp_path):
     assert spaced == (tmp_path / "joined" / "scan.csv").read_bytes()
 
 
+def test_negative_first_angle_of_a_pair_reads_as_its_flag_value(tmp_path):
+    argv = ("events", "gen", "--duration", "0.01", "--seed", "4")
+    assert run_cli(*argv, "--angles-a", "-0.1,0.2", "--out", str(tmp_path / "spaced")) == 0
+    assert run_cli(*argv, "--angles-a=-0.1,0.2", "--out", str(tmp_path / "joined")) == 0
+    for name in ("events_a.csv", "events_b.csv", "truth.csv", "summary.txt"):
+        spaced = (tmp_path / "spaced" / name).read_bytes()
+        assert spaced == (tmp_path / "joined" / name).read_bytes()
+
+
+def test_negative_first_angle_leaves_the_rest_of_the_pair_to_be_judged(tmp_path, capsys):
+    out = tmp_path / "g"
+    err = usage_error(capsys, "events", "gen", "--angles-a", "-0.1,nan", "--out", str(out))
+    assert "argument --angles-a: must be a finite number, got 'nan'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("disk-demo", "--figure", "1"), ("scan",), ("chsh",), ("pathology",), ("events", "gen")],
+    ids=["disk-demo", "scan", "chsh", "pathology", "events-gen"],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    err = usage_error(capsys, *argv, "--seed", "-1", "--out", str(out))
+    assert "argument --seed: must be a nonnegative integer, got '-1'" in err
+    assert not out.exists()
+
+
 def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, capsys):
     assert "not a number: 'abc'" in usage_error(capsys, "scan", "--ta", "abc")
     err = usage_error(capsys, "events", "gen", "--angles-b", "1,2,3")
@@ -414,9 +463,11 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[source]\nmodel = fixd-hv\n", ("[source] model", "isotropic, fixed-hv")),
         ("scan", "[source]\nmodel = fixd-hv\n", ("[source] model", "'fixd-hv'")),
         ("chsh", "[run]\nseed = 1.5\n", ("[run] seed", "'1.5'")),
+        ("chsh", "[run]\nseed = -1\n", ("[run] seed", "nonnegative", "'-1'")),
         ("scan", "[station_b]\nthreshold = abc\n", ("[station_b] threshold", "'abc'")),
     ],
-    ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "threshold-text"],
+    ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
+         "threshold-text"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,

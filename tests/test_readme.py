@@ -1,0 +1,29 @@
+"""The README's Library snippet runs, and gives the values its comments state."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_library_snippet_runs_as_its_comments_state():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace: dict = {}
+    values = {}  # source of each expression statement -> its value
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+
+    def value_of(fragment: str):
+        (value,) = [v for source, v in values.items() if fragment in source]
+        return value
+
+    assert value_of("analytic_correlation(") == pytest.approx(-0.75, abs=1e-12)
+    assert value_of(".abs_s") == pytest.approx(3.0, abs=0.05)
+    assert value_of(".pairs").tolist() == [[0, 0]]
