@@ -333,7 +333,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     n = res.get(args.n, "run", "n", 100_000, cast=int)
     kind = SingletKind(args.kind)
     theta, alpha, beta = args.theta, args.alpha, args.beta
-    disks: dict = {}
+    disk_files: dict = {}
     exact: JointPmf | None = None
 
     if args.figure in ("1", "2", "3"):
@@ -346,7 +346,10 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
             SamplingMode.INDEPENDENT_LAMBDAS if args.figure == "3" else SamplingMode.SHARED_LAMBDA
         )
         counts = sample_separated(da, db, mode, n, seed)
-        disks = {"disk.txt": disk} if args.figure == "1" else {"disk_a.txt": da, "disk_b.txt": db}
+        if args.figure == "1":
+            disk_files = {"disk.txt": disk}
+        else:
+            disk_files = {"disk_a.txt": da, "disk_b.txt": db}
     elif args.figure in ("4", "5"):
         target = build_singlet_disk(alpha - beta, kind).implied_pmf()
         if args.figure == "4":
@@ -357,7 +360,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         counts = sample_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed)
         if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
             da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind)
-            disks = {"disk_a.txt": da, "disk_b.txt": db}
+            disk_files = {"disk_a.txt": da, "disk_b.txt": db}
     else:  # special
         if kind is not SingletKind.ANTICORRELATED:
             raise ValueError("--figure special builds anticorrelated pairs only")
@@ -365,7 +368,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         target = build_singlet_disk(alpha, kind).implied_pmf()
         counts = sample_separated(da, db, SamplingMode.SHARED_LAMBDA, n, seed)
         exact = joint_pmf_from_splits(da, db)
-        disks = {"disk_a.txt": da, "disk_b.txt": db}
+        disk_files = {"disk_a.txt": da, "disk_b.txt": db}
 
     empirical = counts.to_pmf()
     summary = dict(
@@ -382,7 +385,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         "policy_value": args.policy_value, "n": n, "seed": seed,
     }
     files = {"summary.txt": _summary(**summary)}
-    for name, disk in disks.items():
+    for name, disk in disk_files.items():
         # One line per sector, its fields in order.
         outcomes = "outcome_a,outcome_b" if name == "disk.txt" else "outcome"
         files[name] = _table(f"# start_rad,length_rad,{outcomes}", map(astuple, disk.sectors))
