@@ -1,27 +1,23 @@
 """Command-line front end.
 
 Subcommands: disk-demo, scan, chsh, pathology, events gen, events match.
-Every run resolves its full configuration (hard defaults, then the optional
-key = value config file, then explicit flags) and computes all of its
-outputs; every table and summary.txt renders through domain's one cell
-rule (_table, _summary). One helper, _write_run, then writes the run
-record: it creates --out, deletes the outputs an earlier run's manifest
-there lists and this run does not write, writes every output, and writes
-manifest.json last, recording the command line, the resolved configuration
-and its hash, the seed, and the output names. A run that fails before that
-point leaves no --out. Re-running the manifest's argv reproduces every CSV
-byte for byte.
-The events subcommands also record run counters (and, for match, the sha256
-of the input bytes it parsed) in the manifest, outside the hashed config.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Every option that a config file can set is declared once, in _OPTIONS: its
+flag, [section] key, default, type and help. _flags adds a subcommand's
+flags from the table, and _resolve gives each the explicit flag, else the
+--config file's entry, else the default; a file entry that names no option,
+or that its option's type refuses, exits 1. No calibration parameter is
+silent: --help states each default, and the resolved values land in the
+manifest's config, keyed by dest.
+
+Every table and summary.txt renders through domain's one cell rule (_table,
+_summary), and _write_run writes the run record, manifest.json last: a run
+that fails before then leaves no --out, and re-running the manifest's argv
+reproduces every CSV byte for byte. Exit codes: 0 success, 1 runtime
+failure, 2 usage error.
 
 Each handler imports the modules it runs when it is dispatched, as names
 local to the handler, so a launch compiles only its subcommand's modules
 and a name patched in its module is seen at the next call.
-
-Calibration parameters (thresholds, noise widths, efficiencies) are never
-silent: each subcommand's --help states them with their defaults, and the
-resolved values always land in the manifest.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ import json
 import math
 import re
 import sys
+from collections import namedtuple
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -54,8 +51,6 @@ SCAN_PRESETS = {
     "figure8-right": {"ta": 0.5, "tb": 0.75, "alpha": math.pi / 4},
 }
 
-_SOURCES = ("isotropic", "fixed-hv")
-
 SCAN_CSV_HEADER = (
     "b_angle_rad,n_pp,n_pm,n_mp,n_mm,singles_a,singles_b,"
     "doubles_a,doubles_b,misses_a,misses_b,match_prob,E"
@@ -71,18 +66,6 @@ _NEGATIVE_FLOAT = re.compile(
 
 #: The --policy names; _policy builds each one's disks knowledge policy.
 _POLICIES = ("both-known", "assume-zero", "assume-fixed", "assume-random", "integrate")
-
-#: Station flags: dest -> (config section, config key, default, help).
-_STATION_KEYS = {
-    "ta": ("station_a", "threshold", 0.5, "station A detection threshold (default 0.5)"),
-    "tb": ("station_b", "threshold", 0.5, "station B detection threshold (default 0.5)"),
-    "noise_a": ("station_a", "noise_sigma", 0.0, "station A channel noise sigma (default 0)"),
-    "noise_b": ("station_b", "noise_sigma", 0.0, "station B channel noise sigma (default 0)"),
-    "efficiency_a": ("station_a", "efficiency", 1.0, "station A efficiency in (0,1] (default 1)"),
-    "efficiency_b": ("station_b", "efficiency", 1.0, "station B efficiency in (0,1] (default 1)"),
-    "alpha": ("station_a", "angle", 0.0, "station A analyzer angle, rad (default 0)"),
-}
-
 
 def _fingerprint(config: dict) -> str:
     return hashlib.sha256(
@@ -148,35 +131,6 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     return 0
 
 
-class _Resolver:
-    """Parameter resolution: explicit flag > config-file entry > default."""
-
-    def __init__(self, config_path: str | None):
-        self.cp = None
-        if config_path:
-            import configparser
-
-            cp = configparser.ConfigParser()
-            if not cp.read(config_path):
-                raise FileNotFoundError(f"config file not found: {config_path}")
-            self.cp = cp
-
-    def get(self, flag_value, section: str, key: str, default, cast=float):
-        """A file value that cast refuses, or a non-finite float, raises a
-        ValueError naming [section] key. cast may be a flag's argparse type."""
-        if flag_value is not None:
-            return flag_value
-        if self.cp is None or not self.cp.has_option(section, key):
-            return default
-        try:
-            value = cast(self.cp.get(section, key))
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"config [{section}] {key}: {exc}") from None
-        if cast is float and not math.isfinite(value):
-            raise ValueError(f"config [{section}] {key} must be finite, got {value!r}")
-        return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 2 with one line on stderr, naming the flag.
 
@@ -219,6 +173,8 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text!r}")
     return value
 
 
@@ -229,67 +185,106 @@ def _angle_pair(text: str) -> tuple[float, float]:
     return _angle(parts[0]), _angle(parts[1])
 
 
-def _source_model(text: str) -> str:
-    if text not in _SOURCES:
-        raise ValueError(f"must be one of {', '.join(_SOURCES)}, got {text!r}")
-    return text
+#: A config-file option; an empty flag is "--" + the dest with "-" for "_".
+_Option = namedtuple("_Option", "section key default type help flag choices",
+                     defaults=("", None))
+
+#: Every option that a config file can set, by dest, which is also its key in
+#: the manifest's config. One type casts both the flag and the file value.
+_OPTIONS = {
+    "ta": _Option("station_a", "threshold", 0.5, _finite_float,
+                  "station A detection threshold (default 0.5)"),
+    "tb": _Option("station_b", "threshold", 0.5, _finite_float,
+                  "station B detection threshold (default 0.5)"),
+    "noise_a": _Option("station_a", "noise_sigma", 0.0, _finite_float,
+                       "station A channel noise sigma (default 0)"),
+    "noise_b": _Option("station_b", "noise_sigma", 0.0, _finite_float,
+                       "station B channel noise sigma (default 0)"),
+    "efficiency_a": _Option("station_a", "efficiency", 1.0, _finite_float,
+                            "station A efficiency in (0,1] (default 1)"),
+    "efficiency_b": _Option("station_b", "efficiency", 1.0, _finite_float,
+                            "station B efficiency in (0,1] (default 1)"),
+    "alpha": _Option("station_a", "angle", 0.0, _angle,
+                     "station A analyzer angle, rad (default 0)"),
+    "source": _Option("source", "model", "isotropic", str, "pair source model (default isotropic)",
+                      choices=("isotropic", "fixed-hv")),
+    "basis": _Option("source", "basis", 0.0, _angle, "fixed-hv basis angle, rad (default 0)"),
+    "seed": _Option("run", "seed", 0, _seed, "random seed, u64 (default 0)"),
+    "steps": _Option("run", "steps", 33, int, "scan steps over [0, pi] (default 33)"),
+    "pairs_per_step": _Option("run", "pairs_per_step", 100_000, int,
+                              "pairs per step (default 100000)", flag="--pairs"),
+    "pairs_per_setting": _Option("run", "pairs_per_setting", 100_000, int,
+                                 "pairs per setting (default 100000)", flag="--pairs"),
+    "n": _Option("run", "n", 100_000, int, "trials (default 100000)"),
+    "rate": _Option("run", "rate", 10_000.0, _finite_float,
+                    "mean pair rate, pairs/s (default 10000)"),
+    "jitter": _Option("run", "jitter", 10e-9, _finite_float,
+                      "per-side latency sigma, s (default 10e-9)"),
+    "duration": _Option("run", "duration", 1.0, _finite_float, "run length, s (default 1.0)"),
+}
+
+_STATIONS = ("ta", "tb", "noise_a", "noise_b", "efficiency_a", "efficiency_b")
 
 
-def _station_flags(p: argparse.ArgumentParser, scanned_b: bool, alpha_help: str = "") -> None:
-    for dest, (_, _, _, text) in _STATION_KEYS.items():
-        if scanned_b or dest != "alpha":
-            text = alpha_help if dest == "alpha" and alpha_help else text
-            kind = _angle if dest == "alpha" else _finite_float
-            p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text)
-
-
-def _source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--source", choices=_SOURCES, help="pair source model (default isotropic)")
-    p.add_argument("--basis", type=_angle, help="fixed-hv basis angle, rad (default 0)")
+def _flags(p: argparse.ArgumentParser, *dests: str, **help_overrides: str) -> None:
+    """Add the flags of these _OPTIONS dests to p and record the dests on it."""
+    for dest in dests:
+        o = _OPTIONS[dest]
+        p.add_argument(o.flag or "--" + dest.replace("_", "-"), dest=dest, type=o.type,
+                       choices=o.choices, metavar=o.flag[2:].upper() or None,
+                       help=help_overrides.get(dest, o.help))
+    p.set_defaults(options=(*(p.get_default("options") or ()), *dests))
 
 
 def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
-    p.add_argument("--seed", type=_seed, help="random seed, u64 (default 0)")
+    _flags(p, "seed")
     p.add_argument("--out", default=default_out, help=f"output directory (default {default_out})")
     p.add_argument("--config", help="key = value config file with per-station sections")
 
 
-def _resolve_stations(args, res: _Resolver, **defaults: float):
-    """Station A (at alpha), station B (at 0) and their config entries.
+def _resolve(args, **default_overrides) -> dict:
+    """The subcommand's options by dest: the flag, else the --config file's
+    entry, else default_overrides, else the table default. Every file entry is
+    cast, read here or not; one that no option has or its type refuses raises."""
+    values = {}
+    if args.config:
+        import configparser
 
-    defaults overrides a _STATION_KEYS default by dest. alpha is an entry
-    only where the subcommand has --alpha.
-    """
+        cp = configparser.ConfigParser()
+        if not cp.read(args.config):
+            raise FileNotFoundError(f"config file not found: {args.config}")
+        dests = {(o.section, o.key): dest for dest, o in _OPTIONS.items()}
+        for section in (cp.default_section, *cp.sections()):
+            for key, text in cp[section].items():
+                where, dest = f"config [{section}] {key}", dests.get((section, key))
+                if dest is None:
+                    raise ValueError(f"{where}: unknown key")
+                o = _OPTIONS[dest]
+                try:
+                    values[dest] = o.type(text)
+                    if o.choices and text not in o.choices:
+                        raise ValueError(f"must be one of {', '.join(o.choices)}, got {text!r}")
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+    return {
+        dest: values.get(dest, default_overrides.get(dest, _OPTIONS[dest].default))
+        if getattr(args, dest) is None else getattr(args, dest)
+        for dest in args.options
+    }
+
+
+def _stations(opt: dict):
+    """Station A (at alpha, else 0) and station B (at 0) from resolved options."""
     from .optics import StationConfig
 
-    cfg = {
-        dest: res.get(
-            getattr(args, dest, None), section, key, defaults.get(dest, default),
-            _angle if dest == "alpha" else float,
-        )
-        for dest, (section, key, default, _) in _STATION_KEYS.items()
-    }
-    station_a = StationConfig(
-        angle=cfg["alpha"], threshold=cfg["ta"], noise_sigma=cfg["noise_a"],
-        efficiency=cfg["efficiency_a"],
-    )
-    station_b = StationConfig(
-        angle=0.0, threshold=cfg["tb"], noise_sigma=cfg["noise_b"],
-        efficiency=cfg["efficiency_b"],
-    )
-    if not hasattr(args, "alpha"):
-        del cfg["alpha"]
-    return station_a, station_b, cfg
+    return (StationConfig(opt.get("alpha", 0.0), opt["ta"], opt["noise_a"], opt["efficiency_a"]),
+            StationConfig(0.0, opt["tb"], opt["noise_b"], opt["efficiency_b"]))
 
 
-def _resolve_source(args, res: _Resolver):
-    """The pair source and its config entries {"source", "basis"}."""
+def _source(opt: dict):
     from .optics import FixedBasisSource, IsotropicSource
 
-    name = res.get(args.source, "source", "model", "isotropic", cast=_source_model)
-    basis = res.get(args.basis, "source", "basis", 0.0, cast=_angle)
-    source = FixedBasisSource(basis=basis) if name == "fixed-hv" else IsotropicSource()
-    return source, {"source": name, "basis": basis}
+    return FixedBasisSource(opt["basis"]) if opt["source"] == "fixed-hv" else IsotropicSource()
 
 
 def _policy(name: str | None, value: float | None):
@@ -328,11 +323,20 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         split_disk,
     )
 
-    res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
-    n = res.get(args.n, "run", "n", 100_000, cast=int)
+    # A flag that the figure does not read exits 1 rather than enter the hashed config.
+    reads = {"4": {"alpha", "beta"}, "5": {"alpha", "beta", "policy", "policy_a", "policy_b"},
+             "special": {"alpha"}}.get(args.figure, {"theta"})
+    if "assume-fixed" in (args.policy_a or args.policy, args.policy_b or args.policy):
+        reads.add("policy_value")
+    for dest in ("theta", "alpha", "beta", "policy", "policy_a", "policy_b", "policy_value"):
+        if getattr(args, dest) is not None and dest not in reads:
+            raise ValueError(f"--figure {args.figure} does not read --{dest.replace('_', '-')}")
+    opt = _resolve(args)
+    n, seed = opt["n"], opt["seed"]
     kind = SingletKind(args.kind)
-    theta, alpha, beta = args.theta, args.alpha, args.beta
+    theta = math.pi / 8 if args.theta is None else args.theta
+    alpha = 0.0 if args.alpha is None else args.alpha
+    beta = 0.0 if args.beta is None else args.beta
     disk_files: dict = {}
     exact: JointPmf | None = None
 
@@ -382,7 +386,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     config = {
         "figure": args.figure, "kind": args.kind, "theta": theta, "alpha": alpha, "beta": beta,
         "policy": args.policy, "policy_a": args.policy_a, "policy_b": args.policy_b,
-        "policy_value": args.policy_value, "n": n, "seed": seed,
+        "policy_value": args.policy_value, **opt,
     }
     files = {"summary.txt": _summary(**summary)}
     for name, disk in disk_files.items():
@@ -403,19 +407,15 @@ def _cmd_scan(args, argv: list[str]) -> int:
         singles_asymmetry,
     )
 
-    res = _Resolver(args.config)
     for dest, value in SCAN_PRESETS.get(args.preset, {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
-    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
-    steps = res.get(args.steps, "run", "steps", 33, cast=int)
-    pairs = res.get(args.pairs, "run", "pairs_per_step", 100_000, cast=int)
-    station_a, station_b, stations = _resolve_stations(args, res)
-    source, source_cfg = _resolve_source(args, res)
-
+    opt = _resolve(args)
+    seed = opt["seed"]
+    station_a, station_b = _stations(opt)
     cfg = ScanConfig(
-        source=source, station_a=station_a, station_b=station_b,
-        b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
+        source=_source(opt), station_a=station_a, station_b=station_b,
+        b_angles=default_b_angles(opt["steps"]), pairs_per_step=opt["pairs_per_step"], seed=seed,
     )
     result = run_scan(cfg)
     try:
@@ -423,10 +423,7 @@ def _cmd_scan(args, argv: list[str]) -> int:
     except ValueError:
         ratio = None
 
-    config = {
-        "preset": args.preset, **source_cfg, **stations,
-        "steps": steps, "pairs_per_step": pairs, "seed": seed,
-    }
+    config = {"preset": args.preset, **opt}
     rows = []
     for step in result.steps:
         c = step.counts
@@ -446,22 +443,16 @@ def _cmd_scan(args, argv: list[str]) -> int:
 def _cmd_chsh(args, argv: list[str]) -> int:
     from .scan import run_chsh
 
-    res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
-    pairs = res.get(args.pairs, "run", "pairs_per_setting", 100_000, cast=int)
-    station_a, station_b, stations = _resolve_stations(args, res)
-    source, source_cfg = _resolve_source(args, res)
-    flags = (args.angle_a, args.angle_a2, args.angle_b, args.angle_b2)
-    a, a2, b, b2 = (d if f is None else f for f, d in zip(flags, STANDARD_CHSH_ANGLES))
+    opt = _resolve(args)
+    seed = opt["seed"]
+    station_a, station_b = _stations(opt)
+    a, a2, b, b2 = args.angle_a, args.angle_a2, args.angle_b, args.angle_b2
 
     pair_a = (replace(station_a, angle=a), replace(station_a, angle=a2))
     pair_b = (replace(station_b, angle=b), replace(station_b, angle=b2))
-    report = run_chsh(source, pair_a, pair_b, pairs, seed)
+    report = run_chsh(_source(opt), pair_a, pair_b, opt["pairs_per_setting"], seed)
 
-    config = {
-        **source_cfg, **stations, "angles_a": [a, a2], "angles_b": [b, b2],
-        "pairs_per_setting": pairs, "seed": seed,
-    }
+    config = {**opt, "angles_a": [a, a2], "angles_b": [b, b2]}
     rows = []
     for name, i, j in (("ab", 0, 0), ("ab_prime", 0, 1), ("a_prime_b", 1, 0),
                        ("a_prime_b_prime", 1, 1)):
@@ -481,18 +472,15 @@ def _cmd_chsh(args, argv: list[str]) -> int:
 def _cmd_pathology(args, argv: list[str]) -> int:
     from .scan import default_b_angles, pathology_probe
 
-    res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
-    steps = res.get(args.steps, "run", "steps", 33, cast=int)
-    pairs = res.get(args.pairs, "run", "pairs_per_step", 10_000, cast=int)
-    station_a, station_b, stations = _resolve_stations(args, res, alpha=math.pi / 4)
-    basis = res.get(args.basis, "source", "basis", 0.0, cast=_angle)
+    config = _resolve(args, alpha=math.pi / 4, pairs_per_step=10_000)
+    seed = config["seed"]
+    station_a, station_b = _stations(config)
 
     report = pathology_probe(
-        basis=basis, alpha=stations["alpha"], station_a=station_a, station_b=station_b,
-        b_angles=default_b_angles(steps), pairs_per_step=pairs, seed=seed,
+        basis=config["basis"], alpha=config["alpha"], station_a=station_a, station_b=station_b,
+        b_angles=default_b_angles(config["steps"]), pairs_per_step=config["pairs_per_step"],
+        seed=seed,
     )
-    config = {"basis": basis, **stations, "steps": steps, "pairs_per_step": pairs, "seed": seed}
     rows = [
         (f.b_angle, f.match_probability, i.match_probability)
         for f, i in zip(report.fixed_scan.steps, report.isotropic_scan.steps)
@@ -515,26 +503,16 @@ def _cmd_pathology(args, argv: list[str]) -> int:
 def _cmd_events_gen(args, argv: list[str]) -> int:
     from .eventio import GeneratorConfig, generate_events
 
-    res = _Resolver(args.config)
-    seed = res.get(args.seed, "run", "seed", 0, cast=_seed)
-    rate = res.get(args.rate, "run", "rate", 10_000.0)
-    jitter = res.get(args.jitter, "run", "jitter", 10e-9)
-    duration = res.get(args.duration, "run", "duration", 1.0)
-    station_a, station_b, stations = _resolve_stations(args, res)
-    source, source_cfg = _resolve_source(args, res)
-    settings_a = args.angles_a or STANDARD_CHSH_ANGLES[:2]
-    settings_b = args.angles_b or STANDARD_CHSH_ANGLES[2:]
-
+    opt = _resolve(args)
+    seed = opt["seed"]
+    station_a, station_b = _stations(opt)
     cfg = GeneratorConfig(
-        source=source, station_a=station_a, station_b=station_b,
-        settings_a=settings_a, settings_b=settings_b, mean_rate=rate, jitter_sigma=jitter,
+        source=_source(opt), station_a=station_a, station_b=station_b, settings_a=args.angles_a,
+        settings_b=args.angles_b, mean_rate=opt["rate"], jitter_sigma=opt["jitter"],
     )
-    streams = generate_events(cfg, duration, seed)
+    streams = generate_events(cfg, opt["duration"], seed)
 
-    config = {
-        **source_cfg, **stations, "settings_a": list(settings_a), "settings_b": list(settings_b),
-        "rate": rate, "jitter": jitter, "duration": duration, "seed": seed,
-    }
+    config = {**opt, "settings_a": list(args.angles_a), "settings_b": list(args.angles_b)}
     counters = {
         "n_pairs": streams.n_pairs,
         "records_a": len(streams.events_a),
@@ -620,11 +598,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--figure", required=True, choices=["1", "2", "3", "4", "5", "special"])
-    p.add_argument("--theta", type=_finite_float, default=math.pi / 8,
+    p.add_argument("--theta", type=_finite_float,
                    help="relative angle for figures 1-3 (default pi/8)")
-    p.add_argument("--alpha", type=_finite_float, default=0.0,
+    p.add_argument("--alpha", type=_finite_float,
                    help="station A setting for figures 4/5/special (default 0)")
-    p.add_argument("--beta", type=_finite_float, default=0.0,
+    p.add_argument("--beta", type=_finite_float,
                    help="station B setting for figures 4/5 (default 0)")
     p.add_argument("--kind", choices=sorted(k.value for k in SingletKind), default="anticorrelated",
                    help="pair preparation (default anticorrelated)")
@@ -636,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, choices=list(_POLICIES), help=text)
     p.add_argument("--policy-value", type=_finite_float,
                    help="assumed remote setting for assume-fixed")
-    p.add_argument("--n", type=int, help="trials (default 100000)")
+    _flags(p, "n")
     _common_flags(p, "disk-demo-out")
     p.set_defaults(func=_cmd_disk_demo)
 
@@ -645,29 +623,26 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind thresholds and A angle: figure6 = 0.5/0.5, figure7 ="
                         " 0.5/0.92, figure8-left = 0.5/0.75 alpha 0, figure8-right"
                         " = 0.5/0.75 alpha pi/4")
-    _station_flags(p, scanned_b=True)
-    _source_flags(p)
-    p.add_argument("--steps", type=int, help="scan steps over [0, pi] (default 33)")
-    p.add_argument("--pairs", type=int, help="pairs per step (default 100000)")
+    _flags(p, *_STATIONS, "alpha", "source", "basis", "steps", "pairs_per_step")
     _common_flags(p, "scan-out")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("chsh", help="four-setting CHSH run")
-    _station_flags(p, scanned_b=False)
-    _source_flags(p)
-    p.add_argument("--angle-a", type=_angle, help="setting a (default 0)")
-    p.add_argument("--angle-a2", type=_angle, help="setting a' (default pi/4)")
-    p.add_argument("--angle-b", type=_angle, help="setting b (default pi/8)")
-    p.add_argument("--angle-b2", type=_angle, help="setting b' (default 3*pi/8)")
-    p.add_argument("--pairs", type=int, help="pairs per setting (default 100000)")
+    _flags(p, *_STATIONS, "source", "basis")
+    a, a2, b, b2 = STANDARD_CHSH_ANGLES
+    p.add_argument("--angle-a", type=_angle, default=a, help="setting a (default 0)")
+    p.add_argument("--angle-a2", type=_angle, default=a2, help="setting a' (default pi/4)")
+    p.add_argument("--angle-b", type=_angle, default=b, help="setting b (default pi/8)")
+    p.add_argument("--angle-b2", type=_angle, default=b2, help="setting b' (default 3*pi/8)")
+    _flags(p, "pairs_per_setting")
     _common_flags(p, "chsh-out")
     p.set_defaults(func=_cmd_chsh)
 
     p = sub.add_parser("pathology", help="fixed-basis source probe with A at alpha")
-    p.add_argument("--basis", type=_angle, help="source basis angle (default 0)")
-    _station_flags(p, scanned_b=True, alpha_help="station A analyzer angle, rad (default pi/4)")
-    p.add_argument("--steps", type=int, help="scan steps (default 33)")
-    p.add_argument("--pairs", type=int, help="pairs per step (default 10000)")
+    _flags(p, "basis", *_STATIONS, "alpha", "steps", "pairs_per_step",
+           basis="source basis angle (default 0)",
+           alpha="station A analyzer angle, rad (default pi/4)",
+           steps="scan steps (default 33)", pairs_per_step="pairs per step (default 10000)")
     _common_flags(p, "pathology-out")
     p.set_defaults(func=_cmd_pathology)
 
@@ -675,15 +650,12 @@ def build_parser() -> argparse.ArgumentParser:
     esub = p.add_subparsers(dest="events_command", required=True)
 
     g = esub.add_parser("gen", help="generate per-side time-tag streams")
-    g.add_argument("--rate", type=_finite_float, help="mean pair rate, pairs/s (default 10000)")
-    g.add_argument("--jitter", type=_finite_float, help="per-side latency sigma, s (default 10e-9)")
-    g.add_argument("--duration", type=_finite_float, help="run length, s (default 1.0)")
-    g.add_argument("--angles-a", type=_angle_pair,
+    _flags(g, "rate", "jitter", "duration")
+    g.add_argument("--angles-a", type=_angle_pair, default=STANDARD_CHSH_ANGLES[:2],
                    help="two comma-separated A settings (default 0,pi/4)")
-    g.add_argument("--angles-b", type=_angle_pair,
+    g.add_argument("--angles-b", type=_angle_pair, default=STANDARD_CHSH_ANGLES[2:],
                    help="two comma-separated B settings (default pi/8,3pi/8)")
-    _station_flags(g, scanned_b=False)
-    _source_flags(g)
+    _flags(g, *_STATIONS, "source", "basis")
     _common_flags(g, "events-out")
     g.set_defaults(func=_cmd_events_gen)
 

@@ -135,18 +135,6 @@ class JointPmf:
             abs(p - q) for p, q in zip(self.as_tuple(), other.as_tuple())
         )
 
-    def marginal_a_plus(self) -> float:
-        return self.p_pp + self.p_pm
-
-    def marginal_b_plus(self) -> float:
-        return self.p_pp + self.p_mp
-
-    def product_of_marginals(self) -> "JointPmf":
-        """The independent table with this table's one-sided marginals."""
-        a = self.marginal_a_plus()
-        b = self.marginal_b_plus()
-        return JointPmf(a * b, a * (1.0 - b), (1.0 - a) * b, (1.0 - a) * (1.0 - b))
-
 
 @dataclass(frozen=True)
 class CountTable:

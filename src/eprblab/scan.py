@@ -261,24 +261,6 @@ class ChshReport:
         return math.sqrt(math.fsum(se * se for row in self.stderrs for se in row))
 
 
-def _report_from_tables(
-    tables: dict[tuple[int, int], CountTable],
-    angles_a: tuple[float, float],
-    angles_b: tuple[float, float],
-) -> ChshReport:
-    e = {ij: correlation(tables[ij]) for ij in tables}
-    se = {ij: correlation_stderr(tables[ij]) for ij in tables}
-    s = chsh(e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)])
-    return ChshReport(
-        angles_a=angles_a,
-        angles_b=angles_b,
-        tables=((tables[(0, 0)], tables[(0, 1)]), (tables[(1, 0)], tables[(1, 1)])),
-        e_values=((e[(0, 0)], e[(0, 1)]), (e[(1, 0)], e[(1, 1)])),
-        stderrs=((se[(0, 0)], se[(0, 1)]), (se[(1, 0)], se[(1, 1)])),
-        s=s,
-    )
-
-
 def chsh_report_from_tables(
     tables: dict[tuple[int, int], CountTable],
     angles_a: tuple[float, float],
@@ -293,7 +275,17 @@ def chsh_report_from_tables(
     missing = [ij for i in (0, 1) for j in (0, 1) if (ij := (i, j)) not in tables]
     if missing:
         raise ValueError(f"missing setting pairs: {missing}")
-    return _report_from_tables(tables, angles_a, angles_b)
+    e = {ij: correlation(tables[ij]) for ij in tables}
+    se = {ij: correlation_stderr(tables[ij]) for ij in tables}
+    s = chsh(e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)])
+    return ChshReport(
+        angles_a=angles_a,
+        angles_b=angles_b,
+        tables=((tables[(0, 0)], tables[(0, 1)]), (tables[(1, 0)], tables[(1, 1)])),
+        e_values=((e[(0, 0)], e[(0, 1)]), (e[(1, 0)], e[(1, 1)])),
+        stderrs=((se[(0, 0)], se[(0, 1)]), (se[(1, 0)], se[(1, 1)])),
+        s=s,
+    )
 
 
 def default_chsh_configs(
@@ -338,7 +330,7 @@ def run_chsh(
         tables[(i, j)] = _count_stream(source, cfg_a_pair[i], cfg_b_pair[j], pairs_per_setting, rng)
     angles_a = (cfg_a_pair[0].angle, cfg_a_pair[1].angle)
     angles_b = (cfg_b_pair[0].angle, cfg_b_pair[1].angle)
-    return _report_from_tables(tables, angles_a, angles_b)
+    return chsh_report_from_tables(tables, angles_a, angles_b)
 
 
 # --- fixed-basis pathology probe ----------------------------------------------

@@ -88,6 +88,57 @@ def test_scan_config_file_and_flag_precedence(tmp_path):
     assert manifest["seed"] == 3
 
 
+SCAN = ("scan", "--steps", "3", "--pairs", "100")
+PATHOLOGY = ("pathology", "--steps", "3", "--pairs", "100")
+CHSH = ("chsh", "--pairs", "100")
+GEN = ("events", "gen", "--duration", "0.01")
+
+
+CONFIG_KEYS = [
+    ("station_a", "threshold", SCAN, "--ta", "ta", 0.6, 0.7, 0.5),
+    ("station_a", "noise_sigma", SCAN, "--noise-a", "noise_a", 0.01, 0.02, 0.0),
+    ("station_a", "efficiency", SCAN, "--efficiency-a", "efficiency_a", 0.9, 0.8, 1.0),
+    ("station_a", "angle", PATHOLOGY, "--alpha", "alpha", 0.3, 0.2, math.pi / 4),
+    ("station_b", "threshold", CHSH, "--tb", "tb", 0.6, 0.7, 0.5),
+    ("station_b", "noise_sigma", CHSH, "--noise-b", "noise_b", 0.01, 0.02, 0.0),
+    ("station_b", "efficiency", GEN, "--efficiency-b", "efficiency_b", 0.9, 0.8, 1.0),
+    ("source", "model", SCAN, "--source", "source", "fixed-hv", "isotropic", "isotropic"),
+    ("source", "basis", PATHOLOGY, "--basis", "basis", 0.3, 0.2, 0.0),
+    ("run", "seed", ("disk-demo", "--figure", "1", "--n", "10"), "--seed", "seed", 5, 6, 0),
+    ("run", "steps", ("scan", "--pairs", "100"), "--steps", "steps", 4, 3, 33),
+    ("run", "pairs_per_step", ("pathology", "--steps", "3"), "--pairs", "pairs_per_step",
+     100, 200, 10_000),
+    ("run", "pairs_per_setting", ("chsh",), "--pairs", "pairs_per_setting", 100, 200, 100_000),
+    ("run", "n", ("disk-demo", "--figure", "1"), "--n", "n", 10, 20, 100_000),
+    ("run", "rate", GEN, "--rate", "rate", 1000.0, 2000.0, 10_000.0),
+    ("run", "jitter", GEN, "--jitter", "jitter", 2e-9, 3e-9, 10e-9),
+    ("run", "duration", ("events", "gen"), "--duration", "duration", 0.01, 0.02, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, argv, flag, dest, value, flag_value, default",
+    CONFIG_KEYS,
+    ids=[f"{section}.{key}" for section, key, *_ in CONFIG_KEYS],
+)
+def test_every_config_key_resolves_flag_then_file_then_default(
+    tmp_path, section, key, argv, flag, dest, value, flag_value, default
+):
+    # Each [section] key lands in the manifest's config under its dest; an
+    # explicit flag beats the file; with neither, the subcommand's default.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+
+    def resolved(*extra):
+        out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+        assert run_cli(*argv, *extra, "--out", str(out)) == 0
+        return json.loads((out / "manifest.json").read_text())["config"][dest]
+
+    assert resolved("--config", str(cfg)) == value
+    assert resolved("--config", str(cfg), f"{flag}={flag_value}") == flag_value
+    assert resolved() == default
+
+
 def test_scan_missing_config_file_is_runtime_error(tmp_path):
     rc = run_cli("scan", "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path / "o"))
     assert rc == 1
@@ -358,9 +409,29 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("events", "gen", "--duration=-1"), "duration"),
         (("events", "match", "--a", "none_a.csv", "--b", "none_b.csv", "--window", "10"),
          "none_a.csv"),
+        # disk-demo refuses a flag that its figure does not read.
+        (("disk-demo", "--figure", "4", "--theta", "0.3"), "--figure 4 does not read --theta"),
+        (("disk-demo", "--figure", "5", "--theta", "0.3"), "--figure 5 does not read --theta"),
+        (("disk-demo", "--figure", "special", "--theta", "0.3"), "does not read --theta"),
+        (("disk-demo", "--figure", "1", "--alpha", "0.3"), "--figure 1 does not read --alpha"),
+        (("disk-demo", "--figure", "2", "--beta", "0.3"), "--figure 2 does not read --beta"),
+        (("disk-demo", "--figure", "3", "--alpha", "0"), "--figure 3 does not read --alpha"),
+        (("disk-demo", "--figure", "special", "--beta", "0"), "does not read --beta"),
+        (("disk-demo", "--figure", "1", "--policy-value", "0.3"), "does not read --policy-value"),
+        (("disk-demo", "--figure", "4", "--policy", "both-known"), "does not read --policy"),
+        (("disk-demo", "--figure", "special", "--policy-a", "both-known"),
+         "does not read --policy-a"),
+        (("disk-demo", "--figure", "2", "--policy-b", "assume-random"),
+         "does not read --policy-b"),
+        (("disk-demo", "--figure", "5", "--policy", "assume-random", "--policy-value", "0.3"),
+         "--figure 5 does not read --policy-value"),
+        (("disk-demo", "--figure", "5", "--policy-value", "0.3"), "does not read --policy-value"),
     ],
     ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
-         "events-match"],
+         "events-match", "figure4-theta", "figure5-theta", "special-theta", "figure1-alpha",
+         "figure2-beta", "figure3-alpha", "special-beta", "figure1-policy-value",
+         "figure4-policy", "special-policy-a", "figure2-policy-b", "figure5-random-policy-value",
+         "figure5-default-policy-value"],
 )
 def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
     monkeypatch.chdir(tmp_path)
@@ -444,6 +515,30 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("disk-demo", "--figure", "1", "--n", "10"), ("chsh", "--pairs", "100")],
+    ids=["disk-demo", "chsh"],
+)
+def test_seed_is_a_u64(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    for value in (str(2**64), str(2**128 + 1)):
+        err = usage_error(capsys, *argv, "--seed", value, "--out", str(out))
+        assert f"argument --seed: must be below 2**64, got '{value}'" in err
+        assert not out.exists()
+    assert run_cli(*argv, "--seed", str(2**64 - 1), "--out", str(out)) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
+
+
+def test_disk_demo_keeps_a_negative_zero_angle(tmp_path):
+    out = tmp_path / "d"
+    assert run_cli("disk-demo", "--figure", "4", "--alpha=-0.0", "--beta=-0.0", "--n", "10",
+                   "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert [math.copysign(1.0, config[k]) for k in ("alpha", "beta")] == [-1.0, -1.0]
+    assert config["theta"] == math.pi / 8
+
+
 def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, capsys):
     assert "not a number: 'abc'" in usage_error(capsys, "scan", "--ta", "abc")
     err = usage_error(capsys, "events", "gen", "--angles-b", "1,2,3")
@@ -459,9 +554,15 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[run]\nseed = 1.5\n", ("[run] seed", "'1.5'")),
         ("chsh", "[run]\nseed = -1\n", ("[run] seed", "nonnegative", "'-1'")),
         ("scan", "[station_b]\nthreshold = abc\n", ("[station_b] threshold", "'abc'")),
+        ("scan", "[station_b]\ntreshold = 0.75\n", ("[station_b] treshold: unknown key",)),
+        ("chsh", "[stationb]\nthreshold = 0.75\n", ("[stationb] threshold: unknown key",)),
+        ("chsh", "[DEFAULT]\nthreshold = 0.75\n", ("[DEFAULT] threshold: unknown key",)),
+        ("chsh", "[run]\nsteps = many\n", ("[run] steps", "'many'")),
+        ("chsh", "[run]\nseed = 18446744073709551616\n", ("[run] seed", "below 2**64")),
     ],
     ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
-         "threshold-text"],
+         "threshold-text", "key-typo", "section-typo", "default-section", "unread-key-bad-value",
+         "seed-past-u64"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,
@@ -555,6 +656,7 @@ def test_angle_flags_past_two_to_the_43_are_usage_errors(tmp_path, capsys, argv,
         ("pathology", "[source]\nbasis = 1e13\n"),
         ("scan", "[source]\nmodel = fixed-hv\nbasis = -1e308\n"),
         ("chsh", "[source]\nbasis = 1e20\n"),
+        ("chsh", "[station_a]\nangle = 1e308\n"),  # chsh has no --alpha, yet the entry is cast
     ],
 )
 def test_config_angles_past_two_to_the_43_are_runtime_errors(tmp_path, capsys, command, text):

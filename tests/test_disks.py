@@ -401,11 +401,20 @@ def test_independent_lambdas_give_product_of_marginals():
     assert t.n_pp / t.n_pairs == pytest.approx(0.25, abs=0.006)
 
 
+def product_of_marginals(p: JointPmf) -> JointPmf:
+    """The independent table with p's one-sided marginals: the figure-3 target.
+
+    A copy of the deleted method JointPmf.product_of_marginals."""
+    a = p.p_pp + p.p_pm
+    b = p.p_pp + p.p_mp
+    return JointPmf(a * b, a * (1.0 - b), (1.0 - a) * b, (1.0 - a) * (1.0 - b))
+
+
 def test_independent_lambdas_uniform_cells_any_theta():
     da, db = split_disk(build_singlet_disk(math.pi / 8, ANTI))
     t = sample_separated(da, db, SamplingMode.INDEPENDENT_LAMBDAS, 200_000, 5)
     emp = t.to_pmf()
-    target = build_singlet_disk(math.pi / 8, ANTI).implied_pmf().product_of_marginals()
+    target = product_of_marginals(build_singlet_disk(math.pi / 8, ANTI).implied_pmf())
     # 3 sigma for a cell frequency at p = 1/4
     assert emp.tv_distance(target) < 3 * math.sqrt(0.25 * 0.75 / 200_000) * 2
 

@@ -125,12 +125,6 @@ def test_pmf_tv_distance():
     assert p.tv_distance(p) == 0.0
 
 
-def test_pmf_product_of_marginals():
-    p = JointPmf(0.5, 0.0, 0.0, 0.5)
-    prod = p.product_of_marginals()
-    assert prod.as_tuple() == pytest.approx((0.25, 0.25, 0.25, 0.25))
-
-
 # --- CountTable ------------------------------------------------------------------
 
 def _table(n_pp, n_pm, n_mp, n_mm):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from eprblab.cli import main
+
 README = Path(__file__).parents[1] / "README.md"
 
 
@@ -27,3 +29,13 @@ def test_readme_library_snippet_runs_as_its_comments_state():
     assert value_of("analytic_correlation(") == pytest.approx(-0.75, abs=1e-12)
     assert value_of(".abs_s") == pytest.approx(3.0, abs=0.05)
     assert value_of(".pairs").tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("command", ["scan", "chsh"])
+def test_readme_config_file_runs(tmp_path, command):
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(block, encoding="utf-8")
+    small = ("--steps", "3") if command == "scan" else ()
+    assert main([command, "--config", str(cfg), *small, "--pairs", "100",
+                 "--out", str(tmp_path / "o")]) == 0
