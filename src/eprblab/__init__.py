@@ -30,8 +30,7 @@ _EXPORTS = {
         joint_pmf_from_splits sample_param_setup sample_separated sample_split_many split_disk
     """,
     "optics": """
-        FixedBasisSource IsotropicSource SourceModel StationConfig detection_windows emit_phis
-        measure_many
+        FixedBasisSource IsotropicSource SourceModel StationConfig emit_phis measure_many
     """,
     "scan": """
         STANDARD_CHSH_ANGLES ChshReport PathologyReport ScanConfig ScanResult ScanStep

@@ -245,14 +245,22 @@ def _common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
 def _resolve(args, **default_overrides) -> dict:
     """The subcommand's options by dest: the flag, else the --config file's
     entry, else default_overrides, else the table default. Every file entry is
-    cast, read here or not; one that no option has or its type refuses raises."""
+    cast, read here or not; one that no option has or its type refuses raises,
+    as does a file that does not parse. Values are read as written, with no %."""
     values = {}
     if args.config:
         import configparser
 
-        cp = configparser.ConfigParser()
-        if not cp.read(args.config):
-            raise FileNotFoundError(f"config file not found: {args.config}")
+        cp = configparser.ConfigParser(interpolation=None)
+        try:
+            if not cp.read(args.config):
+                raise FileNotFoundError(f"config file not found: {args.config}")
+        except configparser.Error as exc:  # whose own message takes two or three lines
+            why = {"MissingSectionHeaderError": "no [section] header above it",
+                   "DuplicateSectionError": "repeats a [section]",
+                   "DuplicateOptionError": "repeats a key"}.get(type(exc).__name__)
+            line = getattr(exc, "lineno", None) or exc.errors[0][0]
+            raise ValueError(f"config {args.config} line {line}: {why or 'not key = value'}")
         dests = {(o.section, o.key): dest for dest, o in _OPTIONS.items()}
         for section in (cp.default_section, *cp.sections()):
             for key, text in cp[section].items():
@@ -324,8 +332,10 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
     )
 
     # A flag that the figure does not read exits 1 rather than enter the hashed config.
-    reads = {"4": {"alpha", "beta"}, "5": {"alpha", "beta", "policy", "policy_a", "policy_b"},
+    reads = {"4": {"alpha", "beta"}, "5": {"alpha", "beta", "policy_a", "policy_b"},
              "special": {"alpha"}}.get(args.figure, {"theta"})
+    if args.figure == "5" and not (args.policy_a and args.policy_b):
+        reads.add("policy")
     if "assume-fixed" in (args.policy_a or args.policy, args.policy_b or args.policy):
         reads.add("policy_value")
     for dest in ("theta", "alpha", "beta", "policy", "policy_a", "policy_b", "policy_value"):

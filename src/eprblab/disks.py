@@ -28,20 +28,20 @@ import enum
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
-from .intervals import overlap_length, unroll_arc
+from .intervals import arc_overlaps
 
 #: Tolerance for sector lengths covering the full circle.
 PARTITION_TOL = 1e-9
 
 _OUTCOMES = (-1, 1)
-#: Per-side outcomes of the singlet sectors (+,+), (+,-), (-,+), (-,-).
-_SINGLET_A = (1, 1, -1, -1)
-_SINGLET_B = (1, -1, 1, -1)
+#: Outcome pairs in JointPmf's field order, which the singlet sectors follow.
+_CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_SINGLET_A, _SINGLET_B = zip(*_CELLS)
 #: Trials per row chunk of the disk draws; any value gives the same
 #: tables, and this one bounds a chunk's temporaries to a few MB.
 _CHUNK_ROWS = 1 << 15
@@ -105,15 +105,10 @@ class DiskPreparation:
 
     def implied_pmf(self) -> JointPmf:
         """The joint distribution the sector areas encode (arc / 2*pi)."""
-        acc = {(a, b): 0.0 for a in _OUTCOMES for b in _OUTCOMES}
+        acc = dict.fromkeys(_CELLS, 0.0)
         for s in self.sectors:
             acc[(s.outcome_a, s.outcome_b)] += s.length
-        return JointPmf(
-            acc[(1, 1)] / TWO_PI,
-            acc[(1, -1)] / TWO_PI,
-            acc[(-1, 1)] / TWO_PI,
-            acc[(-1, -1)] / TWO_PI,
-        )
+        return JointPmf(*(acc[cell] / TWO_PI for cell in _CELLS))
 
 
 @dataclass(frozen=True)
@@ -479,19 +474,9 @@ def build_bell_special(alpha: float) -> tuple[SplitDisk, SplitDisk]:
 def joint_pmf_from_splits(disk_a: SplitDisk, disk_b: SplitDisk) -> JointPmf:
     """Exact joint table of shared-pointer sampling, by arc-overlap integration.
 
-    For each pair of arcs the shared pointer lands in both with probability
-    overlap/2*pi, so accumulating overlaps per outcome pair integrates the
-    sampled joint exactly (to float rounding), with no Monte Carlo error.
+    The shared pointer lands in two arcs with probability overlap/2*pi, so
+    arc_overlaps over the two disks' sectors integrates the sampled joint
+    exactly (to float rounding), with no Monte Carlo error.
     """
-    acc = {(oa, ob): 0.0 for oa in _OUTCOMES for ob in _OUTCOMES}
-    segs_b = [(s.outcome, unroll_arc(s.start, s.length, TWO_PI)) for s in disk_b.sectors]
-    for sa in disk_a.sectors:
-        segs_a = unroll_arc(sa.start, sa.length, TWO_PI)
-        for ob, sb in segs_b:
-            acc[(sa.outcome, ob)] += overlap_length(segs_a, sb)
-    return JointPmf(
-        acc[(1, 1)] / TWO_PI,
-        acc[(1, -1)] / TWO_PI,
-        acc[(-1, 1)] / TWO_PI,
-        acc[(-1, -1)] / TWO_PI,
-    )
+    acc = arc_overlaps(*([astuple(s) for s in d.sectors] for d in (disk_a, disk_b)), TWO_PI)
+    return JointPmf(*(acc.get(cell, 0.0) / TWO_PI for cell in _CELLS))

@@ -35,6 +35,8 @@ from .optics import SourceModel, StationConfig, _measure, emit_phis
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
+#: Most expected pairs generate_events draws: at ~150 B a pair, about 2.4 GiB.
+_MAX_EXPECTED_PAIRS = 2**24
 
 
 class UnsortedEventsError(ValueError):
@@ -148,9 +150,10 @@ class GeneratedStreams:
 def _emission_times(rate: float, duration: float, rng: np.random.Generator) -> np.ndarray:
     block = int(rate * duration * 1.25) + 64
     gaps = rng.exponential(1.0 / rate, block)
-    while gaps.sum() <= duration:
-        gaps = np.concatenate([gaps, rng.exponential(1.0 / rate, block)])
-    times = np.cumsum(gaps)
+    with np.errstate(over="ignore"):  # a sum that overflows is past any duration
+        while gaps.sum() <= duration:
+            gaps = np.concatenate([gaps, rng.exponential(1.0 / rate, block)])
+        times = np.cumsum(gaps)
     return times[times <= duration]
 
 
@@ -163,7 +166,11 @@ def _side_stream(
     # Only singles produce records; sort by timestamp (stable, so equal
     # stamps keep emission order) and map each pair to its row, or -1.
     detected = np.flatnonzero((codes == PLUS_CODE) | (codes == MINUS_CODE))
-    t_ns = np.rint((times[detected] + jitter[detected]) * 1e9).astype(np.int64)
+    with np.errstate(over="ignore"):
+        t_ns = np.rint((times[detected] + jitter[detected]) * 1e9)
+    if not (t_ns < 2.0**63).all():
+        raise ValueError("an event time is past 2**63 ns: duration or jitter_sigma too large")
+    t_ns = t_ns.astype(np.int64)
     order = np.argsort(t_ns, kind="stable")
     pair_of_row = detected[order]
     row_of_pair = np.full(len(codes), -1, dtype=np.int64)
@@ -179,10 +186,13 @@ def generate_events(
     Pair emission times are exponentially spaced at mean_rate. Draw order on
     the single stream: emission gaps, A setting indices, B setting indices,
     pair polarizations, A detection draws, B detection draws, then (if
-    jitter_sigma > 0) A and B latency jitter.
+    jitter_sigma > 0) A and B latency jitter. More than _MAX_EXPECTED_PAIRS
+    expected pairs are refused before any draw.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
+    if not (expected := cfg.mean_rate * duration) <= _MAX_EXPECTED_PAIRS:
+        raise ValueError(f"rate * duration = {expected:g} expected pairs > {_MAX_EXPECTED_PAIRS}")
     rng = np.random.default_rng(seed)
     times = _emission_times(cfg.mean_rate, duration, rng)
     n = len(times)

@@ -3,8 +3,8 @@
 Arcs are (start, length) pairs on a circle of a given period. This module
 flattens them into half-open linear segments and measures overlaps, which is
 all that exact (non-Monte-Carlo) integration of piecewise-constant functions
-of a uniform angle requires: sector tables in `disks` and detection windows
-in `scan` both reduce to it.
+of a uniform angle requires: arc_overlaps, the one such integral, gives the
+sector tables in `disks` and the detection-window oracle in `scan`.
 """
 
 from __future__ import annotations
@@ -51,3 +51,18 @@ def overlap_length(a: list[Segment], b: list[Segment]) -> float:
                 total += hi - lo
     return total
 
+
+def arc_overlaps(arcs_a: list[tuple], arcs_b: list[tuple], period: float) -> dict:
+    """{(label_a, label_b): measure of the angles that arcs of both labels hold}.
+
+    Each list holds disjoint (start, length, label) arcs. Every label pair of
+    the two lists gets a key, 0.0 if its arcs never meet, summed arc pair by
+    arc pair in list order; a label that one list lacks gets none."""
+    segs_b = [(label, unroll_arc(start, length, period)) for start, length, label in arcs_b]
+    acc: dict = {}
+    for start, length, label_a in arcs_a:
+        segs_a = unroll_arc(start, length, period)
+        for label_b, sb in segs_b:
+            key = (label_a, label_b)
+            acc[key] = acc.get(key, 0.0) + overlap_length(segs_a, sb)
+    return acc

@@ -287,18 +287,3 @@ def measure_many(
     """
     return _measure(phis, cfg_a.angle, cfg_b.angle, cfg_a, cfg_b, rng)
 
-
-def detection_windows(threshold: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Noise-free per-channel acceptance windows on the period-pi circle.
-
-    Returns ((start, length), (start, length)) arcs for the plus and minus
-    channels. A channel fires when its Malus fraction reaches the threshold,
-    which for thresholds in [0.5, 1] happens on disjoint arcs of width
-    2*acos(sqrt(T)) centered on 0 (plus) and pi/2 (minus). Below 0.5 the
-    windows would overlap (doubles acquire positive measure), so such
-    thresholds are rejected.
-    """
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
-    w = math.acos(math.sqrt(threshold))
-    return (math.pi - w, 2.0 * w), (0.5 * math.pi - w, 2.0 * w)

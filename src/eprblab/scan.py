@@ -36,14 +36,13 @@ from .domain import (
     correlation_stderr,
     match_probability,
 )
-from .intervals import overlap_length, unroll_arc
+from .intervals import arc_overlaps
 from .optics import (
     FixedBasisSource,
     IsotropicSource,
     SourceModel,
     StationConfig,
     _count_zero_noise,
-    detection_windows,
     emit_phis,
     measure_many,
 )
@@ -192,25 +191,22 @@ def coincidence_modulation(result: ScanResult) -> float:
 
 # --- exact zero-noise oracle -------------------------------------------------
 
-def _station_segments(threshold: float, shift: float) -> tuple[list, list]:
-    (p_start, p_len), (m_start, m_len) = detection_windows(threshold)
-    plus = unroll_arc(p_start + shift, p_len, math.pi)
-    minus = unroll_arc(m_start + shift, m_len, math.pi)
-    return plus, minus
+def _windows(threshold: float, shift: float, plus, minus) -> list[tuple]:
+    """A zero-noise station's firing arcs (start, length, label) on the period-pi
+    circle, turned by shift: each channel fires on an arc of width 2*acos(sqrt(T))
+    centered on 0 (plus) or pi/2 (minus). Below T = 0.5 the arcs would overlap,
+    giving doubles positive measure, so such thresholds are rejected."""
+    if not 0.5 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
+    w = math.acos(math.sqrt(threshold))
+    return [(math.pi - w + shift, 2.0 * w, plus), (0.5 * math.pi - w + shift, 2.0 * w, minus)]
 
 
 def _overlap_matrix(theta: float, t_a: float, t_b: float) -> dict[tuple[int, int], float]:
     # Work in psi = (phi - angle_a) mod pi. A's windows sit at shift 0. B
     # receives the orthogonal pulse, which swaps its plus/minus windows,
     # and its analyzer offset shifts them by theta = angle_b - angle_a.
-    a_plus, a_minus = _station_segments(t_a, 0.0)
-    b_minus, b_plus = _station_segments(t_b, theta)
-    return {
-        (1, 1): overlap_length(a_plus, b_plus),
-        (1, -1): overlap_length(a_plus, b_minus),
-        (-1, 1): overlap_length(a_minus, b_plus),
-        (-1, -1): overlap_length(a_minus, b_minus),
-    }
+    return arc_overlaps(_windows(t_a, 0.0, 1, -1), _windows(t_b, theta, -1, 1), math.pi)
 
 
 def analytic_correlation(theta: float, t_a: float, t_b: float) -> float:

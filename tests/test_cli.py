@@ -1,13 +1,18 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eprblab
 from eprblab.cli import build_parser, main
@@ -407,6 +412,12 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("chsh", "--pairs", "0"), "pairs_per_setting"),
         (("pathology", "--steps", "1"), "n_steps"),
         (("events", "gen", "--duration=-1"), "duration"),
+        (("events", "gen", "--rate", "1e9", "--duration", "1e9"),
+         "rate * duration = 1e+18 expected pairs > 16777216"),
+        # Event times are int64 ns: a time past 2**63 ns is refused, not wrapped.
+        (("events", "gen", "--jitter", "1e308"), "an event time is past 2**63 ns"),
+        (("events", "gen", "--rate", "1e-9", "--duration", "1e11", "--seed", "1"),
+         "an event time is past 2**63 ns"),
         (("events", "match", "--a", "none_a.csv", "--b", "none_b.csv", "--window", "10"),
          "none_a.csv"),
         # disk-demo refuses a flag that its figure does not read.
@@ -426,12 +437,15 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("disk-demo", "--figure", "5", "--policy", "assume-random", "--policy-value", "0.3"),
          "--figure 5 does not read --policy-value"),
         (("disk-demo", "--figure", "5", "--policy-value", "0.3"), "does not read --policy-value"),
+        (("disk-demo", "--figure", "5", "--policy", "assume-random", "--policy-a", "both-known",
+          "--policy-b", "both-known"), "--figure 5 does not read --policy"),
     ],
     ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
+         "events-gen-too-large", "events-gen-jitter-past-int64", "events-gen-time-past-int64",
          "events-match", "figure4-theta", "figure5-theta", "special-theta", "figure1-alpha",
          "figure2-beta", "figure3-alpha", "special-beta", "figure1-policy-value",
          "figure4-policy", "special-policy-a", "figure2-policy-b", "figure5-random-policy-value",
-         "figure5-default-policy-value"],
+         "figure5-default-policy-value", "figure5-policy-under-both-sides"],
 )
 def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
     monkeypatch.chdir(tmp_path)
@@ -559,10 +573,18 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[DEFAULT]\nthreshold = 0.75\n", ("[DEFAULT] threshold: unknown key",)),
         ("chsh", "[run]\nsteps = many\n", ("[run] steps", "'many'")),
         ("chsh", "[run]\nseed = 18446744073709551616\n", ("[run] seed", "below 2**64")),
+        # A file configparser cannot parse names its first bad line.
+        ("chsh", "[run]\nseed = 3\nbogus line\n", ("run.ini line 3", "not key = value")),
+        ("scan", "seed = 3\n", ("run.ini line 1", "no [section] header")),
+        ("chsh", "[run]\nseed = 3\nseed = 4\n", ("run.ini line 3", "repeats a key")),
+        ("chsh", "[run]\nseed = 3\n[run]\n", ("run.ini line 3", "repeats a [section]")),
+        # Values are read as written: a % is not interpolation syntax.
+        ("chsh", "[run]\nseed = 5%\n", ("[run] seed", "'5%'")),
     ],
     ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
          "threshold-text", "key-typo", "section-typo", "default-section", "unread-key-bad-value",
-         "seed-past-u64"],
+         "seed-past-u64", "bare-line", "no-section", "duplicate-key", "duplicate-section",
+         "percent-sign"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,
@@ -709,3 +731,116 @@ def test_events_match_digests_the_bytes_it_matched(tmp_path, monkeypatch):
     assert manifest["inputs"]["a"]["sha256"] == hashlib.sha256(matched).hexdigest()
     assert manifest["inputs"]["b"]["sha256"] == hashlib.sha256(b.read_bytes()).hexdigest()
     assert manifest["counters"]["records_a"] == len(matched.splitlines()) - 1 > 0
+
+
+# --- argv fuzz ----------------------------------------------------------------------
+
+#: Flag values: mostly valid, sometimes not a finite number or not a number.
+_bad = st.sampled_from(["nan", "inf", "-inf", "1e308", "abc", ""])
+_floats = st.one_of(st.floats(-10.0, 10.0).map(str), st.floats(-10.0, 10.0).map(str), _bad)
+_unit = st.one_of(st.floats(0.3, 1.0).map(str), st.floats(0.3, 1.0).map(str), _bad)
+_policy = st.sampled_from(["both-known", "assume-zero", "assume-fixed", "assume-random",
+                           "integrate", "guess"])
+_run = {
+    "--seed": st.one_of(st.integers(-1, 2**64), st.just("1.5")).map(str),
+    "--config": st.sampled_from(["good.ini", "bad.ini", "missing.ini"]),
+}
+_stations = {
+    **_run, **{f"--{k}": _unit for k in ("ta", "tb", "efficiency-a", "efficiency-b")},
+    "--noise-a": st.floats(-0.01, 0.2).map(str), "--noise-b": st.floats(-0.01, 0.2).map(str),
+    "--source": st.sampled_from(["isotropic", "fixed-hv", "fixd-hv"]), "--basis": _floats,
+}
+_steps, _pairs = st.integers(-1, 4).map(str), st.integers(-1, 500).map(str)
+#: Each subcommand's argv head, the flags it always gets (which bound its
+#: size, at most 500 pairs or trials, 4 steps and 1e3 expected events), and
+#: the flags it may get, each with a strategy for its value.
+_COMMANDS = {
+    "disk-demo": (("disk-demo",), {
+        "--figure": st.sampled_from(["1", "2", "3", "4", "5", "special", "6"]),
+        "--n": _pairs,
+    }, {
+        "--theta": _floats, "--alpha": _floats, "--beta": _floats,
+        "--kind": st.sampled_from(["anticorrelated", "correlated", "other"]),
+        "--policy": _policy, "--policy-a": _policy, "--policy-b": _policy,
+        "--policy-value": _floats, **_run,
+    }),
+    "scan": (("scan",), {"--steps": _steps, "--pairs": _pairs}, {
+        **_stations, "--alpha": _floats,
+        "--preset": st.sampled_from(["figure6", "figure7", "figure8-right", "figure9"]),
+    }),
+    "chsh": (("chsh",), {"--pairs": _pairs}, {
+        **_stations, **{f"--angle-{k}": _floats for k in ("a", "a2", "b", "b2")},
+    }),
+    "pathology": (("pathology",), {"--steps": _steps, "--pairs": _pairs}, {
+        **{k: v for k, v in _stations.items() if k != "--source"}, "--alpha": _floats,
+    }),
+    "events gen": (("events", "gen"), {
+        "--rate": st.floats(-10.0, 1e4).map(str), "--duration": st.floats(-0.01, 0.1).map(str),
+    }, {
+        **_stations, "--jitter": _floats, "--angles-a": st.tuples(_floats, _floats).map(",".join),
+        "--angles-b": st.sampled_from(["0,1", "1,2,3", "nan,0", "0"]),
+    }),
+    "events match": (("events", "match"), {
+        "--a": st.sampled_from(["a.csv", "a.csv", "unsorted.csv", "garbage.csv", "missing.csv"]),
+        "--b": st.sampled_from(["b.csv", "b.csv", "a.csv", "empty.csv"]),
+        "--window": st.one_of(st.integers(-5, 100).map(str), st.just("1.5")),
+    }, {}),
+}
+_JUNK = st.sampled_from(["--bogus", "-x", "", "nan", "--", "-1e-3", "--pairs", "=", "ü",
+                         "--config", "--help", "--version", "events"])
+
+
+@st.composite
+def _argv(draw):
+    head, always, optional = _COMMANDS[draw(st.sampled_from(sorted(_COMMANDS)))]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), max_size=5, unique=True)
+                  if optional else st.just([]))
+    argv = [*head]
+    for flag, values in [*always.items(), *((f, optional[f]) for f in chosen)]:
+        argv += [flag, draw(values)]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(_JUNK))
+    return argv
+
+
+#: The input files the fuzz names, by name: events files and config files.
+_FUZZ_INPUTS = {
+    **{name: "t_ns,setting,channel\n" + body for name, body in (
+        ("a.csv", "0,0,1\n10,1,-1\n30,0,-1\n"), ("b.csv", "2,0,-1\n31,1,1\n"),
+        ("unsorted.csv", "10,0,1\n5,0,1\n"), ("garbage.csv", "x,y\n"), ("empty.csv", ""))},
+    "good.ini": "[run]\nseed = 3\n[station_b]\nthreshold = 0.75\n",
+    "bad.ini": "[run]\nbogus line\n",
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FUZZ_INPUTS.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly_and_writes_whole_runs(fuzz_inputs, argv):
+    # Any argv exits 0, 1 or 2 with at most one stderr line and no traceback
+    # or warning, and --out is either absent or a whole run record.
+    argv = [str(fuzz_inputs / a) if a in _FUZZ_INPUTS else a for a in argv]
+    with tempfile.TemporaryDirectory(dir=fuzz_inputs) as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue() and not caught, (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+        if out.exists():
+            listed = json.loads((out / "manifest.json").read_text())["outputs"]
+            written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert sorted(listed) == written, argv

@@ -139,6 +139,33 @@ def test_generate_events_rejects_bad_duration(duration):
         generate_events(_config(), duration=duration, seed=1)
 
 
+@pytest.mark.parametrize("rate, duration", [(1e9, 1e9), (1e200, 1e200)], ids=["1e18", "inf"])
+def test_generate_events_refuses_too_many_expected_pairs(rate, duration):
+    # Refused before any draw; a guard that let these through would fail
+    # at allocation instead.
+    with pytest.raises(ValueError, match="expected pairs > 16777216"):
+        generate_events(_config(rate=rate), duration=duration, seed=1)
+
+
+@pytest.mark.parametrize("rate", [2.2250738585072014e-308, 5e-324])
+def test_tiny_rate_gives_an_empty_run_without_overflow_warnings(rate):
+    # Gaps near 1e308 s overflow their running sum to inf, which is past the
+    # duration; RuntimeWarning is an error here, so a warning fails the test.
+    assert generate_events(_config(rate=rate), duration=0.0625, seed=1).n_pairs == 0
+
+
+def test_event_times_past_int64_ns_are_refused():
+    with pytest.raises(ValueError, match="past 2\\*\\*63 ns"):
+        generate_events(_config(jitter=1e308), duration=0.01, seed=1)
+
+
+def test_expected_pairs_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(eventio, "_MAX_EXPECTED_PAIRS", 100)
+    assert generate_events(_config(), duration=0.1, seed=1).n_pairs > 0
+    with pytest.raises(ValueError, match="= 100.1 expected pairs > 100"):
+        generate_events(_config(), duration=0.1001, seed=1)
+
+
 def test_generation_counts_track_detection_probabilities():
     streams = generate_events(_config(rate=10_000.0), duration=1.0, seed=4)
     n = streams.n_pairs

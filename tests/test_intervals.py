@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from eprblab.intervals import overlap_length, unroll_arc
+from eprblab.intervals import arc_overlaps, overlap_length, unroll_arc
 
 PI = math.pi
 
@@ -75,3 +75,28 @@ def test_overlap_rotation_invariant(a, b, shift):
         unroll_arc(a[0] + shift, a[1], PI), unroll_arc(b[0] + shift, b[1], PI)
     )
     assert after == pytest.approx(before, abs=1e-9)
+
+
+def test_arc_overlaps_wraps_on_period_pi():
+    # A's plus arc wraps through pi; B's arcs sit on either side of the wrap.
+    a = [(3.0, 0.5, "+"), (1.0, 0.5, "-")]
+    b = [(0.0, 0.5, "x"), (3.1, 0.01, "y")]
+    got = arc_overlaps(a, b, PI)
+    assert got[("+", "x")] == overlap_length(unroll_arc(3.0, 0.5, PI), [(0.0, 0.5)])
+    assert got[("+", "x")] == pytest.approx(3.5 - PI, abs=1e-15)
+    assert got[("+", "y")] == pytest.approx(0.01, abs=1e-15)
+
+
+def test_arc_overlaps_keys_every_label_pair_and_only_those():
+    a = [(0.0, 1.0, 1), (1.0, 1.0, -1)]
+    b = [(0.5, 0.25, 1)]
+    # -1 and 1 never meet: 0.0, not a missing key. B has no -1: no such key.
+    assert arc_overlaps(a, b, PI) == {(1, 1): 0.25, (-1, 1): 0.0}
+    assert arc_overlaps(a, [], PI) == {}
+
+
+def test_arc_overlaps_adds_arcs_of_one_label_in_order():
+    # Two arcs labeled 1 on each side: the key sums the four arc overlaps.
+    a = [(0.0, 1.0, 1), (2.0, 1.0, 1)]
+    b = [(0.5, 2.0, 1), (2.75, 0.25, 1)]
+    assert arc_overlaps(a, b, PI) == {(1, 1): ((0.0 + 0.5) + 0.5) + 0.25}

@@ -13,12 +13,12 @@ from eprblab import (
     FixedBasisSource,
     IsotropicSource,
     StationConfig,
-    detection_windows,
     emit_phis,
     measure_many,
 )
 import eprblab.optics as optics
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
+from eprblab.scan import _windows
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -168,13 +168,14 @@ def test_singles_probability_closed_form_matches_grid():
 def test_singles_probability_rejects_low_thresholds():
     with pytest.raises(ValueError):
         singles_probability(0.4)
-    with pytest.raises(ValueError):
-        detection_windows(0.3)
+    with pytest.raises(ValueError, match="outside"):
+        _windows(0.3, 0.0, 1, -1)
 
 
 def test_detection_windows_cover_singles_probability():
+    # The zero-noise oracle's firing arcs (scan._windows) are the windows.
     for t in (0.5, 0.75, 0.92):
-        (_, lp), (_, lm) = detection_windows(t)
+        (_, lp, _), (_, lm, _) = _windows(t, 0.0, 1, -1)
         assert (lp + lm) / math.pi == pytest.approx(singles_probability(t), abs=1e-15)
 
 

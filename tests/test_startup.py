@@ -28,8 +28,8 @@ EXPORTED = {
         "sample_separated", "sample_split_many", "split_disk",
     ),
     "optics": (
-        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig",
-        "detection_windows", "emit_phis", "measure_many",
+        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig", "emit_phis",
+        "measure_many",
     ),
     "scan": (
         "STANDARD_CHSH_ANGLES", "ChshReport", "PathologyReport", "ScanConfig", "ScanResult",
