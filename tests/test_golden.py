@@ -60,12 +60,25 @@ RUNS = {
     "scan-nan": ("scan", "--ta", "1", "--tb", "1", "--steps", "3", "--pairs", "100",
                  "--seed", "12"),
     "events-match-nan": (*MATCH[:-1], "0"),
+    # Noise and losses, over more than one block of pairs: pinned before one count
+    # driver took over every stream.
+    "scan-noisy-lossy": ("scan", "--ta", "0.75", "--tb", "0.75", "--noise-b", "0.05",
+                         "--efficiency-b", "0.3", "--steps", "3", "--pairs", "40000",
+                         "--seed", "12"),
+    "chsh-noisy-lossy": ("chsh", "--noise-a", "0.02", "--efficiency-a", "0.5", "--pairs", "20000",
+                         "--seed", "16"),
+    "scan-fixed-hv-lossy": ("scan", "--source", "fixed-hv", "--efficiency-b", "0.5", "--steps",
+                            "3", "--pairs", "20000", "--seed", "12"),
 }
 
 #: Golden case -> the `events gen` run whose streams it reads from gen/.
 INPUTS = {"events-match": GEN, "events-match-nan": GEN_NAN}
 
 GOLDEN = {
+    "chsh-noisy-lossy": {
+        "chsh.csv": "28da5901dc372520bd5a5946adf0953b8452466336482e7b03b0036173c38576",
+        "summary.txt": "c4c8d804e7a4248e97396806eccabae68d3e0fa0dde35f1099a5f83afcb08f25",
+    },
     "chsh": {
         "chsh.csv": "3b9a04ed5c9c3ee26777d865390c496f8f20d9b2ff5052c50f1fc62fe817103a",
         "summary.txt": "feb357ca303a9fbbd421f6ca4ca4d97d9e6a375ac84edb4e2f11b27f57617641",
@@ -130,6 +143,14 @@ GOLDEN = {
         "scan.csv": "2f710b22b4bc5b0f2b1bd36fde9a51195116639a8042909eb1e293a704783c0a",
         "summary.txt": "f6fa8bd146ebf3ec52a638cee308f0bdc7b4fb2698a4831ce5fc3a3d605ebb45",
     },
+    "scan-fixed-hv-lossy": {
+        "scan.csv": "3f72701787664ef5409a96a097c716d595e7f44603eaf2ca9fc2866f9df39b1a",
+        "summary.txt": "b7ee3f0583eb06a869ec85f5389cceeea01a7f986650659b5254b2ee42a26f05",
+    },
+    "scan-noisy-lossy": {
+        "scan.csv": "6caccfb4cc43e1910b9d99f39638cf2764d09f41e7fa9a83d6dda670b4d9a880",
+        "summary.txt": "cad1ac05f3dca2e70eaf63e8fa72ca11e2a72624ad0a8b3dd27f28a5ceb40889",
+    },
     "scan-figure6": {
         "scan.csv": "c579028562f7930901f977d64bf6823fb6c5f45ec9abf60e2ae51c6dcaf657a2",
         "summary.txt": "0d163c7f5ec40388eaf9abe88f9718a3788b63faf6653c33f6d5586cfaeae285",
@@ -151,6 +172,7 @@ GOLDEN = {
 MANIFEST_KEYS = ("command", "config", "config_sha256", "counters", "inputs", "outputs", "seed")
 
 MANIFESTS = {
+    "chsh-noisy-lossy": "08fe48ee049831c00ffa3073d3e1e67090db8aae3ce10fdc5d34c8f527bc2eb5",
     "chsh": "6052cde7d9c2a1ef1b639bac41655f2a0b229a560ed776c93d5e6ed7f920bdcb",
     "disk-demo-1": "53a94a46d6a443aae8a9a1a755d5e185804ba934b11ee02960c297c1121aa4b4",
     "disk-demo-2": "6bfc363e65401ce01e01951e25cdea0ff0e1bf3db154c02ee06a5760226d5c2d",
@@ -167,6 +189,8 @@ MANIFESTS = {
     "events-match": "8db23fc9c556bceb417b363fb9eb2570c8678384aa5e4b32ec96bd982379bcf3",
     "pathology": "b8b8ee7254fd0d06363fdcbd67271cd19c09d42ef3ceaf63325af5e0d0f83a5d",
     "scan-nan": "c060955d2a493cee378a8b692e648154e8628595ad38fe0c9036b2f879417f0f",
+    "scan-fixed-hv-lossy": "8e1a901d8c8886c21953656a1138656d49ec7aba7e9ce8492aac5f40e56da3a9",
+    "scan-noisy-lossy": "4f280e649b8d9634266c3a28ae44c9a63bdc6773358da059b5ed391051e3804c",
     "scan-figure6": "90a3431d1f3202b7b047a961ae6289c77a111afaac89eb328088ef60821e47f8",
     "scan-figure7": "7b1a190607e44a239857facf5005c40949007c92cbb6c48b8112b17aec195dc4",
     "scan-figure8-left": "6eb708476075ab4b7785f8b41d012f47dc222c7d0f6994dd7aee5b3430b8a7d3",
