@@ -37,6 +37,9 @@ EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
 #: Most expected pairs generate_events draws: at ~150 B a pair, about 2.4 GiB.
 _MAX_EXPECTED_PAIRS = 2**24
+#: Jitter widths generate_events allows past duration before 2**63 ns. numpy's
+#: ziggurat draws no standard normal past 14 in magnitude.
+_JITTER_SIGMAS = 40
 
 
 class UnsortedEventsError(ValueError):
@@ -187,12 +190,16 @@ def generate_events(
     the single stream: emission gaps, A setting indices, B setting indices,
     pair polarizations, A detection draws, B detection draws, then (if
     jitter_sigma > 0) A and B latency jitter. More than _MAX_EXPECTED_PAIRS
-    expected pairs are refused before any draw.
+    expected pairs, or a duration plus _JITTER_SIGMAS jitter widths that
+    reaches 2**63 ns, are refused before any draw.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError(f"duration must be positive and finite, got {duration!r}")
     if not (expected := cfg.mean_rate * duration) <= _MAX_EXPECTED_PAIRS:
         raise ValueError(f"rate * duration = {expected:g} expected pairs > {_MAX_EXPECTED_PAIRS}")
+    if not (latest := duration + _JITTER_SIGMAS * cfg.jitter_sigma) * 1e9 < 2.0**63:
+        raise ValueError(f"event times could pass 2**63 ns: duration + {_JITTER_SIGMAS} * "
+                         f"jitter_sigma = {latest:g} s")
     rng = np.random.default_rng(seed)
     times = _emission_times(cfg.mean_rate, duration, rng)
     n = len(times)

@@ -24,20 +24,35 @@ evaluates the Malus split and the threshold in fixed blocks of _BLOCK_ROWS
 pairs, one after another on the calling thread. Each block reads and writes
 only its own slices, so the block size never changes an output byte.
 
-_count_zero_noise counts isotropic pairs at two stations with zero noise
-and full efficiency without a cosine per pair. There the pair angle is the
-only draw, and Generator.uniform(0, 2*pi) builds it from one raw PCG64
-uint64, so pairs can be grouped by the top bits of that draw. Per bucket,
-the Malus split at one point and a bound on its slope prove each station's
-code for every angle the bucket holds; the few pairs of unproven buckets
-run through _malus and _fire as above. The counts therefore equal those of
-emit_phis and measure_many on the same generator, as long as numpy builds
-uniform doubles from raw draws as it does today: the same construction
-every seeded output already rests on.
+_count_pairs counts a scan step or CHSH sub-run with the counts of emit_phis,
+measure_many and a tally on the same generator, in bounded memory. It reads
+the stream's segments in their draw order, _TABLE_ROWS pairs at a time: the
+pair-angle words, A's normals, A's thinning uniforms, B's normals, B's
+thinning uniforms. Each station takes one of three paths:
+
+- bucket (isotropic source, zero noise): Generator.uniform(0, 2*pi) builds
+  each angle from one raw PCG64 uint64, so pairs are grouped by the top
+  bits of that word. Per bucket, the Malus split at one point and a bound on
+  its slope prove the station's code for every angle the bucket holds; only
+  the pairs of unproven buckets run through _malus and _fire.
+- bit (fixed-hv source, zero noise): the pair angle is one of two exact
+  doubles, so the station's code is that of its basis bit.
+- full (noise): the block's angles are drawn again from a copy of the
+  generator taken before the angle words, and run through _malus and _fire
+  with the block's normals.
+
+Each station keeps one int8 code per pair, 2 bytes per pair in all, and its
+thinning pass turns the dropped trials into misses; when neither station has
+noise or losses, the angle words are the only draw and pairs are counted per
+bucket or bit with no per-pair code. This rests on numpy building uniform
+doubles from raw draws as it does today, and on block-wise normal, random
+and integers draws equalling one whole draw: the same construction every
+seeded output already rests on.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -59,12 +74,12 @@ from .domain import (
 #: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
 _BLOCK_ROWS = 1 << 15
 
-#: Pairs per raw draw of _count_zero_noise. Any value gives the same counts;
+#: Pairs per block of _count_pairs. Any value gives the same counts;
 #: 2**14 rows keep each block's arrays on the heap, where a freed block's
 #: pages serve the next (2**16-row blocks took ~200 page faults per 1e5 pairs).
 _TABLE_ROWS = 1 << 14
 
-#: _count_zero_noise groups pairs by this many top bits of their raw draw.
+#: The bucket path groups pairs by this many top bits of their raw draw.
 _BUCKET_BITS = 12
 _BUCKET_SHIFT = 64 - _BUCKET_BITS
 
@@ -123,8 +138,7 @@ def emit_phis(model: SourceModel, n: int, rng: np.random.Generator) -> np.ndarra
     """Vectorized pair polarizations for n emissions."""
     if isinstance(model, IsotropicSource):
         return rng.uniform(0.0, TWO_PI, n)
-    bits = rng.integers(0, 2, n)
-    return (model.basis + 0.5 * math.pi * bits) % TWO_PI
+    return _phis_of_words(model, rng.integers(0, 2, n))
 
 
 def _malus(delta):
@@ -212,8 +226,8 @@ def _bucket_phis() -> np.ndarray:
 
 
 def _bucket_codes(shift: float, cfg: StationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One station's code per bucket, and whether every angle of the bucket
-    is proven to give it.
+    """One station's code per bucket, and whether the bucket is unproven: some
+    angle of it may give another code.
 
     Rounding is monotone, so every angle of a bucket lands at a delta
     (phi + shift) - angle in [lo, hi]. |d(cos^2)/d delta| <= 1, so no channel
@@ -230,47 +244,124 @@ def _bucket_codes(shift: float, cfg: StationConfig) -> tuple[np.ndarray, np.ndar
     i_plus, i_minus = _malus(mid)
     codes = np.empty(mid.shape[0], dtype=np.int8)
     _fire(i_plus, i_minus, None, None, cfg, codes)
-    proven = (np.abs(i_plus - cfg.threshold) > margin) & (np.abs(i_minus - cfg.threshold) > margin)
-    return codes, proven
+    near = [np.abs(i - cfg.threshold) <= margin for i in (i_plus, i_minus)]
+    return codes, near[0] | near[1]
 
 
-def _count_zero_noise(n: int, cfg_a: StationConfig, cfg_b: StationConfig, rng) -> np.ndarray:
-    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, for n
-    isotropic pairs when both stations have noise_sigma 0 and efficiency 1.
+def _station_table(source: SourceModel, shift: float, cfg: StationConfig):
+    """A zero-noise station's code per key of the angle words (_draw_words), and
+    whether the key leaves it unproven; None for a noisy station.
 
-    phi is then the only draw, so the counts equal those of emit_phis,
-    measure_many and a tally of their codes on the same rng, which this
-    leaves in the same state. Pairs are grouped by the top _BUCKET_BITS bits
-    of their raw draw; a bucket where _bucket_codes proves both stations'
-    codes is counted from its size, and only the pairs of the other buckets
-    (under 1 % at most thresholds) go through _malus and _fire, in batches
-    of at least _TABLE_ROWS pairs or at the end. Raw draws come _TABLE_ROWS
-    at a time, so memory does not grow with n.
+    The isotropic source keys its words by bucket (_bucket_codes). The fixed-hv
+    words are the basis bits, and each bit is one exact angle, so its code
+    holds for every pair that draws it.
     """
-    code_a, proven_a = _bucket_codes(0.0, cfg_a)
-    code_b, proven_b = _bucket_codes(0.5 * math.pi, cfg_b)
-    proven = proven_a & proven_b
-    unproven = ~proven
-    per_bucket = np.zeros(1 << _BUCKET_BITS, dtype=np.int64)
+    if cfg.noise_sigma > 0.0:
+        return None
+    if isinstance(source, IsotropicSource):
+        return _bucket_codes(shift, cfg)
+    return _codes(_phis_of_words(source, np.arange(2)), shift, cfg), np.zeros(2, dtype=bool)
+
+
+def _draw_words(source: SourceModel, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The next m pairs' angle words, drawn as emit_phis draws them, and their
+    keys: the top _BUCKET_BITS bits of a raw PCG64 word, or the fixed-hv bit."""
+    if isinstance(source, IsotropicSource):
+        raw = rng.bit_generator.random_raw(m)
+        # bincount and take read signed indices; the shifted words are below 2**_BUCKET_BITS.
+        return raw, (raw >> np.uint64(_BUCKET_SHIFT)).view(np.int64)
+    bits = rng.integers(0, 2, m)
+    return bits, bits
+
+
+def _phis_of_words(source: SourceModel, words: np.ndarray) -> np.ndarray:
+    """The pair angles emit_phis makes of these angle words."""
+    if isinstance(source, IsotropicSource):
+        return _phis_of_raw(words)
+    return (source.basis + 0.5 * math.pi * words) % TWO_PI
+
+
+def _codes(phis, shift, cfg: StationConfig) -> np.ndarray:
+    """A zero-noise station's codes of these pair angles."""
+    codes = np.empty(phis.shape[0], dtype=np.int8)
+    _station_block(phis, shift, cfg.angle, None, None, cfg, codes)
+    return codes
+
+
+def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
+    """Cell counts of _count_pairs when the angle words are the only draw.
+
+    A key whose code both tables prove is counted from its size; the pairs of
+    the other keys go through _malus and _fire in batches of at least
+    _TABLE_ROWS pairs, or at the end. No per-pair code is kept.
+    """
+    (code_a, unproven_a), (code_b, unproven_b) = tables
+    unproven = unproven_a | unproven_b
+    per_key = np.zeros(unproven.shape[0], dtype=np.int64)
     counts = np.zeros(16, dtype=np.int64)
     pending: list[np.ndarray] = []
     n_pending = 0
     for start in range(0, n, _TABLE_ROWS):
-        raw = rng.bit_generator.random_raw(min(_TABLE_ROWS, n - start))
-        # bincount takes signed indices; the shifted words are below 2**_BUCKET_BITS.
-        bucket = (raw >> np.uint64(_BUCKET_SHIFT)).view(np.int64)
-        per_bucket += np.bincount(bucket, minlength=per_bucket.shape[0])
-        pending.append(raw[unproven[bucket]])
+        words, key = _draw_words(source, min(_TABLE_ROWS, n - start), rng)
+        per_key += np.bincount(key, minlength=per_key.shape[0])
+        pending.append(words[unproven[key]])
         n_pending += pending[-1].shape[0]
         if n_pending >= _TABLE_ROWS or start + _TABLE_ROWS >= n:
-            phis = _phis_of_raw(np.concatenate(pending))
-            codes = np.empty((2, phis.shape[0]), dtype=np.int8)
-            _station_block(phis, 0.0, cfg_a.angle, None, None, cfg_a, codes[0])
-            _station_block(phis, 0.5 * math.pi, cfg_b.angle, None, None, cfg_b, codes[1])
-            counts += _tally(*codes)
+            phis = _phis_of_words(source, np.concatenate(pending))
+            counts += _tally(*(_codes(phis, shift, cfg) for shift, cfg in stations))
             pending, n_pending = [], 0
-    np.add.at(counts, _cells(code_a, code_b)[proven], per_bucket[proven])
+    proven = ~unproven
+    np.add.at(counts, _cells(code_a, code_b)[proven], per_key[proven])
     return counts
+
+
+def _count_pairs(
+    source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
+) -> np.ndarray:
+    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, of n
+    pairs from source measured at the two stations.
+
+    The counts equal those of emit_phis, measure_many and a tally of their
+    codes on the same rng, which this leaves in the same state. The draws
+    are read in stream order, _TABLE_ROWS pairs at a time: the angle words,
+    then A's normals and thinning uniforms, then B's. Each station keeps one
+    int8 code per pair, set by one of three paths: a zero-noise station reads
+    it from its _station_table (the bucket path for the isotropic source, the
+    bit path for fixed-hv), and a noisy station (the full path) draws its
+    block's angles again from a copy of the generator taken before the angle
+    words, then runs _malus and _fire with the block's normals. A station's
+    thinning pass then turns its dropped trials into misses. When neither
+    station has noise or losses, _count_keys counts per key instead.
+    """
+    stations = ((0.0, cfg_a), (0.5 * math.pi, cfg_b))
+    tables = [_station_table(source, shift, cfg) for shift, cfg in stations]
+    if None not in tables and cfg_a.efficiency == cfg_b.efficiency == 1.0:
+        return _count_keys(source, n, stations, tables, rng)
+    before_words = copy.deepcopy(rng.bit_generator) if None in tables else None
+    codes = np.empty((2, n), dtype=np.int8)
+    blocks = [slice(start, min(start + _TABLE_ROWS, n)) for start in range(0, n, _TABLE_ROWS)]
+    for rows in blocks:
+        words, key = _draw_words(source, rows.stop - rows.start, rng)
+        for (shift, cfg), table, out in zip(stations, tables, codes):
+            if table is not None:
+                station_codes, unproven = table
+                np.take(station_codes, key, out=out[rows], mode="clip")
+                unsure = unproven[key]
+                if unsure.any():
+                    out[rows][unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg)
+    for (shift, cfg), table, out in zip(stations, tables, codes):
+        if table is None:
+            again = np.random.Generator(copy.deepcopy(before_words))
+            for rows in blocks:
+                m = rows.stop - rows.start
+                phis = emit_phis(source, m, again)
+                noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
+                _station_block(phis, shift, cfg.angle, noise, None, cfg, out[rows])
+        if cfg.efficiency < 1.0:
+            for rows in blocks:
+                # MISS_CODE is 0: a dropped trial's code times False is a miss.
+                out[rows] *= rng.random(rows.stop - rows.start) < cfg.efficiency
+    return _tally(*codes)
 
 
 def measure_many(

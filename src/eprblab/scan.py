@@ -11,13 +11,11 @@ instead of sampling them.
 
 Every step runs on its own random stream derived from (base seed, step
 index), so steps can execute in any order or in parallel without changing
-the result, and identical (config, seed) reproduce identical output. A
-step or CHSH sub-run with an isotropic source and two stations without
-noise or losses is counted by optics._count_zero_noise from a per-bucket
-code table, in bounded memory; every other stream goes through
-optics.measure_many, which evaluates the stations block by block. Both
-give the counts of the same per-pair kernel, and the blocking changes no
-output byte.
+the result, and identical (config, seed) reproduce identical output. Each
+step or CHSH sub-run is counted by optics._count_pairs, which walks the
+stream in blocks and keeps at most one int8 code per pair and station; its
+counts are those of drawing and measuring every pair with emit_phis and
+measure_many, and the blocking changes no output byte.
 """
 
 from __future__ import annotations
@@ -42,9 +40,7 @@ from .optics import (
     IsotropicSource,
     SourceModel,
     StationConfig,
-    _count_zero_noise,
-    emit_phis,
-    measure_many,
+    _count_pairs,
 )
 
 DEFAULT_SCAN_STEPS = 33
@@ -103,14 +99,6 @@ class ScanResult:
     config: ScanConfig
     steps: tuple[ScanStep, ...]
 
-    @property
-    def total_singles_a(self) -> int:
-        return sum(s.counts.singles_a for s in self.steps)
-
-    @property
-    def total_singles_b(self) -> int:
-        return sum(s.counts.singles_b for s in self.steps)
-
 
 def tabulate_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> CountTable:
     """CountTable from two stations' outcome-code arrays.
@@ -125,17 +113,8 @@ def tabulate_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> CountTable:
 def _count_stream(
     source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
 ) -> CountTable:
-    """Counts of n pairs emitted by source on rng and measured by the two stations.
-
-    Isotropic pairs at stations with zero noise and full efficiency take
-    optics._count_zero_noise, which counts them from a per-bucket code
-    table; every other regime draws and measures every pair.
-    """
-    if isinstance(source, IsotropicSource) and all(
-        c.noise_sigma == 0.0 and c.efficiency == 1.0 for c in (cfg_a, cfg_b)
-    ):
-        return CountTable.from_cells(_count_zero_noise(n, cfg_a, cfg_b, rng))
-    return tabulate_codes(*measure_many(emit_phis(source, n, rng), cfg_a, cfg_b, rng))
+    """Counts of n pairs emitted by source on rng and measured by the two stations."""
+    return CountTable.from_cells(_count_pairs(source, cfg_a, cfg_b, n, rng))
 
 
 def run_scan_step(cfg: ScanConfig, step_index: int) -> ScanStep:
@@ -166,10 +145,10 @@ def singles_asymmetry(result: ScanResult) -> float:
     Near 1 when both sides are calibrated alike; a miscalibrated side
     shrinks its own singles stream and drags the ratio away from 1.
     """
-    total_a = result.total_singles_a
+    total_a = sum(s.counts.singles_a for s in result.steps)
     if total_a == 0:
         raise ValueError("no singles at station A")
-    return result.total_singles_b / total_a
+    return sum(s.counts.singles_b for s in result.steps) / total_a
 
 
 def coincidence_modulation(result: ScanResult) -> float:

@@ -415,9 +415,11 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("events", "gen", "--rate", "1e9", "--duration", "1e9"),
          "rate * duration = 1e+18 expected pairs > 16777216"),
         # Event times are int64 ns: a time past 2**63 ns is refused, not wrapped.
-        (("events", "gen", "--jitter", "1e308"), "an event time is past 2**63 ns"),
+        (("events", "gen", "--jitter", "1e308"), "event times could pass 2**63 ns"),
         (("events", "gen", "--rate", "1e-9", "--duration", "1e11", "--seed", "1"),
-         "an event time is past 2**63 ns"),
+         "event times could pass 2**63 ns: duration + 40 * jitter_sigma = 1e+11 s"),
+        (("events", "gen", "--jitter", "1e10", "--duration", "0.01"),
+         "event times could pass 2**63 ns"),
         (("events", "match", "--a", "none_a.csv", "--b", "none_b.csv", "--window", "10"),
          "none_a.csv"),
         # disk-demo refuses a flag that its figure does not read.
@@ -442,7 +444,8 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
     ],
     ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
          "events-gen-too-large", "events-gen-jitter-past-int64", "events-gen-time-past-int64",
-         "events-match", "figure4-theta", "figure5-theta", "special-theta", "figure1-alpha",
+         "events-gen-jitter-before-draws", "events-match", "figure4-theta", "figure5-theta",
+         "special-theta", "figure1-alpha",
          "figure2-beta", "figure3-alpha", "special-beta", "figure1-policy-value",
          "figure4-policy", "special-policy-a", "figure2-policy-b", "figure5-random-policy-value",
          "figure5-default-policy-value", "figure5-policy-under-both-sides"],

@@ -154,9 +154,23 @@ def test_tiny_rate_gives_an_empty_run_without_overflow_warnings(rate):
     assert generate_events(_config(rate=rate), duration=0.0625, seed=1).n_pairs == 0
 
 
-def test_event_times_past_int64_ns_are_refused():
-    with pytest.raises(ValueError, match="past 2\\*\\*63 ns"):
+def test_event_times_past_int64_ns_are_refused(monkeypatch):
+    with pytest.raises(ValueError, match=r"could pass 2\*\*63 ns: duration \+ 40 \* jitter_sigma"):
         generate_events(_config(jitter=1e308), duration=0.01, seed=1)
+    # The check of every rounded time stays as a backstop behind the bound.
+    monkeypatch.setattr(eventio, "_JITTER_SIGMAS", 0)
+    with pytest.raises(ValueError, match="an event time is past 2\\*\\*63 ns"):
+        generate_events(_config(jitter=1e10), duration=0.01, seed=1)
+
+
+@pytest.mark.parametrize("duration, jitter", [(1e10, 0.0), (0.01, 1e10), (9.2e9, 1e6)])
+def test_event_times_past_int64_ns_are_refused_before_any_draw(monkeypatch, duration, jitter):
+    def no_draws(*args):
+        raise AssertionError("drew emission times")
+
+    monkeypatch.setattr(eventio, "_emission_times", no_draws)
+    with pytest.raises(ValueError, match="could pass 2\\*\\*63 ns"):
+        generate_events(_config(rate=1e-9, jitter=jitter), duration=duration, seed=1)
 
 
 def test_expected_pairs_limit_is_inclusive(monkeypatch):

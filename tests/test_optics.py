@@ -1,3 +1,4 @@
+import copy
 import math
 import multiprocessing
 import sys
@@ -371,7 +372,7 @@ def test_per_pair_angles_equal_reference(n):
     assert np.array_equal(got[0], want_a) and np.array_equal(got[1], want_b)
 
 
-# --- the numpy identities the zero-noise count table rests on ------------------------------
+# --- the numpy identities the count driver rests on ----------------------------------------
 
 TABLE_ROWS = optics._TABLE_ROWS
 TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
@@ -381,7 +382,7 @@ IDENTITY_SEEDS = ([0, 0], [1, 7], [2**32 - 1, 32], [123456789, 3])
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
 @pytest.mark.parametrize("n", TABLE_EDGE_N)
 def test_uniform_angles_are_built_from_raw_draws(seed, n):
-    # _count_zero_noise reads the pair angles of emit_phis off raw PCG64 draws.
+    # The bucket path reads the pair angles of emit_phis off raw PCG64 draws.
     want = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
     raw = np.random.default_rng(seed).bit_generator.random_raw(n)
     assert np.array_equal(optics._phis_of_raw(raw), want)
@@ -396,6 +397,40 @@ def test_raw_draws_in_blocks_equal_one_draw(seed, n):
     parts = [blocked.random_raw(min(TABLE_ROWS, n - s)) for s in range(0, n, TABLE_ROWS)]
     assert np.array_equal(np.concatenate(parts), whole.random_raw(n))
     assert blocked.random_raw() == whole.random_raw()
+
+
+STREAM_SEGMENTS = {
+    "normal": lambda g, m: g.normal(0.0, 0.05, (m, 2)),
+    "random": lambda g, m: g.random(m),
+    "integers": lambda g, m: g.integers(0, 2, m),
+}
+
+
+@pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+@pytest.mark.parametrize("n", TABLE_EDGE_N)
+@pytest.mark.parametrize("segment", sorted(STREAM_SEGMENTS))
+def test_stream_segments_drawn_in_blocks_equal_one_draw(segment, n, seed):
+    # The count driver draws each segment of a stream _TABLE_ROWS pairs at a
+    # time; numpy must give the values and the end state of one whole draw.
+    draw = STREAM_SEGMENTS[segment]
+    whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = draw(whole, n)
+    parts = [draw(blocked, min(TABLE_ROWS, n - s)) for s in range(0, n, TABLE_ROWS)]
+    assert np.array_equal(np.concatenate(parts), want), f"{segment} drawn in blocks differs"
+    assert blocked.bit_generator.state == whole.bit_generator.state, f"{segment} ends elsewhere"
+
+
+@pytest.mark.parametrize("seed", IDENTITY_SEEDS)
+def test_raw_draws_end_where_uniform_angles_end(seed):
+    # The driver takes its angle words with random_raw and draws the angles
+    # again from a copy of the generator taken before them.
+    angles, words = np.random.default_rng(seed), np.random.default_rng(seed)
+    before = copy.deepcopy(words.bit_generator)
+    want = angles.uniform(0.0, TWO_PI, TABLE_ROWS + 1)
+    words.bit_generator.random_raw(TABLE_ROWS + 1)
+    assert words.bit_generator.state == angles.bit_generator.state
+    again = np.random.Generator(before)
+    assert np.array_equal(again.uniform(0.0, TWO_PI, TABLE_ROWS + 1), want)
 
 
 def test_bucket_angles_bound_their_draws():

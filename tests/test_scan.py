@@ -455,22 +455,96 @@ def test_zero_noise_counts_equal_every_pair_measured(n, cfg_a, cfg_b, seed):
     assert rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
 
 
-@pytest.mark.parametrize(
-    "source, cfg_b, table",
-    [
-        (IsotropicSource(), StationConfig(0.3, 0.75), True),
-        (FixedBasisSource(0.0), StationConfig(0.3, 0.75), False),
-        (IsotropicSource(), StationConfig(0.3, 0.75, noise_sigma=0.05), False),
-        (IsotropicSource(), StationConfig(0.3, 0.75, efficiency=0.3), False),
-    ],
+TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
+REGIMES = [(sigma_a, eta_a, sigma_b, eta_b)
+           for sigma_a in (0.0, 0.03) for eta_a in (1.0, 0.4)
+           for sigma_b in (0.0, 0.05) for eta_b in (1.0, 0.3)]
+driver_angles = st.integers(-8, 8).map(lambda k: k * PI / 8) | st.floats(-7.0, 7.0)
+driver_thresholds = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("isotropic", [True, False], ids=["isotropic", "fixed-hv"])
+@pytest.mark.parametrize("sigma_a, eta_a, sigma_b, eta_b", REGIMES)
+@settings(max_examples=6, deadline=None)
+@given(
+    n=st.sampled_from(TABLE_EDGE_N),
+    angle_a=driver_angles,
+    angle_b=driver_angles,
+    t_a=driver_thresholds,
+    t_b=driver_thresholds,
+    basis=driver_angles,
+    seed=st.integers(0, 2**32),
 )
-def test_count_stream_takes_the_table_only_without_noise_or_loss(monkeypatch, source, cfg_b, table):
-    calls = []
-    monkeypatch.setattr(scan, "measure_many", lambda *a: calls.append(1) or measure_many(*a))
-    cfg_a = StationConfig(0.0, 0.5)
-    got = scan._count_stream(source, cfg_a, cfg_b, 1000, np.random.default_rng(4))
-    assert got == reference_count(source, cfg_a, cfg_b, 1000, np.random.default_rng(4))
-    assert (not calls) == table
+# fixed-hv with A bisecting the basis: every A trial sits on the exact 0.5 tie.
+@example(n=3 * TABLE_ROWS + 5, angle_a=PI / 4, angle_b=PI / 8, t_a=0.5, t_b=0.5, basis=0.0,
+         seed=1)
+def test_count_driver_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigma_b, eta_b,
+                                                 n, angle_a, angle_b, t_a, t_b, basis, seed):
+    # Every combination of noise and loss per station, on both sources: the
+    # counts and the generator's end state are those of the per-pair chain.
+    source = IsotropicSource() if isotropic else FixedBasisSource(basis)
+    cfg_a = StationConfig(angle_a, t_a, sigma_a, eta_a)
+    cfg_b = StationConfig(angle_b, t_b, sigma_b, eta_b)
+    rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+    got = scan._count_stream(source, cfg_a, cfg_b, n, rng)
+    assert got == reference_count(source, cfg_a, cfg_b, n, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_count_driver_keeps_a_callers_buffered_half_word():
+    # fixed-hv bits come from 32-bit halves of raw words; a half left over by an
+    # earlier draw must be read, and left, as the per-pair chain reads it.
+    cfg_a = StationConfig(0.1, 0.5, 0.02)
+    cfg_b = StationConfig(0.2, 0.5, 0.0, 0.5)
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for g in (rng, ref_rng):
+        g.integers(0, 2, 3)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    for source in (FixedBasisSource(0.0), IsotropicSource()):
+        got = scan._count_stream(source, cfg_a, cfg_b, TABLE_ROWS + 3, rng)
+        assert got == reference_count(source, cfg_a, cfg_b, TABLE_ROWS + 3, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "source, cfg_a, cfg_b, paths",
+    [
+        (IsotropicSource(), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75),
+         ("bucket", "bucket")),
+        (FixedBasisSource(0.0), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75), ("bit", "bit")),
+        (IsotropicSource(), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75, 0.05),
+         ("bucket", "full")),
+        (IsotropicSource(), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75, 0.0, 0.3),
+         ("bucket", "bucket")),
+        (IsotropicSource(), StationConfig(0.0, 0.5, 0.0, 0.4), StationConfig(0.3, 0.75, 0.05, 0.3),
+         ("bucket", "full")),
+        (IsotropicSource(), StationConfig(0.0, 0.5, 0.02), StationConfig(0.3, 0.75, 0.0, 0.3),
+         ("full", "bucket")),
+        (FixedBasisSource(0.0), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75, 0.0, 0.5),
+         ("bit", "bit")),
+        (FixedBasisSource(0.2), StationConfig(0.0, 0.5, 0.02), StationConfig(0.3, 0.75),
+         ("full", "bit")),
+    ],
+    ids=["bucket-bucket", "bit-bit", "bucket-full", "bucket-lossy-bucket", "lossy-bucket-full",
+         "full-lossy-bucket", "bit-lossy-bit", "full-bit"],
+)
+def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b, paths):
+    # Rows each station sends through the Malus/threshold kernel, keyed by its
+    # pulse shift: every pair on the full path, the two exact angles on the bit
+    # path, and only the pairs of unproven buckets on the bucket path.
+    n = 2 * TABLE_ROWS + 1
+    want = reference_count(source, cfg_a, cfg_b, n, np.random.default_rng(4))
+    rows = {0.0: 0, 0.5 * PI: 0}
+    kernel = optics._station_block
+
+    def counting_kernel(phi, shift, *rest):
+        rows[shift] += phi.shape[0]
+        return kernel(phi, shift, *rest)
+
+    monkeypatch.setattr(optics, "_station_block", counting_kernel)
+    assert scan._count_stream(source, cfg_a, cfg_b, n, np.random.default_rng(4)) == want
+    expected = {"full": lambda r: r == n, "bit": lambda r: r == 2, "bucket": lambda r: r < n // 50}
+    assert [expected[p](rows[shift]) for p, shift in zip(paths, (0.0, 0.5 * PI))] == [True, True]
 
 
 def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
@@ -485,6 +559,33 @@ def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
         tracemalloc.stop()
     assert report.tables[0][0].n_pairs == n
     assert peak < 4 * 2**20  # a single float64 angle array of n pairs is 8 MiB
+
+
+#: Per-block temporaries allowed on top of the two int8 codes per pair: sixteen
+#: float64 arrays of one block of pairs.
+BLOCK_ALLOWANCE = 16 * 8 * TABLE_ROWS
+
+
+@pytest.mark.parametrize(
+    "source, cfg_a, cfg_b",
+    [
+        (IsotropicSource(), StationConfig(0.0, 0.75), StationConfig(0.3, 0.75, 0.05, 0.3)),
+        (FixedBasisSource(0.0), StationConfig(0.0, 0.5), StationConfig(0.3, 0.75, 0.0, 0.5)),
+        (FixedBasisSource(0.0), StationConfig(0.0, 0.5, 0.05), StationConfig(0.3, 0.75, 0.0, 0.5)),
+    ],
+    ids=["noisy-lossy", "fixed-hv-lossy", "fixed-hv-noisy"],
+)
+def test_count_stream_memory_is_two_bytes_per_pair(source, cfg_a, cfg_b):
+    n = 32 * TABLE_ROWS
+    rng = np.random.default_rng(22)
+    tracemalloc.start()
+    try:
+        counts = scan._count_stream(source, cfg_a, cfg_b, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.n_pairs == n
+    assert peak <= 2 * n + BLOCK_ALLOWANCE  # the per-pair chain holds ~25-35 B per pair
 
 
 # --- pathology probe ----------------------------------------------------------------------------
