@@ -28,26 +28,31 @@ _count_pairs counts a scan step or CHSH sub-run with the counts of emit_phis,
 measure_many and a tally on the same generator, in bounded memory. It reads
 the stream's segments in their draw order, _TABLE_ROWS pairs at a time: the
 pair-angle words, A's normals, A's thinning uniforms, B's normals, B's
-thinning uniforms. Each station takes one of three paths:
+thinning uniforms. Generator.uniform(0, 2*pi) builds each isotropic angle
+from one raw PCG64 uint64, so pairs are keyed by the top bits of that word
+(a bucket); a fixed-hv pair is keyed by its basis bit, one of two exact
+angles. Per key, the Malus split at one point and a bound on its slope bound
+a station's channel intensities (_key_bounds), and a channel whose bounds
+do not straddle the threshold is decided without a cosine. Each station
+takes one of three paths:
 
-- bucket (isotropic source, zero noise): Generator.uniform(0, 2*pi) builds
-  each angle from one raw PCG64 uint64, so pairs are grouped by the top
-  bits of that word. Per bucket, the Malus split at one point and a bound on
-  its slope prove the station's code for every angle the bucket holds; only
-  the pairs of unproven buckets run through _malus and _fire.
-- bit (fixed-hv source, zero noise): the pair angle is one of two exact
-  doubles, so the station's code is that of its basis bit.
-- full (noise): the block's angles are drawn again from a copy of the
-  generator taken before the angle words, and run through _malus and _fire
-  with the block's normals.
+- bucket (isotropic source, zero noise): a code per bucket, proven for every
+  angle the bucket holds; only the pairs of unproven buckets run through
+  _malus and _fire.
+- bit (fixed-hv source, zero noise): a code per basis bit.
+- full (noise): the block's angle words are drawn again from a copy of the
+  generator taken before them, and the bounds plus each pair's normals
+  decide its code; only the pairs the bounds leave open (well under 1 % at
+  the noise widths the scans use) run through _malus and _fire.
 
-Each station keeps one int8 code per pair, 2 bytes per pair in all, and its
-thinning pass turns the dropped trials into misses; when neither station has
-noise or losses, the angle words are the only draw and pairs are counted per
-bucket or bit with no per-pair code. This rests on numpy building uniform
-doubles from raw draws as it does today, and on block-wise normal, random
-and integers draws equalling one whole draw: the same construction every
-seeded output already rests on.
+Each station keeps one int8 code per pair, 2 bytes per pair in all. Its
+thinning pass reads its uniforms where its normals end and turns the
+dropped trials into misses. When neither station has noise or losses, the
+angle words are the only draw, and pairs are counted per key with no
+per-pair code. This rests on numpy building uniform doubles from raw draws
+as it does today, and on block-wise normal, random and integers draws
+equalling one whole draw: the same construction every seeded output
+already rests on.
 """
 
 from __future__ import annotations
@@ -225,42 +230,45 @@ def _bucket_phis() -> np.ndarray:
     return bounds
 
 
-def _bucket_codes(shift: float, cfg: StationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """One station's code per bucket, and whether the bucket is unproven: some
-    angle of it may give another code.
+def _key_bounds(source: SourceModel, shift: float, cfg: StationConfig):
+    """Per key of the angle words (_draw_words), bounds on the intensities
+    _malus gives a pair angle with that key here: (plus_lo, plus_hi,
+    minus_lo, minus_hi).
 
-    Rounding is monotone, so every angle of a bucket lands at a delta
-    (phi + shift) - angle in [lo, hi]. |d(cos^2)/d delta| <= 1, so no channel
-    of the bucket crosses the threshold when its intensity at a point of
-    [lo, hi] clears it by the distance to either end; 1e-9 more covers the
-    rounding of _malus, which is below 1e-15.
+    An isotropic key is a bucket. Rounding is monotone, so every angle of a
+    bucket lands at a delta (phi + shift) - angle in [lo, hi], and
+    |d(cos^2)/d delta| <= 1, so the plus intensity stays within the distance
+    to either end of its value at a point of [lo, hi]; 1e-9 more covers the
+    rounding of _malus, which is below 1e-15. A fixed-hv key is one exact
+    angle, whose intensity is exact. The minus intensity is 1 - plus, rounded
+    as _malus rounds it, so 1 - plus_hi and 1 - plus_lo bound it.
     """
-    phi_lo, phi_hi = _bucket_phis()
-    lo = (phi_lo + shift) - cfg.angle
-    hi = (phi_hi + shift) - cfg.angle
-    mid = 0.5 * (lo + hi)
-    # Both differences are exact (Sterbenz) or far below the 1e-9 slack.
-    margin = np.maximum(hi - mid, mid - lo) + 1e-9
-    i_plus, i_minus = _malus(mid)
-    codes = np.empty(mid.shape[0], dtype=np.int8)
-    _fire(i_plus, i_minus, None, None, cfg, codes)
-    near = [np.abs(i - cfg.threshold) <= margin for i in (i_plus, i_minus)]
-    return codes, near[0] | near[1]
+    if isinstance(source, FixedBasisSource):
+        plus_lo = plus_hi = _malus((_phis_of_words(source, np.arange(2)) + shift) - cfg.angle)[0]
+    else:
+        phi_lo, phi_hi = _bucket_phis()
+        lo = (phi_lo + shift) - cfg.angle
+        hi = (phi_hi + shift) - cfg.angle
+        mid = 0.5 * (lo + hi)
+        # Both differences are exact (Sterbenz) or far below the 1e-9 slack.
+        margin = np.maximum(hi - mid, mid - lo) + 1e-9
+        i_plus = _malus(mid)[0]
+        plus_lo, plus_hi = i_plus - margin, i_plus + margin
+    return plus_lo, plus_hi, 1.0 - plus_hi, 1.0 - plus_lo
+
+
+def _code_of(plus: np.ndarray, minus: np.ndarray, out: np.ndarray) -> None:
+    """Write the codes of these fired-channel flags to out."""
+    np.take(_CODE_OF_FIRED, (minus.view(np.int8) << 1) | plus.view(np.int8), out=out, mode="clip")
 
 
 def _station_table(source: SourceModel, shift: float, cfg: StationConfig):
-    """A zero-noise station's code per key of the angle words (_draw_words), and
-    whether the key leaves it unproven; None for a noisy station.
-
-    The isotropic source keys its words by bucket (_bucket_codes). The fixed-hv
-    words are the basis bits, and each bit is one exact angle, so its code
-    holds for every pair that draws it.
-    """
-    if cfg.noise_sigma > 0.0:
-        return None
-    if isinstance(source, IsotropicSource):
-        return _bucket_codes(shift, cfg)
-    return _codes(_phis_of_words(source, np.arange(2)), shift, cfg), np.zeros(2, dtype=bool)
+    """A zero-noise station's code per key of the angle words, and whether the
+    key leaves it unproven: a channel's bounds straddle the threshold."""
+    plus_lo, plus_hi, minus_lo, minus_hi = (b >= cfg.threshold for b in _key_bounds(source, shift, cfg))
+    codes = np.empty(plus_lo.shape[0], dtype=np.int8)
+    _code_of(plus_lo, minus_lo, codes)
+    return codes, (plus_lo != plus_hi) | (minus_lo != minus_hi)
 
 
 def _draw_words(source: SourceModel, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -281,10 +289,10 @@ def _phis_of_words(source: SourceModel, words: np.ndarray) -> np.ndarray:
     return (source.basis + 0.5 * math.pi * words) % TWO_PI
 
 
-def _codes(phis, shift, cfg: StationConfig) -> np.ndarray:
-    """A zero-noise station's codes of these pair angles."""
+def _codes(phis, shift, cfg: StationConfig, noise=None) -> np.ndarray:
+    """A station's codes of these pair angles, before thinning."""
     codes = np.empty(phis.shape[0], dtype=np.int8)
-    _station_block(phis, shift, cfg.angle, None, None, cfg, codes)
+    _station_block(phis, shift, cfg.angle, noise, None, cfg, codes)
     return codes
 
 
@@ -306,6 +314,10 @@ def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
         per_key += np.bincount(key, minlength=per_key.shape[0])
         pending.append(words[unproven[key]])
         n_pending += pending[-1].shape[0]
+        # Free the block before the next draw, which then reuses its heap
+        # pages; freed at the top of the heap, they would be trimmed and
+        # faulted in again.
+        del words, key
         if n_pending >= _TABLE_ROWS or start + _TABLE_ROWS >= n:
             phis = _phis_of_words(source, np.concatenate(pending))
             counts += _tally(*(_codes(phis, shift, cfg) for shift, cfg in stations))
@@ -315,48 +327,65 @@ def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
     return counts
 
 
+def _noisy_codes(source, shift, cfg: StationConfig, again, rng, blocks, out: np.ndarray) -> None:
+    """A noisy station's codes before thinning, block by block: the full path.
+
+    Each block's angle words come again from the generator copy again, and
+    its normals from rng. A channel fires when its intensity plus its noise
+    is >= the threshold, and rounding the sum is monotone, so the channel's
+    _key_bounds decide it unless they straddle the threshold; only such
+    pairs go through _malus and _fire.
+    """
+    bounds = _key_bounds(source, shift, cfg)
+    # One work array for the whole pass: block-sized temporaries made and
+    # freed in every block sit at the top of the heap, which is trimmed and
+    # faulted in again each time (~90 page faults a block).
+    work = np.empty(_TABLE_ROWS)
+    fired = np.empty((4, _TABLE_ROWS), dtype=bool)
+    for rows in blocks:
+        m = rows.stop - rows.start
+        words, key = _draw_words(source, m, again)
+        noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
+        for row, bound in enumerate(bounds):
+            np.take(bound, key, out=work[:m])
+            work[:m] += noise[:, row // 2]
+            np.greater_equal(work[:m], cfg.threshold, out=fired[row, :m])
+        plus_lo, plus_hi, minus_lo, minus_hi = fired[:, :m]
+        _code_of(plus_lo, minus_lo, out[rows])
+        unsure = (plus_lo != plus_hi) | (minus_lo != minus_hi)
+        if unsure.any():
+            out[rows][unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg, noise[unsure])
+
+
 def _count_pairs(
     source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
 ) -> np.ndarray:
     """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, of n
-    pairs from source measured at the two stations.
-
-    The counts equal those of emit_phis, measure_many and a tally of their
-    codes on the same rng, which this leaves in the same state. The draws
-    are read in stream order, _TABLE_ROWS pairs at a time: the angle words,
-    then A's normals and thinning uniforms, then B's. Each station keeps one
-    int8 code per pair, set by one of three paths: a zero-noise station reads
-    it from its _station_table (the bucket path for the isotropic source, the
-    bit path for fixed-hv), and a noisy station (the full path) draws its
-    block's angles again from a copy of the generator taken before the angle
-    words, then runs _malus and _fire with the block's normals. A station's
-    thinning pass then turns its dropped trials into misses. When neither
-    station has noise or losses, _count_keys counts per key instead.
+    pairs from source measured at the two stations: those of emit_phis,
+    measure_many and a tally on the same rng, which this leaves in the same
+    state. The module docstring gives the station paths and the draw order.
     """
     stations = ((0.0, cfg_a), (0.5 * math.pi, cfg_b))
-    tables = [_station_table(source, shift, cfg) for shift, cfg in stations]
+    tables = [None if cfg.noise_sigma > 0.0 else _station_table(source, shift, cfg)
+              for shift, cfg in stations]
     if None not in tables and cfg_a.efficiency == cfg_b.efficiency == 1.0:
         return _count_keys(source, n, stations, tables, rng)
-    before_words = copy.deepcopy(rng.bit_generator) if None in tables else None
+    before_words = copy.deepcopy(rng.bit_generator)
     codes = np.empty((2, n), dtype=np.int8)
     blocks = [slice(start, min(start + _TABLE_ROWS, n)) for start in range(0, n, _TABLE_ROWS)]
     for rows in blocks:
         words, key = _draw_words(source, rows.stop - rows.start, rng)
-        for (shift, cfg), table, out in zip(stations, tables, codes):
+        for (shift, cfg), table, out in zip(stations, tables, codes[:, rows]):
             if table is not None:
-                station_codes, unproven = table
-                np.take(station_codes, key, out=out[rows], mode="clip")
-                unsure = unproven[key]
+                np.take(table[0], key, out=out, mode="clip")
+                unsure = table[1][key]
                 if unsure.any():
-                    out[rows][unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg)
+                    out[unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg)
+        del words, key  # as in _count_keys
     for (shift, cfg), table, out in zip(stations, tables, codes):
         if table is None:
             again = np.random.Generator(copy.deepcopy(before_words))
-            for rows in blocks:
-                m = rows.stop - rows.start
-                phis = emit_phis(source, m, again)
-                noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
-                _station_block(phis, shift, cfg.angle, noise, None, cfg, out[rows])
+            _noisy_codes(source, shift, cfg, again, rng, blocks, out)
         if cfg.efficiency < 1.0:
             for rows in blocks:
                 # MISS_CODE is 0: a dropped trial's code times False is a miss.

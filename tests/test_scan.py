@@ -529,36 +529,34 @@ def test_count_driver_keeps_a_callers_buffered_half_word():
          "full-lossy-bucket", "bit-lossy-bit", "full-bit"],
 )
 def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b, paths):
-    # Rows each station sends through the Malus/threshold kernel, keyed by its
-    # pulse shift: every pair on the full path, the two exact angles on the bit
-    # path, and only the pairs of unproven buckets on the bucket path.
+    # Each station's path, keyed by its pulse shift: a zero-noise station reads
+    # a code table of 4096 buckets (isotropic) or 2 bits (fixed-hv), and a noisy
+    # one takes the full path. On every path the Malus/threshold kernel sees
+    # only the pairs whose code the bounds leave open, not every pair.
     n = 2 * TABLE_ROWS + 1
     want = reference_count(source, cfg_a, cfg_b, n, np.random.default_rng(4))
-    rows = {0.0: 0, 0.5 * PI: 0}
-    kernel = optics._station_block
+    taken, rows = {}, {0.0: 0, 0.5 * PI: 0}
+    table, noisy, kernel = optics._station_table, optics._noisy_codes, optics._station_block
+
+    def recording_table(source, shift, cfg):
+        codes, unproven = table(source, shift, cfg)
+        taken[shift] = {1 << 12: "bucket", 2: "bit"}[codes.shape[0]]
+        return codes, unproven
+
+    def recording_noisy(source, shift, *rest):
+        taken[shift] = "full"
+        return noisy(source, shift, *rest)
 
     def counting_kernel(phi, shift, *rest):
         rows[shift] += phi.shape[0]
         return kernel(phi, shift, *rest)
 
+    monkeypatch.setattr(optics, "_station_table", recording_table)
+    monkeypatch.setattr(optics, "_noisy_codes", recording_noisy)
     monkeypatch.setattr(optics, "_station_block", counting_kernel)
     assert scan._count_stream(source, cfg_a, cfg_b, n, np.random.default_rng(4)) == want
-    expected = {"full": lambda r: r == n, "bit": lambda r: r == 2, "bucket": lambda r: r < n // 50}
-    assert [expected[p](rows[shift]) for p, shift in zip(paths, (0.0, 0.5 * PI))] == [True, True]
-
-
-def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
-    n = 1 << 20
-    assert n >= 16 * TABLE_ROWS  # at least 16 raw-draw blocks per setting
-    pair_a, pair_b = default_chsh_configs(t_a=0.5, t_b=0.75)
-    tracemalloc.start()
-    try:
-        report = run_chsh(IsotropicSource(), pair_a, pair_b, n, seed=21)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.tables[0][0].n_pairs == n
-    assert peak < 4 * 2**20  # a single float64 angle array of n pairs is 8 MiB
+    assert (taken[0.0], taken[0.5 * PI]) == paths
+    assert rows[0.0] < n // 20 and rows[0.5 * PI] < n // 20
 
 
 #: Per-block temporaries allowed on top of the two int8 codes per pair: sixteen
