@@ -162,6 +162,13 @@ def _station_draws(cfg: StationConfig, n: int, rng: np.random.Generator):
     return noise, thin
 
 
+def _code_of(plus: np.ndarray, minus: np.ndarray, out: np.ndarray) -> None:
+    """Write the codes of these fired-channel flags to out."""
+    index = minus.view(np.int8) << 1
+    index |= plus.view(np.int8)
+    np.take(_CODE_OF_FIRED, index, out=out, mode="clip")
+
+
 def _fire(i_plus, i_minus, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
     """Threshold-to-code step: write the station codes of these trials to out.
 
@@ -178,9 +185,7 @@ def _fire(i_plus, i_minus, noise, thin, cfg: StationConfig, out: np.ndarray) -> 
         kept = thin < cfg.efficiency
         fired_plus &= kept
         fired_minus &= kept
-    index = fired_minus.view(np.int8) << 1
-    index |= fired_plus.view(np.int8)
-    np.take(_CODE_OF_FIRED, index, out=out, mode="clip")
+    _code_of(fired_plus, fired_minus, out)
 
 
 def _station_block(phi, shift, angle, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
@@ -257,15 +262,11 @@ def _key_bounds(source: SourceModel, shift: float, cfg: StationConfig):
     return plus_lo, plus_hi, 1.0 - plus_hi, 1.0 - plus_lo
 
 
-def _code_of(plus: np.ndarray, minus: np.ndarray, out: np.ndarray) -> None:
-    """Write the codes of these fired-channel flags to out."""
-    np.take(_CODE_OF_FIRED, (minus.view(np.int8) << 1) | plus.view(np.int8), out=out, mode="clip")
-
-
 def _station_table(source: SourceModel, shift: float, cfg: StationConfig):
     """A zero-noise station's code per key of the angle words, and whether the
     key leaves it unproven: a channel's bounds straddle the threshold."""
-    plus_lo, plus_hi, minus_lo, minus_hi = (b >= cfg.threshold for b in _key_bounds(source, shift, cfg))
+    bounds = _key_bounds(source, shift, cfg)
+    plus_lo, plus_hi, minus_lo, minus_hi = (bound >= cfg.threshold for bound in bounds)
     codes = np.empty(plus_lo.shape[0], dtype=np.int8)
     _code_of(plus_lo, minus_lo, codes)
     return codes, (plus_lo != plus_hi) | (minus_lo != minus_hi)
@@ -330,11 +331,11 @@ def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
 def _noisy_codes(source, shift, cfg: StationConfig, again, rng, blocks, out: np.ndarray) -> None:
     """A noisy station's codes before thinning, block by block: the full path.
 
-    Each block's angle words come again from the generator copy again, and
-    its normals from rng. A channel fires when its intensity plus its noise
-    is >= the threshold, and rounding the sum is monotone, so the channel's
-    _key_bounds decide it unless they straddle the threshold; only such
-    pairs go through _malus and _fire.
+    Each block's angle words are drawn again from again, a copy of the
+    generator taken before them, and its normals from rng. A channel fires
+    when its intensity plus its noise is >= the threshold, and rounding the
+    sum is monotone, so the channel's _key_bounds decide it unless they
+    straddle the threshold; only such pairs go through _malus and _fire.
     """
     bounds = _key_bounds(source, shift, cfg)
     # One work array for the whole pass: block-sized temporaries made and
@@ -354,7 +355,8 @@ def _noisy_codes(source, shift, cfg: StationConfig, again, rng, blocks, out: np.
         _code_of(plus_lo, minus_lo, out[rows])
         unsure = (plus_lo != plus_hi) | (minus_lo != minus_hi)
         if unsure.any():
-            out[rows][unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg, noise[unsure])
+            phis = _phis_of_words(source, words[unsure])
+            out[rows][unsure] = _codes(phis, shift, cfg, noise[unsure])
 
 
 def _count_pairs(

@@ -459,7 +459,8 @@ TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 
 REGIMES = [(sigma_a, eta_a, sigma_b, eta_b)
            for sigma_a in (0.0, 0.03) for eta_a in (1.0, 0.4)
            for sigma_b in (0.0, 0.05) for eta_b in (1.0, 0.3)]
-driver_angles = st.integers(-8, 8).map(lambda k: k * PI / 8) | st.floats(-7.0, 7.0)
+driver_angles = (st.integers(-8, 8).map(lambda k: k * PI / 8) | st.floats(-7.0, 7.0)
+                 | st.sampled_from(BIG))
 driver_thresholds = st.sampled_from([0.0, 0.5, 1.0])
 
 
