@@ -60,8 +60,8 @@ RUNS = {
     "scan-nan": ("scan", "--ta", "1", "--tb", "1", "--steps", "3", "--pairs", "100",
                  "--seed", "12"),
     "events-match-nan": (*MATCH[:-1], "0"),
-    # Noise and losses, over more than one block of pairs: pinned before one count
-    # driver took over every stream.
+    # Noise and losses, over more than one block of pairs: pinned before
+    # optics._count_pairs took over every stream.
     "scan-noisy-lossy": ("scan", "--ta", "0.75", "--tb", "0.75", "--noise-b", "0.05",
                          "--efficiency-b", "0.3", "--steps", "3", "--pairs", "40000",
                          "--seed", "12"),

@@ -372,7 +372,7 @@ def test_per_pair_angles_equal_reference(n):
     assert np.array_equal(got[0], want_a) and np.array_equal(got[1], want_b)
 
 
-# --- the numpy identities the count driver rests on ----------------------------------------
+# --- the numpy identities optics._count_pairs rests on -------------------------------------
 
 TABLE_ROWS = optics._TABLE_ROWS
 TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
@@ -410,7 +410,7 @@ STREAM_SEGMENTS = {
 @pytest.mark.parametrize("n", TABLE_EDGE_N)
 @pytest.mark.parametrize("segment", sorted(STREAM_SEGMENTS))
 def test_stream_segments_drawn_in_blocks_equal_one_draw(segment, n, seed):
-    # The count driver draws each segment of a stream _TABLE_ROWS pairs at a
+    # optics._count_pairs draws each segment of a stream _TABLE_ROWS pairs at a
     # time; numpy must give the values and the end state of one whole draw.
     draw = STREAM_SEGMENTS[segment]
     whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -422,7 +422,7 @@ def test_stream_segments_drawn_in_blocks_equal_one_draw(segment, n, seed):
 
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
 def test_raw_draws_end_where_uniform_angles_end(seed):
-    # The driver takes its angle words with random_raw and draws the angles
+    # _count_pairs takes its angle words with random_raw and draws the angles
     # again from a copy of the generator taken before them.
     angles, words = np.random.default_rng(seed), np.random.default_rng(seed)
     before = copy.deepcopy(words.bit_generator)

@@ -459,9 +459,9 @@ TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 
 REGIMES = [(sigma_a, eta_a, sigma_b, eta_b)
            for sigma_a in (0.0, 0.03) for eta_a in (1.0, 0.4)
            for sigma_b in (0.0, 0.05) for eta_b in (1.0, 0.3)]
-driver_angles = (st.integers(-8, 8).map(lambda k: k * PI / 8) | st.floats(-7.0, 7.0)
+stream_angles = (st.integers(-8, 8).map(lambda k: k * PI / 8) | st.floats(-7.0, 7.0)
                  | st.sampled_from(BIG))
-driver_thresholds = st.sampled_from([0.0, 0.5, 1.0])
+stream_thresholds = st.sampled_from([0.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize("isotropic", [True, False], ids=["isotropic", "fixed-hv"])
@@ -469,17 +469,17 @@ driver_thresholds = st.sampled_from([0.0, 0.5, 1.0])
 @settings(max_examples=6, deadline=None)
 @given(
     n=st.sampled_from(TABLE_EDGE_N),
-    angle_a=driver_angles,
-    angle_b=driver_angles,
-    t_a=driver_thresholds,
-    t_b=driver_thresholds,
-    basis=driver_angles,
+    angle_a=stream_angles,
+    angle_b=stream_angles,
+    t_a=stream_thresholds,
+    t_b=stream_thresholds,
+    basis=stream_angles,
     seed=st.integers(0, 2**32),
 )
 # fixed-hv with A bisecting the basis: every A trial sits on the exact 0.5 tie.
 @example(n=3 * TABLE_ROWS + 5, angle_a=PI / 4, angle_b=PI / 8, t_a=0.5, t_b=0.5, basis=0.0,
          seed=1)
-def test_count_driver_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigma_b, eta_b,
+def test_count_pairs_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigma_b, eta_b,
                                                  n, angle_a, angle_b, t_a, t_b, basis, seed):
     # Every combination of noise and loss per station, on both sources: the
     # counts and the generator's end state are those of the per-pair chain.
@@ -492,7 +492,7 @@ def test_count_driver_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigm
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_count_driver_keeps_a_callers_buffered_half_word():
+def test_count_pairs_keeps_a_callers_buffered_half_word():
     # fixed-hv bits come from 32-bit halves of raw words; a half left over by an
     # earlier draw must be read, and left, as the per-pair chain reads it.
     cfg_a = StationConfig(0.1, 0.5, 0.02)
