@@ -560,6 +560,20 @@ def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b
     assert rows[0.0] < n // 20 and rows[0.5 * PI] < n // 20
 
 
+def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
+    n = 1 << 20
+    assert n >= 16 * TABLE_ROWS  # at least 16 raw-draw blocks per setting
+    pair_a, pair_b = default_chsh_configs(t_a=0.5, t_b=0.75)
+    tracemalloc.start()
+    try:
+        report = run_chsh(IsotropicSource(), pair_a, pair_b, n, seed=21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tables[0][0].n_pairs == n
+    assert peak < 4 * 2**20  # a single float64 angle array of n pairs is 8 MiB
+
+
 #: Per-block temporaries allowed on top of the two int8 codes per pair: sixteen
 #: float64 arrays of one block of pairs.
 BLOCK_ALLOWANCE = 16 * 8 * TABLE_ROWS
