@@ -69,6 +69,15 @@ RUNS = {
                          "--seed", "16"),
     "scan-fixed-hv-lossy": ("scan", "--source", "fixed-hv", "--efficiency-b", "0.5", "--steps",
                             "3", "--pairs", "20000", "--seed", "12"),
+    # Noise and losses in `events gen`, over more than two blocks of pairs:
+    # pinned while it still measured through emit_phis and measure_many.
+    "events-gen-noisy-lossy": ("events", "gen", "--rate", "100000", "--duration", "0.4",
+                               "--tb", "0.75", "--noise-a", "0.02", "--efficiency-b", "0.5",
+                               "--seed", "17"),
+    "events-gen-fixed-hv-lossy": ("events", "gen", "--rate", "100000", "--duration", "0.4",
+                                  "--source", "fixed-hv", "--basis", "0.3", "--noise-b", "0.05",
+                                  "--efficiency-a", "0.7", "--angles-a",
+                                  "0.7853981633974483,0.7853981633974483", "--seed", "18"),
 }
 
 #: Golden case -> the `events gen` run whose streams it reads from gen/.
@@ -126,6 +135,18 @@ GOLDEN = {
         "events_b.csv": "cad4938dfc3e07f20ca727294f051d72804382cd7e0d8ba85e6f73766c0276b2",
         "summary.txt": "e09c464ff71422792b7939cb60145249e54e65f0e278a199bcd43d0730da61f0",
         "truth.csv": "af4ac3503bcb8a1ac697f9911746e9981a6d21dd9bd0a17e3e8fa869c26651e3",
+    },
+    "events-gen-fixed-hv-lossy": {
+        "events_a.csv": "75fbc425f87fe7dd59aff757d108897b7af014301f09c9eab908c9321dbb1480",
+        "events_b.csv": "33827574436706200227ed63dbd6386667533a659a9b12375f2443f97ee89b97",
+        "summary.txt": "d34649ab2645cca950df1a75840d4590b49d6909dd290d649faad9db9d188e05",
+        "truth.csv": "241d6ab288cad899c9374d0fe50d9d27e57f71ca1bf1d4e20c9d227c10695fa6",
+    },
+    "events-gen-noisy-lossy": {
+        "events_a.csv": "cfd7aae7778fc61b332e06ae3dc9421352869184dfc75f333bb6a2357835cfe5",
+        "events_b.csv": "bc4ceac1eb6b3e7f0c2272e76b09d91058383f2781b5a4c8db4583c60a87949e",
+        "summary.txt": "2247ad02e2b5d643d5df3da67533bfec97e5907bc64e42346894a097f630b9f7",
+        "truth.csv": "2c760849a0d36f95d323c9038a1c99eb2c3d36afcd18890ea99934e976fae84d",
     },
     "events-match-nan": {
         "matched.csv": "9d70381b12cf80ed21f2ac2e4f692fad8651143217cd99364894b58b9aa26395",
@@ -185,6 +206,8 @@ MANIFESTS = {
     "disk-demo-5-random-a": "0a76e96d074033ee3c7170715cd441f4366728ab59216e44ce2ff18bd4b3ae00",
     "disk-demo-special": "0ab672ee5017ed9372a475a40d0b3786ba491ce670082744f10ef813784c8d58",
     "events-gen": "76c4a03b482ba85fb540d7851d0c13704f82d7a1755666defe6242f6b86b2a72",
+    "events-gen-fixed-hv-lossy": "caa818f548fd3910b7c2e96b2b0bdb2e4c761f7ab22a73cb9fe843e350552155",
+    "events-gen-noisy-lossy": "5655a494aa44faefbf7627b1de9a155058c0411024875325a0b17f29c7680875",
     "events-match-nan": "9bbb00d74ca73e34135b4358d4323dedcf5968bc90e46269a1855e9a005e2488",
     "events-match": "8db23fc9c556bceb417b363fb9eb2570c8678384aa5e4b32ec96bd982379bcf3",
     "pathology": "b8b8ee7254fd0d06363fdcbd67271cd19c09d42ef3ceaf63325af5e0d0f83a5d",
