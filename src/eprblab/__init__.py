@@ -30,13 +30,13 @@ _EXPORTS = {
         joint_pmf_from_splits sample_param_setup sample_separated sample_split_many split_disk
     """,
     "optics": """
-        FixedBasisSource IsotropicSource SourceModel StationConfig emit_phis measure_many
+        FixedBasisSource IsotropicSource SourceModel StationConfig measure_pairs
     """,
     "scan": """
         STANDARD_CHSH_ANGLES ChshReport PathologyReport ScanConfig ScanResult ScanStep
         analytic_coincidence_fraction analytic_correlation chsh_report_from_tables
         coincidence_modulation default_b_angles default_chsh_configs pathology_probe run_chsh
-        run_scan run_scan_step singles_asymmetry tabulate_codes
+        run_scan run_scan_step singles_asymmetry
     """,
     "eventio": """
         EventStream GeneratedStreams GeneratorConfig MatchResult UnsortedEventsError

@@ -4,8 +4,9 @@ Real two-station experiments record each side as a stream of (timestamp,
 active setting, fired channel) rows and rebuild coincidences offline by
 pairing records whose timestamps fall within a window. This module drives
 the station model through that same path: generate per-side CSV streams
-with exponential pair spacing, per-event setting choice and per-side
-latency jitter, persist them, and re-derive per-setting count tables with a
+with exponential pair spacing, per-event setting choice (each pair measured
+by optics.measure_pairs, the station kernel the scans count with) and
+per-side latency jitter, persist them, and re-derive per-setting count tables with a
 greedy nearest-neighbor window matcher.
 
 Each stream is an EventStream of three numpy columns validated once, as
@@ -31,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from .domain import MINUS_CODE, PLUS_CODE, CountTable, check_angle
-from .optics import SourceModel, StationConfig, _measure, emit_phis
+from .optics import SourceModel, StationConfig, measure_pairs
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
-#: Most expected pairs generate_events draws: at ~150 B a pair, about 2.4 GiB.
+#: Most expected pairs generate_events draws: at ~126 B a pair, about 2.0 GiB.
 _MAX_EXPECTED_PAIRS = 2**24
 #: Jitter widths generate_events allows past duration before 2**63 ns. numpy's
 #: ziggurat draws no standard normal past 14 in magnitude.
@@ -205,11 +206,8 @@ def generate_events(
     n = len(times)
     set_a = rng.integers(0, 2, n)
     set_b = rng.integers(0, 2, n)
-    phis = emit_phis(cfg.source, n, rng)
-
-    angles_a = np.asarray(cfg.settings_a, dtype=float)[set_a]
-    angles_b = np.asarray(cfg.settings_b, dtype=float)[set_b]
-    codes_a, codes_b = _measure(phis, angles_a, angles_b, cfg.station_a, cfg.station_b, rng)
+    settings = ((cfg.settings_a, set_a), (cfg.settings_b, set_b))
+    codes_a, codes_b = measure_pairs(cfg.source, cfg.station_a, cfg.station_b, n, rng, settings)
 
     if cfg.jitter_sigma > 0.0:
         jit_a = np.abs(rng.normal(0.0, cfg.jitter_sigma, n))

@@ -14,7 +14,7 @@ import math
 Segment = tuple[float, float]
 
 
-def unroll_arc(start: float, length: float, period: float) -> list[Segment]:
+def _unroll_arc(start: float, length: float, period: float) -> list[Segment]:
     """Split the arc [start, start + length) into linear segments in [0, period).
 
     The start may be any finite value (it is reduced mod period) and the arc
@@ -36,7 +36,7 @@ def unroll_arc(start: float, length: float, period: float) -> list[Segment]:
     return [(lo, period), (0.0, hi - period)]
 
 
-def overlap_length(a: list[Segment], b: list[Segment]) -> float:
+def _overlap_length(a: list[Segment], b: list[Segment]) -> float:
     """Total measure of the intersection of two segment lists.
 
     Each list must be internally disjoint (shared endpoints are fine); the
@@ -58,11 +58,11 @@ def arc_overlaps(arcs_a: list[tuple], arcs_b: list[tuple], period: float) -> dic
     Each list holds disjoint (start, length, label) arcs. Every label pair of
     the two lists gets a key, 0.0 if its arcs never meet, summed arc pair by
     arc pair in list order; a label that one list lacks gets none."""
-    segs_b = [(label, unroll_arc(start, length, period)) for start, length, label in arcs_b]
+    segs_b = [(label, _unroll_arc(start, length, period)) for start, length, label in arcs_b]
     acc: dict = {}
     for start, length, label_a in arcs_a:
-        segs_a = unroll_arc(start, length, period)
+        segs_a = _unroll_arc(start, length, period)
         for label_b, sb in segs_b:
             key = (label_a, label_b)
-            acc[key] = acc.get(key, 0.0) + overlap_length(segs_a, sb)
+            acc[key] = acc.get(key, 0.0) + _overlap_length(segs_a, sb)
     return acc

@@ -19,40 +19,15 @@ All kernels are stateless and draw from an explicit random generator, so
 trials may run in parallel if each batch derives its stream from its own
 seed material.
 
-measure_many draws every random number in the documented order, and then
-evaluates the Malus split and the threshold in fixed blocks of _BLOCK_ROWS
-pairs, one after another on the calling thread. Each block reads and writes
-only its own slices, so the block size never changes an output byte.
-
-_count_pairs counts a scan step or CHSH sub-run with the counts of emit_phis,
-measure_many and a tally on the same generator, in bounded memory. It reads
-the stream's segments in their draw order, _TABLE_ROWS pairs at a time: the
-pair-angle words, A's normals, A's thinning uniforms, B's normals, B's
-thinning uniforms. Generator.uniform(0, 2*pi) builds each isotropic angle
-from one raw PCG64 uint64, so pairs are keyed by the top bits of that word
-(a bucket); a fixed-hv pair is keyed by its basis bit, one of two exact
-angles. Per key, the Malus split at one point and a bound on its slope bound
-a station's channel intensities (_key_bounds), and a channel whose bounds
-do not straddle the threshold is decided without a cosine. Each station
-takes one of three paths:
-
-- bucket (isotropic source, zero noise): a code per bucket, proven for every
-  angle the bucket holds; only the pairs of unproven buckets run through
-  _malus and _fire.
-- bit (fixed-hv source, zero noise): a code per basis bit.
-- full (noise): the block's angle words are drawn again from a copy of the
-  generator taken before them, and the bounds plus each pair's normals
-  decide its code; only the pairs the bounds leave open (well under 1 % at
-  the noise widths the scans use) run through _malus and _fire.
-
-Each station keeps one int8 code per pair, 2 bytes per pair in all. Its
-thinning pass reads its uniforms where its normals end and turns the
-dropped trials into misses. When neither station has noise or losses, the
-angle words are the only draw, and pairs are counted per key with no
-per-pair code. This rests on numpy building uniform doubles from raw draws
-as it does today, and on block-wise normal, random and integers draws
-equalling one whole draw: the same construction every seeded output
-already rests on.
+measure_pairs gives both stations' codes for the next n pairs of a stream,
+and _count_pairs counts them for a scan step or CHSH sub-run. Both read the
+stream's segments in their draw order, _TABLE_ROWS pairs at a time, and
+decide most pairs' codes from per-key intensity bounds (_key_bounds) with no
+cosine; the README's "Count driver" section derives the method and its three
+station paths (bucket, bit and full). This rests on numpy building uniform
+doubles from raw draws as it does today, and on block-wise normal, random
+and integers draws equalling one whole draw: the same construction every
+seeded output already rests on.
 """
 
 from __future__ import annotations
@@ -75,13 +50,10 @@ from .domain import (
     check_angle,
 )
 
-#: Rows per block of the array kernels. Any value gives the same output
-#: bytes; 2**15 pairs keep a block's float64 temporaries in cache.
-_BLOCK_ROWS = 1 << 15
-
-#: Pairs per block of _count_pairs. Any value gives the same counts;
-#: 2**14 rows keep each block's arrays on the heap, where a freed block's
-#: pages serve the next (2**16-row blocks took ~200 page faults per 1e5 pairs).
+#: Pairs per block of measure_pairs and _count_pairs. Any value gives the
+#: same output bytes; 2**14 rows keep each block's arrays on the heap, where
+#: a freed block's pages serve the next (2**16-row blocks took ~200 page
+#: faults per 1e5 pairs).
 _TABLE_ROWS = 1 << 14
 
 #: The bucket path groups pairs by this many top bits of their raw draw.
@@ -90,6 +62,10 @@ _BUCKET_SHIFT = 64 - _BUCKET_BITS
 
 #: Station code indexed by fired_plus + 2 * fired_minus.
 _CODE_OF_FIRED = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
+
+#: Pulse shift of each station: A's pulse carries the pair angle, B's the
+#: angle + pi/2.
+_SHIFTS = (0.0, 0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -139,27 +115,9 @@ class StationConfig:
             raise ValueError(f"efficiency {self.efficiency!r} outside (0, 1]")
 
 
-def emit_phis(model: SourceModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized pair polarizations for n emissions."""
-    if isinstance(model, IsotropicSource):
-        return rng.uniform(0.0, TWO_PI, n)
-    return _phis_of_words(model, rng.integers(0, 2, n))
-
-
 def _malus(delta):
     i_plus = 0.5 * (1.0 + np.cos(2.0 * delta))
     return i_plus, 1.0 - i_plus
-
-
-def _station_draws(cfg: StationConfig, n: int, rng: np.random.Generator):
-    """One station's random draws for n trials: (noise, thinning uniforms).
-
-    A normal block of shape (n, 2) when noise_sigma > 0, then a uniform
-    block of shape (n,) when efficiency < 1; each is None when skipped.
-    """
-    noise = rng.normal(0.0, cfg.noise_sigma, (n, 2)) if cfg.noise_sigma > 0.0 else None
-    thin = rng.random(n) if cfg.efficiency < 1.0 else None
-    return noise, thin
 
 
 def _code_of(plus: np.ndarray, minus: np.ndarray, out: np.ndarray) -> None:
@@ -169,52 +127,18 @@ def _code_of(plus: np.ndarray, minus: np.ndarray, out: np.ndarray) -> None:
     np.take(_CODE_OF_FIRED, index, out=out, mode="clip")
 
 
-def _fire(i_plus, i_minus, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
-    """Threshold-to-code step: write the station codes of these trials to out.
-
-    A channel fires when its intensity plus its noise is >= the threshold
-    (so the exact (0.5, 0.5) tie at threshold 0.5 is a double); a trial whose
-    thinning uniform is >= efficiency is a miss.
-    """
+def _exact_codes(phis, shift, angle, threshold: float, noise=None) -> np.ndarray:
+    """A station's codes of these pair angles before thinning, from the Malus
+    split of (phi + shift) - angle. A channel fires when its intensity plus
+    its noise is >= the threshold, so the exact (0.5, 0.5) tie at threshold
+    0.5 is a double."""
+    i_plus, i_minus = _malus((phis + shift) - angle)
     if noise is not None:
         i_plus = i_plus + noise[:, 0]
         i_minus = i_minus + noise[:, 1]
-    fired_plus = i_plus >= cfg.threshold
-    fired_minus = i_minus >= cfg.threshold
-    if thin is not None:
-        kept = thin < cfg.efficiency
-        fired_plus &= kept
-        fired_minus &= kept
-    _code_of(fired_plus, fired_minus, out)
-
-
-def _station_block(phi, shift, angle, noise, thin, cfg: StationConfig, out: np.ndarray) -> None:
-    """Codes of one block of one station: Malus split of phi + shift, then _fire."""
-    _fire(*_malus((phi + shift) - angle), noise, thin, cfg, out)
-
-
-def _measure(phis, angle_a, angle_b, cfg_a: StationConfig, cfg_b: StationConfig, rng):
-    """Both stations' codes; angle_a/angle_b are floats or per-pair arrays.
-
-    Station A's pulses carry phis, station B's phis + pi/2. All draws happen
-    here, A's (noise, thinning) before B's; the blocks then only compute.
-    """
-    phis = np.asarray(phis, dtype=float)
-    n = phis.shape[0]
-    draws_a = _station_draws(cfg_a, n, rng)
-    draws_b = _station_draws(cfg_b, n, rng)
-    codes_a = np.empty(n, dtype=np.int8)
-    codes_b = np.empty(n, dtype=np.int8)
-    stations = (
-        (0.0, angle_a, draws_a, cfg_a, codes_a),
-        (0.5 * math.pi, angle_b, draws_b, cfg_b, codes_b),
-    )
-    for shift, angle, draws, cfg, out in stations:
-        for start in range(0, n, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            per_pair = [x[rows] if isinstance(x, np.ndarray) else x for x in (angle, *draws)]
-            _station_block(phis[rows], shift, *per_pair, cfg, out[rows])
-    return codes_a, codes_b
+    codes = np.empty(phis.shape[0], dtype=np.int8)
+    _code_of(i_plus >= threshold, i_minus >= threshold, codes)
+    return codes
 
 
 def _phis_of_raw(raw: np.ndarray) -> np.ndarray:
@@ -235,10 +159,11 @@ def _bucket_phis() -> np.ndarray:
     return bounds
 
 
-def _key_bounds(source: SourceModel, shift: float, cfg: StationConfig):
-    """Per key of the angle words (_draw_words), bounds on the intensities
-    _malus gives a pair angle with that key here: (plus_lo, plus_hi,
-    minus_lo, minus_hi).
+def _key_bounds(source: SourceModel, shift: float, angles: np.ndarray):
+    """Per key of the angle words (_draw_words) and analyzer angle, bounds
+    on the intensities _malus gives a pair angle with that key here:
+    (plus_lo, plus_hi, minus_lo, minus_hi), each indexed by key + K * setting
+    for K keys and angles[setting].
 
     An isotropic key is a bucket. Rounding is monotone, so every angle of a
     bucket lands at a delta (phi + shift) - angle in [lo, hi], and
@@ -248,12 +173,14 @@ def _key_bounds(source: SourceModel, shift: float, cfg: StationConfig):
     angle, whose intensity is exact. The minus intensity is 1 - plus, rounded
     as _malus rounds it, so 1 - plus_hi and 1 - plus_lo bound it.
     """
+    column = angles[:, None]
     if isinstance(source, FixedBasisSource):
-        plus_lo = plus_hi = _malus((_phis_of_words(source, np.arange(2)) + shift) - cfg.angle)[0]
+        phis = _phis_of_words(source, np.arange(2))
+        plus_lo = plus_hi = _malus((phis + shift) - column)[0].ravel()
     else:
         phi_lo, phi_hi = _bucket_phis()
-        lo = (phi_lo + shift) - cfg.angle
-        hi = (phi_hi + shift) - cfg.angle
+        lo = ((phi_lo + shift) - column).ravel()
+        hi = ((phi_hi + shift) - column).ravel()
         mid = 0.5 * (lo + hi)
         # Both differences are exact (Sterbenz) or far below the 1e-9 slack.
         margin = np.maximum(hi - mid, mid - lo) + 1e-9
@@ -262,19 +189,10 @@ def _key_bounds(source: SourceModel, shift: float, cfg: StationConfig):
     return plus_lo, plus_hi, 1.0 - plus_hi, 1.0 - plus_lo
 
 
-def _station_table(source: SourceModel, shift: float, cfg: StationConfig):
-    """A zero-noise station's code per key of the angle words, and whether the
-    key leaves it unproven: a channel's bounds straddle the threshold."""
-    bounds = _key_bounds(source, shift, cfg)
-    plus_lo, plus_hi, minus_lo, minus_hi = (bound >= cfg.threshold for bound in bounds)
-    codes = np.empty(plus_lo.shape[0], dtype=np.int8)
-    _code_of(plus_lo, minus_lo, codes)
-    return codes, (plus_lo != plus_hi) | (minus_lo != minus_hi)
-
-
 def _draw_words(source: SourceModel, m: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The next m pairs' angle words, drawn as emit_phis draws them, and their
-    keys: the top _BUCKET_BITS bits of a raw PCG64 word, or the fixed-hv bit."""
+    """The next m pairs' angle words, drawn as uniform(0, 2*pi, m) or
+    integers(0, 2, m) draws them, and their keys: the top _BUCKET_BITS bits
+    of a raw PCG64 word, or the fixed-hv bit."""
     if isinstance(source, IsotropicSource):
         raw = rng.bit_generator.random_raw(m)
         # bincount and take read signed indices; the shifted words are below 2**_BUCKET_BITS.
@@ -284,27 +202,148 @@ def _draw_words(source: SourceModel, m: int, rng) -> tuple[np.ndarray, np.ndarra
 
 
 def _phis_of_words(source: SourceModel, words: np.ndarray) -> np.ndarray:
-    """The pair angles emit_phis makes of these angle words."""
+    """The pair angles of these angle words."""
     if isinstance(source, IsotropicSource):
         return _phis_of_raw(words)
     return (source.basis + 0.5 * math.pi * words) % TWO_PI
 
 
-def _codes(phis, shift, cfg: StationConfig, noise=None) -> np.ndarray:
-    """A station's codes of these pair angles, before thinning."""
-    codes = np.empty(phis.shape[0], dtype=np.int8)
-    _station_block(phis, shift, cfg.angle, noise, None, cfg, codes)
-    return codes
+def _bounded_codes(key, noise, out: np.ndarray, threshold: float, bounds, work, fired):
+    """Write to out the codes the bounds (_key_bounds) of these keys give,
+    plus each pair's noise when given, and return where a channel's bounds
+    straddle the threshold. Rounding the sum is monotone, so elsewhere the
+    code holds for every angle of the key. key None reads every key in order,
+    with no noise. work and fired are scratch arrays of at least m and (4, m)
+    items for m keys read."""
+    m = bounds[0].shape[0] if key is None else key.shape[0]
+    for row, bound in enumerate(bounds):
+        if key is not None:
+            bound = np.take(bound, key, out=work[:m], mode="clip")
+        if noise is not None:
+            bound += noise[:, row // 2]
+        np.greater_equal(bound, threshold, out=fired[row, :m])
+    plus_lo, plus_hi, minus_lo, minus_hi = fired[:, :m]
+    _code_of(plus_lo, minus_lo, out)
+    return (plus_lo != plus_hi) | (minus_lo != minus_hi)
 
 
-def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
+class _Station:
+    """One station of a stream: its pulse shift, calibration and analyzer
+    angles, and what decides its codes per key.
+
+    setting, when given, is (angles, index): a menu of analyzer angles and
+    each pair's index into it, in place of cfg.angle. A zero-noise station
+    keeps a table (the bucket path of an isotropic source, the bit path of a
+    fixed-hv one): its code per key, and the keys whose bounds leave that code
+    unproven. A noisy one takes the full path: its bounds plus each pair's
+    normals decide its codes, block by block (measure_pairs).
+    """
+
+    def __init__(self, source: SourceModel, shift: float, cfg: StationConfig, setting=None):
+        angles, index = setting if setting is not None else ((cfg.angle,), None)
+        self.source, self.shift, self.cfg = source, shift, cfg
+        self.index = None if index is None else np.asarray(index, dtype=np.int64)
+        self.angles = np.asarray(angles, dtype=float)
+        self.keys_per_angle = 1 << _BUCKET_BITS if isinstance(source, IsotropicSource) else 2
+        self.table = None
+        if cfg.noise_sigma == 0.0:
+            # Only the table is kept: bounds held through the pass moved the
+            # block arrays to where freeing them trimmed the heap, and each
+            # block's draw was faulted in again (~15 page faults a block).
+            n_keys = self.keys_per_angle * self.angles.shape[0]
+            codes, fired = np.empty(n_keys, dtype=np.int8), np.empty((4, n_keys), dtype=bool)
+            bounds = _key_bounds(source, shift, self.angles)
+            unproven = _bounded_codes(None, None, codes, cfg.threshold, bounds, None, fired)
+            self.table = codes, unproven
+
+    def codes(self, words, key, out: np.ndarray, rows: slice, noise=None, full=()) -> None:
+        """Write to out the codes, before thinning, of the pairs at rows of
+        the stream: from the table at zero noise, else, on the full path, from
+        the block's normals and full, the station's _key_bounds and scratch
+        arrays for _bounded_codes. Only the pairs these leave unsure go
+        through _exact_codes."""
+        if self.index is not None:
+            key = key + self.keys_per_angle * self.index[rows]
+        if self.table is None:
+            unsure = _bounded_codes(key, noise, out, self.cfg.threshold, *full)
+        else:
+            np.take(self.table[0], key, out=out, mode="clip")
+            unsure = self.table[1][key]
+        if unsure.any():
+            phis = _phis_of_words(self.source, words[unsure])
+            angle = self.angles[key[unsure] // self.keys_per_angle]
+            noise = None if noise is None else noise[unsure]
+            out[unsure] = _exact_codes(phis, self.shift, angle, self.cfg.threshold, noise)
+
+
+def measure_pairs(
+    source: SourceModel,
+    cfg_a: StationConfig,
+    cfg_b: StationConfig,
+    n: int,
+    rng: np.random.Generator,
+    settings=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both stations' int8 outcome codes for the next n pairs source emits
+    on rng. Station A's pulses carry each pair's angle, B's the angle + pi/2.
+
+    Draw order: the n pair angles, as uniform(0, 2*pi, n) or, for a fixed
+    basis, integers(0, 2, n) draws them; A's normal block of shape (n, 2)
+    when its noise_sigma > 0, then A's n thinning uniforms when its
+    efficiency < 1; then B's likewise. settings, when given, is
+    ((angles_a, index_a), (angles_b, index_b)): each station's menu of
+    analyzer angles and each pair's index into it, used in place of the
+    stations' angle fields. The module docstring gives the station paths.
+    """
+    for angles, index in settings or ():
+        for angle in angles:
+            check_angle("settings angle", angle)
+        index = np.asarray(index)
+        if not (index.shape == (n,) and index.dtype.kind in "iu"
+                and ((0 <= index) & (index < len(angles))).all()):
+            raise ValueError(f"settings need n = {n} integer indices into each menu of angles")
+    stations = [_Station(source, shift, cfg, setting)
+                for shift, cfg, setting in zip(_SHIFTS, (cfg_a, cfg_b), settings or (None, None))]
+    codes = np.empty((2, n), dtype=np.int8)
+    blocks = [slice(start, min(start + _TABLE_ROWS, n)) for start in range(0, n, _TABLE_ROWS)]
+    before_words = copy.deepcopy(rng.bit_generator)
+    for rows in blocks:
+        words, key = _draw_words(source, rows.stop - rows.start, rng)
+        for station, out in zip(stations, codes[:, rows]):
+            if station.table is not None:
+                station.codes(words, key, out, rows)
+        del words, key  # as in _count_keys
+    for station, out in zip(stations, codes):
+        cfg = station.cfg
+        if station.table is None:
+            # The full path draws the angle words again from a copy of the
+            # generator taken before them. Its bounds and one pair of work
+            # arrays serve the whole pass: block-sized temporaries made and
+            # freed in every block sit at the top of the heap, which is trimmed
+            # and faulted in again each time (~90 page faults a block).
+            again = np.random.Generator(copy.deepcopy(before_words))
+            full = (_key_bounds(source, station.shift, station.angles),
+                    np.empty(_TABLE_ROWS), np.empty((4, _TABLE_ROWS), dtype=bool))
+            for rows in blocks:
+                m = rows.stop - rows.start
+                words, key = _draw_words(source, m, again)
+                noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
+                station.codes(words, key, out[rows], rows, noise, full)
+        if cfg.efficiency < 1.0:
+            for rows in blocks:
+                # MISS_CODE is 0: a dropped trial's code times False is a miss.
+                out[rows] *= rng.random(rows.stop - rows.start) < cfg.efficiency
+    return codes[0], codes[1]
+
+
+def _count_keys(source: SourceModel, n: int, stations, rng) -> np.ndarray:
     """Cell counts of _count_pairs when the angle words are the only draw.
 
-    A key whose code both tables prove is counted from its size; the pairs of
-    the other keys go through _malus and _fire in batches of at least
-    _TABLE_ROWS pairs, or at the end. No per-pair code is kept.
+    A key whose code both stations' tables prove is counted from its size;
+    the pairs of the other keys go through _exact_codes in batches of at
+    least _TABLE_ROWS pairs, or at the end. No per-pair code is kept.
     """
-    (code_a, unproven_a), (code_b, unproven_b) = tables
+    (code_a, unproven_a), (code_b, unproven_b) = (station.table for station in stations)
     unproven = unproven_a | unproven_b
     per_key = np.zeros(unproven.shape[0], dtype=np.int64)
     counts = np.zeros(16, dtype=np.int64)
@@ -321,91 +360,22 @@ def _count_keys(source, n: int, stations, tables, rng) -> np.ndarray:
         del words, key
         if n_pending >= _TABLE_ROWS or start + _TABLE_ROWS >= n:
             phis = _phis_of_words(source, np.concatenate(pending))
-            counts += _tally(*(_codes(phis, shift, cfg) for shift, cfg in stations))
+            counts += _tally(*(_exact_codes(phis, st.shift, st.cfg.angle, st.cfg.threshold)
+                               for st in stations))
             pending, n_pending = [], 0
     proven = ~unproven
     np.add.at(counts, _cells(code_a, code_b)[proven], per_key[proven])
     return counts
 
 
-def _noisy_codes(source, shift, cfg: StationConfig, again, rng, blocks, out: np.ndarray) -> None:
-    """A noisy station's codes before thinning, block by block: the full path.
-
-    Each block's angle words are drawn again from again, a copy of the
-    generator taken before them, and its normals from rng. A channel fires
-    when its intensity plus its noise is >= the threshold, and rounding the
-    sum is monotone, so the channel's _key_bounds decide it unless they
-    straddle the threshold; only such pairs go through _malus and _fire.
-    """
-    bounds = _key_bounds(source, shift, cfg)
-    # One work array for the whole pass: block-sized temporaries made and
-    # freed in every block sit at the top of the heap, which is trimmed and
-    # faulted in again each time (~90 page faults a block).
-    work = np.empty(_TABLE_ROWS)
-    fired = np.empty((4, _TABLE_ROWS), dtype=bool)
-    for rows in blocks:
-        m = rows.stop - rows.start
-        words, key = _draw_words(source, m, again)
-        noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
-        for row, bound in enumerate(bounds):
-            np.take(bound, key, out=work[:m])
-            work[:m] += noise[:, row // 2]
-            np.greater_equal(work[:m], cfg.threshold, out=fired[row, :m])
-        plus_lo, plus_hi, minus_lo, minus_hi = fired[:, :m]
-        _code_of(plus_lo, minus_lo, out[rows])
-        unsure = (plus_lo != plus_hi) | (minus_lo != minus_hi)
-        if unsure.any():
-            phis = _phis_of_words(source, words[unsure])
-            out[rows][unsure] = _codes(phis, shift, cfg, noise[unsure])
-
-
 def _count_pairs(
     source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
 ) -> np.ndarray:
-    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, of n
-    pairs from source measured at the two stations: those of emit_phis,
-    measure_many and a tally on the same rng, which this leaves in the same
-    state. The module docstring gives the station paths and the draw order.
-    """
-    stations = ((0.0, cfg_a), (0.5 * math.pi, cfg_b))
-    tables = [None if cfg.noise_sigma > 0.0 else _station_table(source, shift, cfg)
-              for shift, cfg in stations]
-    if None not in tables and cfg_a.efficiency == cfg_b.efficiency == 1.0:
-        return _count_keys(source, n, stations, tables, rng)
-    before_words = copy.deepcopy(rng.bit_generator)
-    codes = np.empty((2, n), dtype=np.int8)
-    blocks = [slice(start, min(start + _TABLE_ROWS, n)) for start in range(0, n, _TABLE_ROWS)]
-    for rows in blocks:
-        words, key = _draw_words(source, rows.stop - rows.start, rng)
-        for (shift, cfg), table, out in zip(stations, tables, codes[:, rows]):
-            if table is not None:
-                np.take(table[0], key, out=out, mode="clip")
-                unsure = table[1][key]
-                if unsure.any():
-                    out[unsure] = _codes(_phis_of_words(source, words[unsure]), shift, cfg)
-        del words, key  # as in _count_keys
-    for (shift, cfg), table, out in zip(stations, tables, codes):
-        if table is None:
-            again = np.random.Generator(copy.deepcopy(before_words))
-            _noisy_codes(source, shift, cfg, again, rng, blocks, out)
-        if cfg.efficiency < 1.0:
-            for rows in blocks:
-                # MISS_CODE is 0: a dropped trial's code times False is a miss.
-                out[rows] *= rng.random(rows.stop - rows.start) < cfg.efficiency
-    return _tally(*codes)
-
-
-def measure_many(
-    phis: np.ndarray,
-    cfg_a: StationConfig,
-    cfg_b: StationConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both stations' outcome codes for an array of pair polarizations.
-
-    Station A's pulses carry phis, station B's phis + pi/2. Draw order: A's
-    normal block of shape (n, 2) when its noise_sigma > 0, then A's uniform
-    block of shape (n,) when its efficiency < 1, then B's likewise.
-    """
-    return _measure(phis, cfg_a.angle, cfg_b.angle, cfg_a, cfg_b, rng)
-
+    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, of
+    the next n pairs: those of a tally of measure_pairs on the same rng,
+    which this leaves in the same state."""
+    noiseless = cfg_a.noise_sigma == cfg_b.noise_sigma == 0.0
+    if noiseless and cfg_a.efficiency == cfg_b.efficiency == 1.0:
+        stations = [_Station(source, shift, cfg) for shift, cfg in zip(_SHIFTS, (cfg_a, cfg_b))]
+        return _count_keys(source, n, stations, rng)
+    return _tally(*measure_pairs(source, cfg_a, cfg_b, n, rng))

@@ -14,8 +14,8 @@ index), so steps can execute in any order or in parallel without changing
 the result, and identical (config, seed) reproduce identical output. Each
 step or CHSH sub-run is counted by optics._count_pairs, which walks the
 stream in blocks and keeps at most one int8 code per pair and station; its
-counts are those of drawing and measuring every pair with emit_phis and
-measure_many, and the blocking changes no output byte.
+counts are those of a tally of optics.measure_pairs on the same stream, and
+the blocking changes no output byte.
 """
 
 from __future__ import annotations
@@ -98,16 +98,6 @@ class ScanStep:
 class ScanResult:
     config: ScanConfig
     steps: tuple[ScanStep, ...]
-
-
-def tabulate_codes(codes_a: np.ndarray, codes_b: np.ndarray) -> CountTable:
-    """CountTable from two stations' outcome-code arrays.
-
-    The public name of CountTable.from_codes: coincidence cells count trials
-    where both stations produced a single; doubles and misses are excluded
-    from the cells but reported per side.
-    """
-    return CountTable.from_codes(codes_a, codes_b)
 
 
 def _count_stream(

@@ -29,7 +29,7 @@ from eprblab import (
     joint_pmf_from_splits,
     split_disk,
 )
-from eprblab.intervals import overlap_length, unroll_arc
+from eprblab.intervals import _overlap_length, _unroll_arc
 
 _OUTCOMES = (-1, 1)
 
@@ -43,8 +43,8 @@ def detection_windows(threshold):
 
 def _station_segments(threshold, shift):
     (p_start, p_len), (m_start, m_len) = detection_windows(threshold)
-    plus = unroll_arc(p_start + shift, p_len, math.pi)
-    minus = unroll_arc(m_start + shift, m_len, math.pi)
+    plus = _unroll_arc(p_start + shift, p_len, math.pi)
+    minus = _unroll_arc(m_start + shift, m_len, math.pi)
     return plus, minus
 
 
@@ -52,10 +52,10 @@ def _overlap_matrix(theta, t_a, t_b):
     a_plus, a_minus = _station_segments(t_a, 0.0)
     b_minus, b_plus = _station_segments(t_b, theta)
     return {
-        (1, 1): overlap_length(a_plus, b_plus),
-        (1, -1): overlap_length(a_plus, b_minus),
-        (-1, 1): overlap_length(a_minus, b_plus),
-        (-1, -1): overlap_length(a_minus, b_minus),
+        (1, 1): _overlap_length(a_plus, b_plus),
+        (1, -1): _overlap_length(a_plus, b_minus),
+        (-1, 1): _overlap_length(a_minus, b_plus),
+        (-1, -1): _overlap_length(a_minus, b_minus),
     }
 
 
@@ -73,11 +73,11 @@ def reference_coincidence_fraction(theta, t_a, t_b):
 
 def reference_joint_pmf_from_splits(disk_a, disk_b):
     acc = {(oa, ob): 0.0 for oa in _OUTCOMES for ob in _OUTCOMES}
-    segs_b = [(s.outcome, unroll_arc(s.start, s.length, TWO_PI)) for s in disk_b.sectors]
+    segs_b = [(s.outcome, _unroll_arc(s.start, s.length, TWO_PI)) for s in disk_b.sectors]
     for sa in disk_a.sectors:
-        segs_a = unroll_arc(sa.start, sa.length, TWO_PI)
+        segs_a = _unroll_arc(sa.start, sa.length, TWO_PI)
         for ob, sb in segs_b:
-            acc[(sa.outcome, ob)] += overlap_length(segs_a, sb)
+            acc[(sa.outcome, ob)] += _overlap_length(segs_a, sb)
     return JointPmf(
         acc[(1, 1)] / TWO_PI,
         acc[(1, -1)] / TWO_PI,

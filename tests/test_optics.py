@@ -11,15 +11,17 @@ from scipy import stats
 
 from eprblab import (
     TWO_PI,
+    CountTable,
     FixedBasisSource,
     IsotropicSource,
     StationConfig,
-    emit_phis,
-    measure_many,
+    correlation,
+    measure_pairs,
 )
 import eprblab.optics as optics
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
 from eprblab.scan import _windows
+import station_reference as ref
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -66,7 +68,7 @@ def detect_many(i_plus, i_minus, cfg, rng):
     i_plus = np.asarray(i_plus, dtype=float)
     i_minus = np.asarray(i_minus, dtype=float)
     codes = np.empty(i_plus.shape[0], dtype=np.int8)
-    optics._fire(i_plus, i_minus, *optics._station_draws(cfg, len(codes), rng), cfg, codes)
+    ref._fire(i_plus, i_minus, *ref._station_draws(cfg, len(codes), rng), cfg, codes)
     return codes
 
 
@@ -235,14 +237,19 @@ def test_angles_past_two_to_the_43_are_refused():
 
 # --- sources -----------------------------------------------------------------------
 
+def pair_angles(source, n, rng):
+    """The angles of the next n pairs of source, as measure_pairs draws them."""
+    return optics._phis_of_words(source, optics._draw_words(source, n, rng)[0])
+
+
 def test_emit_phis_isotropic_uniformity():
-    phis = emit_phis(IsotropicSource(), 1_000_000, _rng(8))
+    phis = pair_angles(IsotropicSource(), 1_000_000, _rng(8))
     counts, _ = np.histogram(phis, bins=32, range=(0.0, TWO_PI))
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_emit_phis_fixed_basis_two_values():
-    phis = emit_phis(FixedBasisSource(basis=0.5), 10_000, _rng(9))
+    phis = pair_angles(FixedBasisSource(basis=0.5), 10_000, _rng(9))
     assert set(np.unique(phis)) <= {0.5, 0.5 + math.pi / 2}
     frac = np.mean(phis == 0.5)
     assert frac == pytest.approx(0.5, abs=0.02)
@@ -251,24 +258,27 @@ def test_emit_phis_fixed_basis_two_values():
 # --- pair measurement ------------------------------------------------------------------
 
 def test_measure_pair_equal_settings_anticorrelate():
+    # A fixed-hv pair at angle 0 (bit 0) or pi/2 (bit 1), analyzers both at 0.
     cfg = StationConfig(angle=0.0, threshold=0.5)
-    a, b = measure_many(np.array([0.0, math.pi / 2]), cfg, cfg, _rng())
-    assert a.tolist() == [PLUS_CODE, MINUS_CODE]
-    assert b.tolist() == [MINUS_CODE, PLUS_CODE]
+    rng = _rng()
+    bits = copy.deepcopy(rng).integers(0, 2, 100)
+    a, b = measure_pairs(FixedBasisSource(0.0), cfg, cfg, 100, rng)
+    assert np.array_equal(a, np.where(bits == 0, PLUS_CODE, MINUS_CODE))
+    assert np.array_equal(b, np.where(bits == 0, MINUS_CODE, PLUS_CODE))
 
 
 def test_efficiency_invariance_of_correlation():
-    from eprblab import correlation, tabulate_codes
-
+    # One seed gives both runs the same pair angles; thinning draws after them.
     theta = math.pi / 8
     cfg_a_full = StationConfig(angle=0.0, threshold=0.5)
     cfg_b_full = StationConfig(angle=theta, threshold=0.75)
-    phis = emit_phis(IsotropicSource(), 400_000, _rng(10))
-    t_full = tabulate_codes(*measure_many(phis, cfg_a_full, cfg_b_full, _rng(11)))
+    codes = measure_pairs(IsotropicSource(), cfg_a_full, cfg_b_full, 400_000, _rng(10))
+    t_full = CountTable.from_codes(*codes)
 
     cfg_a_thin = StationConfig(angle=0.0, threshold=0.5, efficiency=0.05)
     cfg_b_thin = StationConfig(angle=theta, threshold=0.75, efficiency=0.05)
-    t_thin = tabulate_codes(*measure_many(phis, cfg_a_thin, cfg_b_thin, _rng(12)))
+    t_thin = CountTable.from_codes(*measure_pairs(IsotropicSource(), cfg_a_thin, cfg_b_thin,
+                                                  400_000, _rng(10)))
 
     e_full, e_thin = correlation(t_full), correlation(t_thin)
     se = math.sqrt(
@@ -277,7 +287,7 @@ def test_efficiency_invariance_of_correlation():
     assert abs(e_full - e_thin) < 3 * se
 
 
-# --- the block kernel against the whole-array composition ------------------------------
+# --- measure_pairs against the whole-array reference chain ------------------------------
 
 def reference_detect_many(i_plus, i_minus, cfg, rng):
     """detect_many as a whole-array np.where chain, kept as the oracle."""
@@ -311,8 +321,10 @@ def reference_measure_many(phis, cfg_a, cfg_b, rng):
     return codes_a, codes_b
 
 
-BLOCK_ROWS = optics._BLOCK_ROWS
-EDGE_N = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 7)
+R = optics._TABLE_ROWS
+#: Pair counts at the block edges of measure_pairs, and of the reference's
+#: blocks of 2 * R pairs.
+EDGE_N = (1, R - 1, R, R + 1, 2 * R - 1, 2 * R, 2 * R + 1, 6 * R + 7)
 TIE_A = StationConfig(angle=math.pi / 4, threshold=0.5)
 
 stations = st.builds(
@@ -325,29 +337,52 @@ stations = st.builds(
 sources = st.sampled_from([IsotropicSource(), FixedBasisSource(0.0)]) | st.builds(
     FixedBasisSource, angles
 )
+setting_menus = st.tuples(angles, angles) | angles.map(lambda a: (a, a)) | st.just((20.0, -20.0))
+
+
+def measured_like_reference(source, cfg_a, cfg_b, n, seed, menus=None):
+    """measure_pairs on seed's stream, asserted equal in codes and generator
+    end state to the reference chain (emit_phis, then _measure); returns its
+    codes. With menus, each station's per-pair setting index is drawn first,
+    as events gen draws it, and the stations measure at those angles."""
+    rng, ref_rng = _rng(seed), _rng(seed)
+    settings, ref_angles = None, (cfg_a.angle, cfg_b.angle)
+    if menus is not None:
+        settings = tuple((menu, rng.integers(0, len(menu), n)) for menu in menus)
+        ref_angles = [np.asarray(menu)[ref_rng.integers(0, len(menu), n)] for menu in menus]
+    got = measure_pairs(source, cfg_a, cfg_b, n, rng, settings)
+    want = ref._measure(ref.emit_phis(source, n, ref_rng), *ref_angles, cfg_a, cfg_b, ref_rng)
+    assert got[0].dtype == got[1].dtype == np.int8
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return got
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(EDGE_N) | st.integers(0, 4 * BLOCK_ROWS),
+    st.sampled_from(EDGE_N) | st.integers(0, 4 * R),
     sources,
     stations,
     stations,
+    st.none() | st.tuples(setting_menus, setting_menus),
     st.integers(0, 2**32),
 )
-@example(3 * BLOCK_ROWS + 7, FixedBasisSource(0.0), TIE_A, TIE_A, 1)
-@example(BLOCK_ROWS + 1, FixedBasisSource(0.0), StationConfig(math.pi / 4, 0.5, 0.05, 0.5),
-         StationConfig(0.3, 0.0, 0.2, 0.7), 2)
-def test_measure_many_equals_reference(n, source, cfg_a, cfg_b, seed):
-    phis = emit_phis(source, n, _rng(seed))
-    got = measure_many(phis, cfg_a, cfg_b, _rng(seed + 1))
-    want = reference_measure_many(phis, cfg_a, cfg_b, _rng(seed + 1))
-    assert all(g.dtype == np.int8 for g in got)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+@example(3 * R + 7, FixedBasisSource(0.0), TIE_A, TIE_A, None, 1)
+@example(R + 1, FixedBasisSource(0.0), StationConfig(math.pi / 4, 0.5, 0.05, 0.5),
+         StationConfig(0.3, 0.0, 0.2, 0.7), None, 2)
+@example(0, IsotropicSource(), TIE_A, StationConfig(0.3, 0.5, 0.05), ((0.0, 1.0), (2.0, 3.0)), 3)
+def test_measure_many_equals_reference(n, source, cfg_a, cfg_b, menus, seed):
+    # Without menus the reference's codes are also those of the whole-array
+    # np.where chain on the same pair angles and draws.
+    got = measured_like_reference(source, cfg_a, cfg_b, n, seed, menus)
+    if menus is None:
+        ref_rng = _rng(seed)
+        want = reference_measure_many(ref.emit_phis(source, n, ref_rng), cfg_a, cfg_b, ref_rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 3 * BLOCK_ROWS), stations, st.integers(0, 2**32))
+@given(st.integers(0, 6 * R), stations, st.integers(0, 2**32))
 def test_detect_many_equals_reference(n, cfg, seed):
     i_plus, i_minus = malus_intensities(_rng(seed).uniform(0.0, TWO_PI, n), cfg.angle)
     got = detect_many(i_plus, i_minus, cfg, _rng(seed + 1))
@@ -356,20 +391,30 @@ def test_detect_many_equals_reference(n, cfg, seed):
 
 @pytest.mark.parametrize("n", EDGE_N)
 def test_per_pair_angles_equal_reference(n):
-    # Event generation passes one analyzer angle per pair to the kernel.
-    rng = _rng(n)
-    phis = emit_phis(IsotropicSource(), n, rng)
-    angles_a = np.array([0.0, math.pi / 4])[rng.integers(0, 2, n)]
-    angles_b = np.array([math.pi / 8, 3 * math.pi / 8])[rng.integers(0, 2, n)]
+    # Event generation measures each pair at the angle its setting index picks.
     cfg_a = StationConfig(angle=0.0, threshold=0.5, noise_sigma=0.03, efficiency=0.7)
     cfg_b = StationConfig(angle=0.0, threshold=0.75, efficiency=0.9)
-    got = optics._measure(phis, angles_a, angles_b, cfg_a, cfg_b, _rng(n + 1))
-    ref_rng = _rng(n + 1)
-    want_a = reference_detect_many(*malus_intensities(phis, angles_a), cfg_a, ref_rng)
-    want_b = reference_detect_many(
-        *malus_intensities(phis + 0.5 * math.pi, angles_b), cfg_b, ref_rng
-    )
-    assert np.array_equal(got[0], want_a) and np.array_equal(got[1], want_b)
+    menus = ((0.0, math.pi / 4), (math.pi / 8, 3 * math.pi / 8))
+    for source in (IsotropicSource(), FixedBasisSource(0.2)):
+        codes_a, codes_b = measured_like_reference(source, cfg_a, cfg_b, n, n, menus)
+    # The whole-array np.where chain, at the angles the same indices pick.
+    rng = _rng(n)
+    angles_a, angles_b = (np.asarray(menu)[rng.integers(0, 2, n)] for menu in menus)
+    phis = ref.emit_phis(FixedBasisSource(0.2), n, rng)
+    want_a = reference_detect_many(*malus_intensities(phis, angles_a), cfg_a, rng)
+    want_b = reference_detect_many(*malus_intensities(phis + 0.5 * math.pi, angles_b), cfg_b, rng)
+    assert np.array_equal(codes_a, want_a) and np.array_equal(codes_b, want_b)
+
+
+def test_measure_pairs_refuses_bad_settings():
+    cfg = StationConfig(angle=0.0)
+    good = (0.0, 1.0), np.zeros(5, dtype=np.int64)
+    for bad in [((0.0, 1.0), np.full(5, 2)), ((0.0, 1.0), np.full(5, -1)),
+                ((0.0, 1.0), np.zeros(4, dtype=np.int64)), ((0.0, 1.0), np.zeros(5))]:
+        with pytest.raises(ValueError, match="settings need n = 5 integer indices"):
+            measure_pairs(IsotropicSource(), cfg, cfg, 5, _rng(), (good, bad))
+    with pytest.raises(ValueError, match="settings angle"):
+        measure_pairs(IsotropicSource(), cfg, cfg, 5, _rng(), (good, ((0.0, math.nan), good[1])))
 
 
 # --- the numpy identities optics._count_pairs rests on -------------------------------------
@@ -382,11 +427,11 @@ IDENTITY_SEEDS = ([0, 0], [1, 7], [2**32 - 1, 32], [123456789, 3])
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
 @pytest.mark.parametrize("n", TABLE_EDGE_N)
 def test_uniform_angles_are_built_from_raw_draws(seed, n):
-    # The bucket path reads the pair angles of emit_phis off raw PCG64 draws.
+    # The bucket path reads the pair angles of uniform(0, 2*pi) off raw PCG64 draws.
     want = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
     raw = np.random.default_rng(seed).bit_generator.random_raw(n)
     assert np.array_equal(optics._phis_of_raw(raw), want)
-    assert np.array_equal(emit_phis(IsotropicSource(), n, np.random.default_rng(seed)), want)
+    assert np.array_equal(pair_angles(IsotropicSource(), n, np.random.default_rng(seed)), want)
 
 
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
@@ -444,32 +489,49 @@ def test_bucket_angles_bound_their_draws():
 
 
 def test_bisected_fixed_basis_tie_stays_an_exact_double():
-    # Both pair polarizations sit exactly between A's channels, on every block.
-    phis = emit_phis(FixedBasisSource(0.0), 2 * BLOCK_ROWS + 3, _rng(13))
+    # Both pair polarizations sit exactly between A's channels, on every block,
+    # at A's own angle and at a menu of two equal settings.
+    n = 4 * R + 3
+    phis = ref.emit_phis(FixedBasisSource(0.0), n, _rng(13))
     i_plus, i_minus = malus_intensities(phis, TIE_A.angle)
     assert np.all(i_plus == 0.5) and np.all(i_minus == 0.5)
-    codes_a, _ = measure_many(phis, TIE_A, TIE_A, _rng(14))
-    assert np.all(codes_a == DOUBLE_CODE)
+    tie_menus = ((TIE_A.angle, TIE_A.angle), (0.0, 0.3))
+    for menus in (None, tie_menus):
+        codes_a, _ = measured_like_reference(FixedBasisSource(0.0), TIE_A, TIE_A, n, 13, menus)
+        assert np.all(codes_a == DOUBLE_CODE)
+
+
+CONCURRENT_A = StationConfig(angle=0.3, threshold=0.5, noise_sigma=0.02, efficiency=0.9)
+CONCURRENT_B = StationConfig(angle=0.9, threshold=0.75, noise_sigma=0.05)
+CONCURRENT_MENUS = ((0.3, 1.1), (0.9, -0.4))
+
+
+def _measure_seed(seed):
+    """measure_pairs on seed's stream, with per-pair settings for odd seeds."""
+    rng, n = _rng(100 + seed), 6 * R + 7
+    settings = None
+    if seed % 2:
+        settings = tuple((menu, rng.integers(0, 2, n)) for menu in CONCURRENT_MENUS)
+    return measure_pairs(IsotropicSource(), CONCURRENT_A, CONCURRENT_B, n, rng, settings)
 
 
 def test_concurrent_callers_get_their_serial_results():
     # The kernel stays reentrant: callers on several threads, with frequent
     # thread switches, each get their serial result; shared module-level
     # scratch state would mix their blocks up.
-    n = 3 * BLOCK_ROWS + 7
-    cfg_a = StationConfig(angle=0.3, threshold=0.5, noise_sigma=0.02, efficiency=0.9)
-    cfg_b = StationConfig(angle=0.9, threshold=0.75, noise_sigma=0.05)
-    phis = {seed: emit_phis(IsotropicSource(), n, _rng(seed)) for seed in range(4)}
-    serial = {seed: measure_many(phis[seed], cfg_a, cfg_b, _rng(100 + seed)) for seed in phis}
-    results: dict[int, list] = {seed: [] for seed in phis}
-    start = threading.Barrier(len(phis))
+    seeds = range(4)
+    serial = {seed: measured_like_reference(
+        IsotropicSource(), CONCURRENT_A, CONCURRENT_B, 6 * R + 7, 100 + seed,
+        CONCURRENT_MENUS if seed % 2 else None) for seed in seeds}
+    results: dict[int, list] = {seed: [] for seed in seeds}
+    start = threading.Barrier(len(seeds))
 
     def worker(seed):
         start.wait()
         for _ in range(5):
-            results[seed].append(measure_many(phis[seed], cfg_a, cfg_b, _rng(100 + seed)))
+            results[seed].append(_measure_seed(seed))
 
-    threads = [threading.Thread(target=worker, args=(seed,)) for seed in phis]
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in seeds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -487,8 +549,8 @@ def test_concurrent_callers_get_their_serial_results():
             assert np.array_equal(codes_b, serial[seed][1])
 
 
-def _measure_in_child(queue, phis, cfg):
-    queue.put(measure_many(phis, cfg, cfg, _rng(18)))
+def _measure_in_child(queue, seeds):
+    queue.put([_measure_seed(seed) for seed in seeds])
 
 
 @pytest.mark.skipif(
@@ -496,18 +558,20 @@ def _measure_in_child(queue, phis, cfg):
 )
 def test_forked_child_measures_like_its_parent():
     # A child forked after the parent has measured measures as the parent does.
-    phis = emit_phis(IsotropicSource(), 2 * BLOCK_ROWS + 1, _rng(17))
-    cfg = StationConfig(angle=0.4, threshold=0.6)
-    parent = measure_many(phis, cfg, cfg, _rng(18))
+    seeds = (0, 1)
+    parent = [measured_like_reference(IsotropicSource(), CONCURRENT_A, CONCURRENT_B, 6 * R + 7,
+                                      100 + seed, CONCURRENT_MENUS if seed % 2 else None)
+              for seed in seeds]
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_measure_in_child, args=(queue, phis, cfg))
+    child = ctx.Process(target=_measure_in_child, args=(queue, seeds))
     child.start()
     try:
-        codes_a, codes_b = queue.get(timeout=60)
+        in_child = queue.get(timeout=60)
     finally:
         child.join(timeout=60)
         if child.is_alive():
             child.kill()
     assert child.exitcode == 0
-    assert np.array_equal(codes_a, parent[0]) and np.array_equal(codes_b, parent[1])
+    for (codes_a, codes_b), want in zip(in_child, parent):
+        assert np.array_equal(codes_a, want[0]) and np.array_equal(codes_b, want[1])

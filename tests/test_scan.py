@@ -21,19 +21,17 @@ from eprblab import (
     correlation,
     default_b_angles,
     default_chsh_configs,
-    emit_phis,
-    measure_many,
     pathology_probe,
     run_chsh,
     run_scan,
     run_scan_step,
     singles_asymmetry,
-    tabulate_codes,
 )
 import eprblab.optics as optics
 import eprblab.scan as scan
 from eprblab.cli import SCAN_CSV_HEADER, main
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
+import station_reference as ref
 
 PI = math.pi
 
@@ -87,7 +85,7 @@ def detect_many(i_plus, i_minus, cfg, rng):
     i_plus = np.asarray(i_plus, dtype=float)
     i_minus = np.asarray(i_minus, dtype=float)
     codes = np.empty(i_plus.shape[0], dtype=np.int8)
-    optics._fire(i_plus, i_minus, *optics._station_draws(cfg, len(codes), rng), cfg, codes)
+    ref._fire(i_plus, i_minus, *ref._station_draws(cfg, len(codes), rng), cfg, codes)
     return codes
 
 
@@ -102,7 +100,7 @@ def grid_correlation(theta: float, t_a: float, t_b: float, n: int = 200_000) -> 
     codes_a = detect_many(ia, ja, cfg_a, rng)
     ib, jb = malus_intensities(phis + PI / 2, cfg_b.angle)
     codes_b = detect_many(ib, jb, cfg_b, rng)
-    return correlation(tabulate_codes(codes_a, codes_b))
+    return correlation(CountTable.from_codes(codes_a, codes_b))
 
 
 # --- analytic oracle ------------------------------------------------------------
@@ -377,7 +375,7 @@ def test_chsh_report_from_tables_roundtrip():
 # --- stream counts against the per-pair path ----------------------------------------------
 
 def reference_tabulate_codes(codes_a, codes_b):
-    """tabulate_codes as a chain of masks and count_nonzero, kept as the oracle."""
+    """CountTable.from_codes as a chain of masks and count_nonzero, kept as the oracle."""
     single_a = (codes_a == PLUS_CODE) | (codes_a == MINUS_CODE)
     single_b = (codes_b == PLUS_CODE) | (codes_b == MINUS_CODE)
     coin = single_a & single_b
@@ -399,8 +397,9 @@ def reference_tabulate_codes(codes_a, codes_b):
 
 
 def reference_count(source, cfg_a, cfg_b, n, rng):
-    """Every pair emitted, measured and tabulated: the path of every regime."""
-    return reference_tabulate_codes(*measure_many(emit_phis(source, n, rng), cfg_a, cfg_b, rng))
+    """Every pair emitted, measured and tabulated by the reference chain."""
+    return reference_tabulate_codes(*ref.measure_many(ref.emit_phis(source, n, rng), cfg_a, cfg_b,
+                                                      rng))
 
 
 @settings(max_examples=30, deadline=None)
@@ -409,7 +408,7 @@ def test_tabulate_codes_equals_reference(n, seed):
     codes = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
     rng = np.random.default_rng(seed)
     codes_a, codes_b = codes[rng.integers(0, 4, n)], codes[rng.integers(0, 4, n)]
-    assert tabulate_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
+    assert CountTable.from_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 29])
@@ -530,34 +529,38 @@ def test_count_pairs_keeps_a_callers_buffered_half_word():
          "full-lossy-bucket", "bit-lossy-bit", "full-bit"],
 )
 def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b, paths):
-    # Each station's path, keyed by its pulse shift: a zero-noise station reads
-    # a code table of 4096 buckets (isotropic) or 2 bits (fixed-hv), and a noisy
-    # one takes the full path. On every path the Malus/threshold kernel sees
-    # only the pairs whose code the bounds leave open, not every pair.
+    # Each station's path, keyed by its pulse shift: a zero-noise station builds
+    # a code table of 4096 buckets (isotropic) or 2 bits (fixed-hv) once and
+    # reads it in the one pass over the angle words; a noisy one takes the full
+    # path, the only one that draws the words again. On every path the
+    # Malus/threshold kernel sees only the pairs whose code the bounds leave
+    # open, not every pair.
     n = 2 * TABLE_ROWS + 1
     want = reference_count(source, cfg_a, cfg_b, n, np.random.default_rng(4))
-    taken, rows = {}, {0.0: 0, 0.5 * PI: 0}
-    table, noisy, kernel = optics._station_table, optics._noisy_codes, optics._station_block
+    built, rows, drawn = [], {0.0: 0, 0.5 * PI: 0}, []
+    init, exact, draw = optics._Station.__init__, optics._exact_codes, optics._draw_words
 
-    def recording_table(source, shift, cfg):
-        codes, unproven = table(source, shift, cfg)
-        taken[shift] = {1 << 12: "bucket", 2: "bit"}[codes.shape[0]]
-        return codes, unproven
+    def recording_init(station, *args):
+        init(station, *args)
+        built.append(station)
 
-    def recording_noisy(source, shift, *rest):
-        taken[shift] = "full"
-        return noisy(source, shift, *rest)
+    def counting_exact(phis, shift, *rest):
+        rows[shift] += phis.shape[0]
+        return exact(phis, shift, *rest)
 
-    def counting_kernel(phi, shift, *rest):
-        rows[shift] += phi.shape[0]
-        return kernel(phi, shift, *rest)
+    def counting_draw(source, m, rng):
+        drawn.append(m)
+        return draw(source, m, rng)
 
-    monkeypatch.setattr(optics, "_station_table", recording_table)
-    monkeypatch.setattr(optics, "_noisy_codes", recording_noisy)
-    monkeypatch.setattr(optics, "_station_block", counting_kernel)
+    monkeypatch.setattr(optics._Station, "__init__", recording_init)
+    monkeypatch.setattr(optics, "_exact_codes", counting_exact)
+    monkeypatch.setattr(optics, "_draw_words", counting_draw)
     assert scan._count_stream(source, cfg_a, cfg_b, n, np.random.default_rng(4)) == want
-    assert (taken[0.0], taken[0.5 * PI]) == paths
+    taken = {station.shift: "full" if station.table is None
+             else {1 << 12: "bucket", 2: "bit"}[station.table[0].shape[0]] for station in built}
+    assert len(built) == 2 and (taken[0.0], taken[0.5 * PI]) == paths
     assert rows[0.0] < n // 20 and rows[0.5 * PI] < n // 20
+    assert sum(drawn) == n * (1 + paths.count("full"))
 
 
 def test_zero_noise_chsh_memory_does_not_grow_with_pairs():

@@ -28,15 +28,14 @@ EXPORTED = {
         "sample_separated", "sample_split_many", "split_disk",
     ),
     "optics": (
-        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig", "emit_phis",
-        "measure_many",
+        "FixedBasisSource", "IsotropicSource", "SourceModel", "StationConfig", "measure_pairs",
     ),
     "scan": (
         "STANDARD_CHSH_ANGLES", "ChshReport", "PathologyReport", "ScanConfig", "ScanResult",
         "ScanStep", "analytic_coincidence_fraction", "analytic_correlation",
         "chsh_report_from_tables", "coincidence_modulation", "default_b_angles",
         "default_chsh_configs", "pathology_probe", "run_chsh", "run_scan", "run_scan_step",
-        "singles_asymmetry", "tabulate_codes",
+        "singles_asymmetry",
     ),
     "eventio": (
         "EventStream", "GeneratedStreams", "GeneratorConfig", "MatchResult",
@@ -134,7 +133,7 @@ def test_import_eprblab_loads_no_module():
         "import sys, eprblab\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('eprblab'))\n"
         "print(loaded())\n"
-        "eprblab.intervals.overlap_length\n"
+        "eprblab.intervals.arc_overlaps\n"
         "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
