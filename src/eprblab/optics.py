@@ -235,8 +235,7 @@ class _Station:
     each pair's index into it, in place of cfg.angle. A zero-noise station
     keeps a table (the bucket path of an isotropic source, the bit path of a
     fixed-hv one): its code per key, and the keys whose bounds leave that code
-    unproven. A noisy one takes the full path: its bounds plus each pair's
-    normals decide its codes, block by block (measure_pairs).
+    unproven. A noisy one takes the full path (full_codes).
     """
 
     def __init__(self, source: SourceModel, shift: float, cfg: StationConfig, setting=None):
@@ -274,6 +273,22 @@ class _Station:
             angle = self.angles[key[unsure] // self.keys_per_angle]
             noise = None if noise is None else noise[unsure]
             out[unsure] = _exact_codes(phis, self.shift, angle, self.cfg.threshold, noise)
+
+    def full_codes(self, blocks, again, rng, out: np.ndarray) -> None:
+        """The full path: write to out the codes, before thinning, of these
+        blocks of rows, their angle words drawn again from again, a copy of
+        the generator taken before them, and their normals from rng."""
+        # The bounds and one pair of work arrays serve the whole pass:
+        # block-sized temporaries made and freed in every block sit at the top
+        # of the heap, which is trimmed and faulted in again each time (~90
+        # page faults a block).
+        full = (_key_bounds(self.source, self.shift, self.angles),
+                np.empty(_TABLE_ROWS), np.empty((4, _TABLE_ROWS), dtype=bool))
+        for rows in blocks:
+            m = rows.stop - rows.start
+            words, key = _draw_words(self.source, m, again)
+            noise = rng.normal(0.0, self.cfg.noise_sigma, (m, 2))
+            self.codes(words, key, out[rows], rows, noise, full)
 
 
 def measure_pairs(
@@ -314,25 +329,12 @@ def measure_pairs(
                 station.codes(words, key, out, rows)
         del words, key  # as in _count_keys
     for station, out in zip(stations, codes):
-        cfg = station.cfg
         if station.table is None:
-            # The full path draws the angle words again from a copy of the
-            # generator taken before them. Its bounds and one pair of work
-            # arrays serve the whole pass: block-sized temporaries made and
-            # freed in every block sit at the top of the heap, which is trimmed
-            # and faulted in again each time (~90 page faults a block).
-            again = np.random.Generator(copy.deepcopy(before_words))
-            full = (_key_bounds(source, station.shift, station.angles),
-                    np.empty(_TABLE_ROWS), np.empty((4, _TABLE_ROWS), dtype=bool))
-            for rows in blocks:
-                m = rows.stop - rows.start
-                words, key = _draw_words(source, m, again)
-                noise = rng.normal(0.0, cfg.noise_sigma, (m, 2))
-                station.codes(words, key, out[rows], rows, noise, full)
-        if cfg.efficiency < 1.0:
+            station.full_codes(blocks, np.random.Generator(copy.deepcopy(before_words)), rng, out)
+        if station.cfg.efficiency < 1.0:
             for rows in blocks:
                 # MISS_CODE is 0: a dropped trial's code times False is a miss.
-                out[rows] *= rng.random(rows.stop - rows.start) < cfg.efficiency
+                out[rows] *= rng.random(rows.stop - rows.start) < station.cfg.efficiency
     return codes[0], codes[1]
 
 
