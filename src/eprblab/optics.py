@@ -308,7 +308,7 @@ def measure_pairs(
     efficiency < 1; then B's likewise. settings, when given, is
     ((angles_a, index_a), (angles_b, index_b)): each station's menu of
     analyzer angles and each pair's index into it, used in place of the
-    stations' angle fields. The module docstring gives the station paths.
+    stations' angle fields. _Station gives the station paths.
     """
     for angles, index in settings or ():
         for angle in angles:

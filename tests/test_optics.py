@@ -346,11 +346,11 @@ def measured_like_reference(source, cfg_a, cfg_b, n, seed, menus=None):
     codes. With menus, each station's per-pair setting index is drawn first,
     as events gen draws it, and the stations measure at those angles."""
     rng, ref_rng = _rng(seed), _rng(seed)
-    settings, ref_angles = None, (cfg_a.angle, cfg_b.angle)
+    per_pair, ref_angles = None, (cfg_a.angle, cfg_b.angle)
     if menus is not None:
-        settings = tuple((menu, rng.integers(0, len(menu), n)) for menu in menus)
+        per_pair = tuple((menu, rng.integers(0, len(menu), n)) for menu in menus)
         ref_angles = [np.asarray(menu)[ref_rng.integers(0, len(menu), n)] for menu in menus]
-    got = measure_pairs(source, cfg_a, cfg_b, n, rng, settings)
+    got = measure_pairs(source, cfg_a, cfg_b, n, rng, per_pair)
     want = ref._measure(ref.emit_phis(source, n, ref_rng), *ref_angles, cfg_a, cfg_b, ref_rng)
     assert got[0].dtype == got[1].dtype == np.int8
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -509,10 +509,10 @@ CONCURRENT_MENUS = ((0.3, 1.1), (0.9, -0.4))
 def _measure_seed(seed):
     """measure_pairs on seed's stream, with per-pair settings for odd seeds."""
     rng, n = _rng(100 + seed), 6 * R + 7
-    settings = None
+    per_pair = None
     if seed % 2:
-        settings = tuple((menu, rng.integers(0, 2, n)) for menu in CONCURRENT_MENUS)
-    return measure_pairs(IsotropicSource(), CONCURRENT_A, CONCURRENT_B, n, rng, settings)
+        per_pair = tuple((menu, rng.integers(0, 2, n)) for menu in CONCURRENT_MENUS)
+    return measure_pairs(IsotropicSource(), CONCURRENT_A, CONCURRENT_B, n, rng, per_pair)
 
 
 def test_concurrent_callers_get_their_serial_results():
