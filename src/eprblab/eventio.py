@@ -6,8 +6,8 @@ pairing records whose timestamps fall within a window. This module drives
 the station model through that same path: generate per-side CSV streams
 with exponential pair spacing, per-event setting choice (each pair measured
 by optics.measure_pairs, the station kernel the scans count with) and
-per-side latency jitter, persist them, and re-derive per-setting count tables with a
-greedy nearest-neighbor window matcher.
+per-side latency jitter, persist them, and re-derive per-setting count
+tables with a greedy nearest-neighbor window matcher.
 
 Each stream is an EventStream of three numpy columns validated once, as
 arrays; no stage of the pipeline builds a per-record object.
