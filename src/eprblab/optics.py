@@ -270,7 +270,7 @@ class _Station:
             unsure = self.table[1][key]
         if unsure.any():
             phis = _phis_of_words(self.source, words[unsure])
-            angle = self.angles[key[unsure] // self.keys_per_angle]
+            angle = self.cfg.angle if self.index is None else self.angles[self.index[rows][unsure]]
             noise = None if noise is None else noise[unsure]
             out[unsure] = _exact_codes(phis, self.shift, angle, self.cfg.threshold, noise)
 
