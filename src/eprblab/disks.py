@@ -32,7 +32,15 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .domain import TWO_PI, CountTable, JointPmf, SingletKind, qm_joint_prediction, wrap_angle
+from .domain import (
+    TWO_PI,
+    CountTable,
+    JointPmf,
+    SingletKind,
+    _blocks,
+    qm_joint_prediction,
+    wrap_angle,
+)
 from .intervals import arc_overlaps
 
 #: Tolerance for sector lengths covering the full circle.
@@ -42,9 +50,6 @@ _OUTCOMES = (-1, 1)
 #: Outcome pairs in JointPmf's field order, which the singlet sectors follow.
 _CELLS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SINGLET_A, _SINGLET_B = zip(*_CELLS)
-#: Trials per row chunk of the disk draws; any value gives the same
-#: tables, and this one bounds a chunk's temporaries to a few MB.
-_CHUNK_ROWS = 1 << 15
 
 
 def _check_outcome(value: int, name: str) -> None:
@@ -302,16 +307,15 @@ def _sample_separated_rng(
     n: int,
     rng: np.random.Generator,
 ) -> CountTable:
-    # Pointers are drawn and looked up in row chunks of _CHUNK_ROWS. A shared
-    # pointer serves both sides chunk by chunk; independent pointers take one
-    # pass per side, A's chunks before B's, the order of one (n,) draw each.
+    # Pointers are drawn and looked up in row blocks (domain._blocks). A shared
+    # pointer serves both sides block by block; independent pointers take one
+    # pass per side, A's blocks before B's, the order of one (n,) draw each.
     side_a = (disk_a, np.empty(n, dtype=np.int8))
     side_b = (disk_b, np.empty(n, dtype=np.int8))
     passes = [(side_a, side_b)] if mode is SamplingMode.SHARED_LAMBDA else [(side_a,), (side_b,)]
     for sides in passes:
-        for start in range(0, n, _CHUNK_ROWS):
-            rows = slice(start, min(start + _CHUNK_ROWS, n))
-            lams = rng.uniform(0.0, TWO_PI, rows.stop - start)
+        for rows in _blocks(n):
+            lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
             for disk, codes in sides:
                 codes[rows] = sample_split_many(disk, lams)
     return CountTable.from_codes(side_a[1], side_b[1])
@@ -416,9 +420,9 @@ def sample_param_setup(
     fresh guess every trial: one uniform block of shape (n, k) holds, per
     trial and in this order, A's guess, B's guess (each only if that side is
     per-trial) and the pointer angle(s), which is the order of n * k scalar
-    draws. The block is drawn and looked up in row chunks of _CHUNK_ROWS
-    trials; successive (m, k) draws equal one (n, k) draw, so the chunking
-    never changes the result.
+    draws. The block is drawn and looked up in row blocks (domain._blocks);
+    successive (m, k) draws equal one (n, k) draw, so the blocking never
+    changes the result.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")
@@ -434,9 +438,8 @@ def sample_param_setup(
     k = guess_a + guess_b + (1 if shared else 2)
     side_a = np.empty(n, dtype=np.int8)
     side_b = np.empty(n, dtype=np.int8)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, n))
-        columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - start, k)).T)
+    for rows in _blocks(n):
+        columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - rows.start, k)).T)
         beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
         alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
         lam_a = next(columns)

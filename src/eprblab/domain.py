@@ -37,9 +37,11 @@ PLUS_CODE = 1
 MINUS_CODE = -1
 DOUBLE_CODE = 2
 
-#: Trials per bincount of a tally. Any value gives the same counts; 2**14
-#: rows keep each chunk's cell indices in cache.
-_TALLY_ROWS = 1 << 14
+#: Rows per block of every blocked pass (_blocks): the tally, the station
+#: kernel and count driver in optics, the disk draws and the CSV writer. Any
+#: value gives the same output bytes; 2**14 rows keep a block's arrays in
+#: cache and on the heap, where a freed block's pages serve the next.
+_BLOCK_ROWS = 1 << 14
 
 
 class NoCoincidencesError(ValueError):
@@ -230,11 +232,15 @@ def _cells(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return ((codes_a & 3) << 2) | (codes_b & 3)
 
 
+def _blocks(n: int) -> list[slice]:
+    """The slices of n rows, _BLOCK_ROWS at a time, as read at this call."""
+    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+
+
 def _tally(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
-    """Counts of the 16 cells of two code arrays, _TALLY_ROWS trials at a time."""
+    """Counts of the 16 cells of two code arrays, one block of trials at a time."""
     counts = np.zeros(16, dtype=np.int64)
-    for start in range(0, codes_a.shape[0], _TALLY_ROWS):
-        rows = slice(start, start + _TALLY_ROWS)
+    for rows in _blocks(codes_a.shape[0]):
         counts += np.bincount(_cells(codes_a[rows], codes_b[rows]), minlength=16)
     return counts
 

@@ -15,7 +15,7 @@ arrays; no stage of the pipeline builds a per-record object.
 File format: text CSV, header ``t_ns,setting,channel``, one record per
 line, rows sorted by t_ns ascending. Files are written with LF line ends;
 the reader also takes CRLF line ends and a missing final line end, and each
-field must be -?digits within int64. The writer works in row chunks and
+field must be -?digits within int64. The writer works in row blocks and
 the reader in array passes over the whole file. Timestamps are integer
 nanoseconds, setting is the index (0 or 1) of the analyzer angle active for
 that event, channel is +1 or -1. Misses and doubles produce no record (a
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import MINUS_CODE, PLUS_CODE, CountTable, check_angle
+from .domain import MINUS_CODE, PLUS_CODE, CountTable, _blocks, check_angle
 from .optics import SourceModel, StationConfig, measure_pairs
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
@@ -131,6 +131,9 @@ class GeneratorConfig:
             raise ValueError(f"mean_rate must be positive and finite, got {self.mean_rate!r}")
         if not (math.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
             raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma!r}")
+        for name in ("settings_a", "settings_b"):
+            if len(menu := getattr(self, name)) != 2:
+                raise ValueError(f"{name} must hold exactly 2 angles, got {len(menu)}")
         for angle in (*self.settings_a, *self.settings_b):
             check_angle("settings angle", angle)
 
@@ -222,9 +225,6 @@ def generate_events(
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
 
 
-#: Rows per chunk of the CSV writer. Any value gives the same bytes; this
-#: one bounds the writer's temporaries.
-_CHUNK_ROWS = 1 << 14
 #: ASCII tens and units digits of 0..99.
 _TENS = np.repeat(np.arange(48, 58, dtype=np.uint8), 10)
 _UNITS = np.tile(np.arange(48, 58, dtype=np.uint8), 10)
@@ -270,11 +270,11 @@ def _format_rows(columns) -> bytes:
 
 
 def _write_csv(path: Path | str, header: str, columns) -> None:
-    """Write header, then one integer row per index of columns, in row chunks."""
+    """Write header, then one integer row per index of columns, in row blocks."""
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii"))
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            fh.write(_format_rows([col[start : start + _CHUNK_ROWS] for col in columns]))
+        for rows in _blocks(len(columns[0])):
+            fh.write(_format_rows([col[rows] for col in columns]))
 
 
 def write_events(path: Path | str, events: EventStream) -> None:

@@ -21,13 +21,13 @@ seed material.
 
 measure_pairs gives both stations' codes for the next n pairs of a stream,
 and _count_pairs counts them for a scan step or CHSH sub-run. Both read the
-stream's segments in their draw order, _TABLE_ROWS pairs at a time, and
-decide most pairs' codes from per-key intensity bounds (_key_bounds) with no
-cosine; the README's "Count driver" section derives the method and its three
-station paths (bucket, bit and full). This rests on numpy building uniform
-doubles from raw draws as it does today, and on block-wise normal, random
-and integers draws equalling one whole draw: the same construction every
-seeded output already rests on.
+stream's segments in their draw order, one block (domain._blocks) at a
+time, and decide most pairs' codes from per-key intensity bounds
+(_key_bounds) with no cosine; the README's "Count driver" section derives
+the method and its three station paths (bucket, bit and full). This rests
+on numpy building uniform doubles from raw draws as it does today, and on
+block-wise normal, random and integers draws equalling one whole draw: the
+same construction every seeded output already rests on.
 """
 
 from __future__ import annotations
@@ -45,16 +45,11 @@ from .domain import (
     MISS_CODE,
     PLUS_CODE,
     TWO_PI,
+    _blocks,
     _cells,
     _tally,
     check_angle,
 )
-
-#: Pairs per block of measure_pairs and _count_pairs. Any value gives the
-#: same output bytes; 2**14 rows keep each block's arrays on the heap, where
-#: a freed block's pages serve the next (2**16-row blocks took ~200 page
-#: faults per 1e5 pairs).
-_TABLE_ROWS = 1 << 14
 
 #: The bucket path groups pairs by this many top bits of their raw draw.
 _BUCKET_BITS = 12
@@ -208,21 +203,20 @@ def _phis_of_words(source: SourceModel, words: np.ndarray) -> np.ndarray:
     return (source.basis + 0.5 * math.pi * words) % TWO_PI
 
 
-def _bounded_codes(key, noise, out: np.ndarray, threshold: float, bounds, work, fired):
+def _bounded_codes(key, noise, out: np.ndarray, threshold: float, bounds):
     """Write to out the codes the bounds (_key_bounds) of these keys give,
     plus each pair's noise when given, and return where a channel's bounds
     straddle the threshold. Rounding the sum is monotone, so elsewhere the
     code holds for every angle of the key. key None reads every key in order,
-    with no noise. work and fired are scratch arrays of at least m and (4, m)
-    items for m keys read."""
-    m = bounds[0].shape[0] if key is None else key.shape[0]
+    with no noise."""
+    fired = []
     for row, bound in enumerate(bounds):
         if key is not None:
-            bound = np.take(bound, key, out=work[:m], mode="clip")
-        if noise is not None:
-            bound += noise[:, row // 2]
-        np.greater_equal(bound, threshold, out=fired[row, :m])
-    plus_lo, plus_hi, minus_lo, minus_hi = fired[:, :m]
+            bound = np.take(bound, key, mode="clip")
+            if noise is not None:
+                bound += noise[:, row // 2]
+        fired.append(bound >= threshold)
+    plus_lo, plus_hi, minus_lo, minus_hi = fired
     _code_of(plus_lo, minus_lo, out)
     return (plus_lo != plus_hi) | (minus_lo != minus_hi)
 
@@ -246,25 +240,19 @@ class _Station:
         self.keys_per_angle = 1 << _BUCKET_BITS if isinstance(source, IsotropicSource) else 2
         self.table = None
         if cfg.noise_sigma == 0.0:
-            # Only the table is kept: bounds held through the pass moved the
-            # block arrays to where freeing them trimmed the heap, and each
-            # block's draw was faulted in again (~15 page faults a block).
-            n_keys = self.keys_per_angle * self.angles.shape[0]
-            codes, fired = np.empty(n_keys, dtype=np.int8), np.empty((4, n_keys), dtype=bool)
+            codes = np.empty(self.keys_per_angle * self.angles.shape[0], dtype=np.int8)
             bounds = _key_bounds(source, shift, self.angles)
-            unproven = _bounded_codes(None, None, codes, cfg.threshold, bounds, None, fired)
-            self.table = codes, unproven
+            self.table = codes, _bounded_codes(None, None, codes, cfg.threshold, bounds)
 
-    def codes(self, words, key, out: np.ndarray, rows: slice, noise=None, full=()) -> None:
+    def codes(self, words, key, out: np.ndarray, rows: slice, noise=None, bounds=None) -> None:
         """Write to out the codes, before thinning, of the pairs at rows of
         the stream: from the table at zero noise, else, on the full path, from
-        the block's normals and full, the station's _key_bounds and scratch
-        arrays for _bounded_codes. Only the pairs these leave unsure go
-        through _exact_codes."""
+        the block's normals and the station's bounds (_key_bounds). Only the
+        pairs these leave unsure go through _exact_codes."""
         if self.index is not None:
             key = key + self.keys_per_angle * self.index[rows]
         if self.table is None:
-            unsure = _bounded_codes(key, noise, out, self.cfg.threshold, *full)
+            unsure = _bounded_codes(key, noise, out, self.cfg.threshold, bounds)
         else:
             np.take(self.table[0], key, out=out, mode="clip")
             unsure = self.table[1][key]
@@ -278,17 +266,12 @@ class _Station:
         """The full path: write to out the codes, before thinning, of these
         blocks of rows, their angle words drawn again from again, a copy of
         the generator taken before them, and their normals from rng."""
-        # The bounds and one pair of work arrays serve the whole pass:
-        # block-sized temporaries made and freed in every block sit at the top
-        # of the heap, which is trimmed and faulted in again each time (~90
-        # page faults a block).
-        full = (_key_bounds(self.source, self.shift, self.angles),
-                np.empty(_TABLE_ROWS), np.empty((4, _TABLE_ROWS), dtype=bool))
+        bounds = _key_bounds(self.source, self.shift, self.angles)
         for rows in blocks:
             m = rows.stop - rows.start
             words, key = _draw_words(self.source, m, again)
             noise = rng.normal(0.0, self.cfg.noise_sigma, (m, 2))
-            self.codes(words, key, out[rows], rows, noise, full)
+            self.codes(words, key, out[rows], rows, noise, bounds)
 
 
 def measure_pairs(
@@ -320,7 +303,7 @@ def measure_pairs(
     stations = [_Station(source, shift, cfg, setting)
                 for shift, cfg, setting in zip(_SHIFTS, (cfg_a, cfg_b), settings or (None, None))]
     codes = np.empty((2, n), dtype=np.int8)
-    blocks = [slice(start, min(start + _TABLE_ROWS, n)) for start in range(0, n, _TABLE_ROWS)]
+    blocks = _blocks(n)
     before_words = copy.deepcopy(rng.bit_generator)
     for rows in blocks:
         words, key = _draw_words(source, rows.stop - rows.start, rng)
@@ -343,7 +326,7 @@ def _count_keys(source: SourceModel, n: int, stations, rng) -> np.ndarray:
 
     A key whose code both stations' tables prove is counted from its size;
     the pairs of the other keys go through _exact_codes in batches of at
-    least _TABLE_ROWS pairs, or at the end. No per-pair code is kept.
+    least one block's pairs, or at the end. No per-pair code is kept.
     """
     (code_a, unproven_a), (code_b, unproven_b) = (station.table for station in stations)
     unproven = unproven_a | unproven_b
@@ -351,16 +334,14 @@ def _count_keys(source: SourceModel, n: int, stations, rng) -> np.ndarray:
     counts = np.zeros(16, dtype=np.int64)
     pending: list[np.ndarray] = []
     n_pending = 0
-    for start in range(0, n, _TABLE_ROWS):
-        words, key = _draw_words(source, min(_TABLE_ROWS, n - start), rng)
+    for rows in _blocks(n):
+        m = rows.stop - rows.start
+        words, key = _draw_words(source, m, rng)
         per_key += np.bincount(key, minlength=per_key.shape[0])
         pending.append(words[unproven[key]])
         n_pending += pending[-1].shape[0]
-        # Free the block before the next draw, which then reuses its heap
-        # pages; freed at the top of the heap, they would be trimmed and
-        # faulted in again.
-        del words, key
-        if n_pending >= _TABLE_ROWS or start + _TABLE_ROWS >= n:
+        del words, key  # the pass holds one block of angle words, not two
+        if n_pending >= m or rows.stop == n:
             phis = _phis_of_words(source, np.concatenate(pending))
             counts += _tally(*(_exact_codes(phis, st.shift, st.cfg.angle, st.cfg.threshold)
                                for st in stations))

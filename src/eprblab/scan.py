@@ -341,7 +341,7 @@ def pathology_probe(
         source=FixedBasisSource(basis=basis),
         station_a=station_a,
         station_b=station_b,
-        b_angles=b_angles or default_b_angles(),
+        b_angles=default_b_angles() if b_angles is None else b_angles,
         pairs_per_step=pairs_per_step,
         seed=seed,
     )

@@ -241,6 +241,18 @@ def test_policy_aliases_sample_as_the_policy_they_name(tmp_path, alias, policy):
         assert (tmp_path / "alias" / name).read_bytes() == (tmp_path / "named" / name).read_bytes()
 
 
+def test_figure5_both_known_samples_as_figure4(tmp_path):
+    argv = ("disk-demo", "--alpha", "0.4", "--beta", "0.1", "--n", "2000", "--seed", "8")
+    assert run_cli(*argv, "--figure", "4", "--out", str(tmp_path / "f4")) == 0
+    assert run_cli(*argv, "--figure", "5", "--policy", "both-known",
+                   "--out", str(tmp_path / "f5")) == 0
+    f4, f5 = ({key: value for key, value in _read_summary(tmp_path / d / "summary.txt").items()
+               if key != "figure"} for d in ("f4", "f5"))
+    assert f5 == f4
+    for name in ("disk_a.txt", "disk_b.txt"):
+        assert (tmp_path / "f5" / name).read_bytes() == (tmp_path / "f4" / name).read_bytes()
+
+
 def test_disk_demo_figure4_shared_params(tmp_path):
     out = tmp_path / "d4"
     assert run_cli("disk-demo", "--figure", "4", "--alpha", "0.9", "--beta", "0.2",
@@ -441,6 +453,8 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
         (("disk-demo", "--figure", "5", "--policy-value", "0.3"), "does not read --policy-value"),
         (("disk-demo", "--figure", "5", "--policy", "assume-random", "--policy-a", "both-known",
           "--policy-b", "both-known"), "--figure 5 does not read --policy"),
+        (("disk-demo", "--figure", "5", "--policy", "assume-fixed"),
+         "--policy assume-fixed needs --policy-value"),
     ],
     ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
          "events-gen-too-large", "events-gen-jitter-past-int64", "events-gen-time-past-int64",
@@ -448,7 +462,8 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
          "special-theta", "figure1-alpha",
          "figure2-beta", "figure3-alpha", "special-beta", "figure1-policy-value",
          "figure4-policy", "special-policy-a", "figure2-policy-b", "figure5-random-policy-value",
-         "figure5-default-policy-value", "figure5-policy-under-both-sides"],
+         "figure5-default-policy-value", "figure5-policy-under-both-sides",
+         "figure5-assume-fixed-without-value"],
 )
 def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
     monkeypatch.chdir(tmp_path)

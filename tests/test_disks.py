@@ -29,6 +29,7 @@ from eprblab import (
     wrap_angle,
 )
 import eprblab.disks as disks
+import eprblab.domain as domain
 from eprblab.cli import main
 from eprblab.disks import policy_is_per_trial
 
@@ -423,6 +424,8 @@ def test_sample_separated_rejects_nonpositive_n():
     da, db = split_disk(build_singlet_disk(0.1, ANTI))
     with pytest.raises(ValueError):
         sample_separated(da, db, SamplingMode.SHARED_LAMBDA, 0, 1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        sample_param_setup(0.1, 0.0, AssumeRandom(), BothKnown(), ANTI, 0, 1)
 
 
 # --- knowledge policies -----------------------------------------------------------
@@ -518,7 +521,7 @@ def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, se
 def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
     # Chunked draws and lookups give the one-block result, even when chunks
     # are tiny and n is not a multiple of them.
-    monkeypatch.setattr(disks, "_CHUNK_ROWS", block_rows)
+    monkeypatch.setattr(domain, "_BLOCK_ROWS", block_rows)
     args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
     assert sample_param_setup(*args) == reference_param_setup(*args)
     # The static path: sample_separated, directly and through sample_param_setup.

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprblab import eventio
+from eprblab import domain, eventio
 from eprblab import (
     CountTable,
     EventStream,
@@ -96,6 +97,10 @@ def test_generator_config_validation():
         _config(rate=0.0)
     with pytest.raises(ValueError):
         _config(jitter=-1e-9)
+    # A menu of any length but two is refused by name, before any draw.
+    for name, menu in (("settings_a", (A0,)), ("settings_b", (B0, B1, 0.3))):
+        with pytest.raises(ValueError, match=f"^{name} must hold exactly 2 angles, got "):
+            replace(_config(), **{name: menu})
 
 
 @pytest.mark.parametrize("field", ["rate", "jitter"])
@@ -171,6 +176,25 @@ def test_event_times_past_int64_ns_are_refused_before_any_draw(monkeypatch, dura
     monkeypatch.setattr(eventio, "_emission_times", no_draws)
     with pytest.raises(ValueError, match="could pass 2\\*\\*63 ns"):
         generate_events(_config(rate=1e-9, jitter=jitter), duration=duration, seed=1)
+
+
+def test_emission_times_extend_a_short_first_block():
+    # The first block of gaps ends before the duration, so _emission_times
+    # draws another; the times are the running sum of every gap drawn.
+    class ShortFirstBlock:
+        def __init__(self):
+            self.rng, self.blocks = np.random.default_rng(3), []
+
+        def exponential(self, scale, size):
+            gaps = self.rng.exponential(scale, size) * (0.01 if not self.blocks else 1.0)
+            self.blocks.append(gaps)
+            return gaps
+
+    gen = ShortFirstBlock()
+    times = eventio._emission_times(1_000.0, 0.1, gen)
+    assert len(gen.blocks) == 2 and gen.blocks[0].sum() <= 0.1
+    want = np.cumsum(np.concatenate(gen.blocks))
+    assert np.array_equal(times, want[want <= 0.1])
 
 
 def test_expected_pairs_limit_is_inclusive(monkeypatch):
@@ -396,21 +420,21 @@ def reference_csv(header: str, columns) -> bytes:
             lambda n: st.lists(st.lists(int64s, min_size=n, max_size=n), min_size=k, max_size=k)
         )
     ),
-    st.sampled_from([1, 2, 3, 7, eventio._CHUNK_ROWS]),
+    st.sampled_from([1, 2, 3, 7, domain._BLOCK_ROWS]),
 )
-@example([[]], eventio._CHUNK_ROWS)  # an empty column
+@example([[]], domain._BLOCK_ROWS)  # an empty column
 @example([EDGE_INTS, EDGE_INTS[::-1]], 5)
 def test_writer_equals_percent_format(tmp_path_factory, columns, chunk):
     path = tmp_path_factory.getbasetemp() / "writer.csv"
     arrays = [np.array(col, dtype=np.int64) for col in columns]
-    with mock.patch.object(eventio, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(domain, "_BLOCK_ROWS", chunk):
         eventio._write_csv(path, "h", arrays)
     assert path.read_bytes() == reference_csv("h", columns)
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1, eventio._CHUNK_ROWS + 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1, domain._BLOCK_ROWS + 1])
 def test_writer_at_the_chunk_edge(tmp_path, offset):
-    n = eventio._CHUNK_ROWS + offset
+    n = domain._BLOCK_ROWS + offset
     rng = np.random.default_rng(offset + 2)
     columns = [
         rng.integers(INT64_MIN, INT64_MAX, n, dtype=np.int64, endpoint=True),
@@ -434,12 +458,12 @@ def valid_streams(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(valid_streams(), st.sampled_from([1, 2, 3, eventio._CHUNK_ROWS]))
-@example(_stream([INT64_MAX]), eventio._CHUNK_ROWS)
+@given(valid_streams(), st.sampled_from([1, 2, 3, domain._BLOCK_ROWS]))
+@example(_stream([INT64_MAX]), domain._BLOCK_ROWS)
 def test_round_trip_and_reference_bytes(tmp_path_factory, events, chunk):
     path = tmp_path_factory.getbasetemp() / "round.csv"
     ref = tmp_path_factory.getbasetemp() / "round_ref.csv"
-    with mock.patch.object(eventio, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(domain, "_BLOCK_ROWS", chunk):
         write_events(path, events)
     reference_write_events(ref, events)
     assert path.read_bytes() == ref.read_bytes()

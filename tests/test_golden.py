@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eprblab import domain
 from eprblab.cli import main
 
 NUMPY_VERSION = "2.4.6"
@@ -251,8 +252,17 @@ def manifest_digest(name: str, workdir: Path) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_golden_digests(name, tmp_path):
+#: Every golden case at the default block size, and again with every blocked
+#: pass (domain._blocks) cut into 64-row blocks, so each output byte also holds
+#: across block edges.
+BLOCKED_RUNS = [*(pytest.param(name, None, id=name) for name in sorted(RUNS)),
+                *(pytest.param(name, 64, id=f"{name}-64-row-blocks") for name in sorted(RUNS))]
+
+
+@pytest.mark.parametrize("name, block_rows", BLOCKED_RUNS)
+def test_golden_digests(name, block_rows, tmp_path, monkeypatch):
+    if block_rows is not None:
+        monkeypatch.setattr(domain, "_BLOCK_ROWS", block_rows)
     assert run_digests(name, tmp_path) == GOLDEN[name], (
         f"digests were taken with numpy {NUMPY_VERSION}; this is numpy {np.__version__}"
     )

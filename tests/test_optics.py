@@ -18,6 +18,7 @@ from eprblab import (
     correlation,
     measure_pairs,
 )
+import eprblab.domain as domain
 import eprblab.optics as optics
 from eprblab.optics import DOUBLE_CODE, MINUS_CODE, MISS_CODE, PLUS_CODE
 from eprblab.scan import _windows
@@ -321,7 +322,7 @@ def reference_measure_many(phis, cfg_a, cfg_b, rng):
     return codes_a, codes_b
 
 
-R = optics._TABLE_ROWS
+R = domain._BLOCK_ROWS
 #: Pair counts at the block edges of measure_pairs, and of the reference's
 #: blocks of 2 * R pairs.
 EDGE_N = (1, R - 1, R, R + 1, 2 * R - 1, 2 * R, 2 * R + 1, 6 * R + 7)
@@ -419,13 +420,13 @@ def test_measure_pairs_refuses_bad_settings():
 
 # --- the numpy identities optics._count_pairs rests on -------------------------------------
 
-TABLE_ROWS = optics._TABLE_ROWS
-TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
+BLOCK_ROWS = domain._BLOCK_ROWS
+BLOCK_EDGE_N = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
 IDENTITY_SEEDS = ([0, 0], [1, 7], [2**32 - 1, 32], [123456789, 3])
 
 
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
-@pytest.mark.parametrize("n", TABLE_EDGE_N)
+@pytest.mark.parametrize("n", BLOCK_EDGE_N)
 def test_uniform_angles_are_built_from_raw_draws(seed, n):
     # The bucket path reads the pair angles of uniform(0, 2*pi) off raw PCG64 draws.
     want = np.random.default_rng(seed).uniform(0.0, TWO_PI, n)
@@ -435,16 +436,17 @@ def test_uniform_angles_are_built_from_raw_draws(seed, n):
 
 
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
-@pytest.mark.parametrize("n", TABLE_EDGE_N)
+@pytest.mark.parametrize("n", BLOCK_EDGE_N)
 def test_raw_draws_in_blocks_equal_one_draw(seed, n):
     whole = np.random.default_rng(seed).bit_generator
     blocked = np.random.default_rng(seed).bit_generator
-    parts = [blocked.random_raw(min(TABLE_ROWS, n - s)) for s in range(0, n, TABLE_ROWS)]
+    parts = [blocked.random_raw(min(BLOCK_ROWS, n - s)) for s in range(0, n, BLOCK_ROWS)]
     assert np.array_equal(np.concatenate(parts), whole.random_raw(n))
     assert blocked.random_raw() == whole.random_raw()
 
 
 STREAM_SEGMENTS = {
+    "exponential": lambda g, m: g.exponential(1e-3, m),
     "normal": lambda g, m: g.normal(0.0, 0.05, (m, 2)),
     "random": lambda g, m: g.random(m),
     "integers": lambda g, m: g.integers(0, 2, m),
@@ -452,15 +454,16 @@ STREAM_SEGMENTS = {
 
 
 @pytest.mark.parametrize("seed", IDENTITY_SEEDS)
-@pytest.mark.parametrize("n", TABLE_EDGE_N)
+@pytest.mark.parametrize("n", BLOCK_EDGE_N)
 @pytest.mark.parametrize("segment", sorted(STREAM_SEGMENTS))
 def test_stream_segments_drawn_in_blocks_equal_one_draw(segment, n, seed):
-    # optics._count_pairs draws each segment of a stream _TABLE_ROWS pairs at a
-    # time; numpy must give the values and the end state of one whole draw.
+    # optics._count_pairs draws each segment of a stream one block of pairs at a
+    # time, and eventio._emission_times its gaps one block at a time; numpy
+    # must give the values and the end state of one whole draw.
     draw = STREAM_SEGMENTS[segment]
     whole, blocked = np.random.default_rng(seed), np.random.default_rng(seed)
     want = draw(whole, n)
-    parts = [draw(blocked, min(TABLE_ROWS, n - s)) for s in range(0, n, TABLE_ROWS)]
+    parts = [draw(blocked, min(BLOCK_ROWS, n - s)) for s in range(0, n, BLOCK_ROWS)]
     assert np.array_equal(np.concatenate(parts), want), f"{segment} drawn in blocks differs"
     assert blocked.bit_generator.state == whole.bit_generator.state, f"{segment} ends elsewhere"
 
@@ -471,11 +474,11 @@ def test_raw_draws_end_where_uniform_angles_end(seed):
     # again from a copy of the generator taken before them.
     angles, words = np.random.default_rng(seed), np.random.default_rng(seed)
     before = copy.deepcopy(words.bit_generator)
-    want = angles.uniform(0.0, TWO_PI, TABLE_ROWS + 1)
-    words.bit_generator.random_raw(TABLE_ROWS + 1)
+    want = angles.uniform(0.0, TWO_PI, BLOCK_ROWS + 1)
+    words.bit_generator.random_raw(BLOCK_ROWS + 1)
     assert words.bit_generator.state == angles.bit_generator.state
     again = np.random.Generator(before)
-    assert np.array_equal(again.uniform(0.0, TWO_PI, TABLE_ROWS + 1), want)
+    assert np.array_equal(again.uniform(0.0, TWO_PI, BLOCK_ROWS + 1), want)
 
 
 def test_bucket_angles_bound_their_draws():

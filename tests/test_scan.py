@@ -13,6 +13,7 @@ from eprblab import (
     IsotropicSource,
     NoCoincidencesError,
     ScanConfig,
+    ScanResult,
     StationConfig,
     analytic_coincidence_fraction,
     analytic_correlation,
@@ -27,6 +28,7 @@ from eprblab import (
     run_scan_step,
     singles_asymmetry,
 )
+import eprblab.domain as domain
 import eprblab.optics as optics
 import eprblab.scan as scan
 from eprblab.cli import SCAN_CSV_HEADER, main
@@ -265,6 +267,11 @@ def test_scan_config_validation():
         ScanConfig(IsotropicSource(), st_a, st_a, b_angles=(0.0,))
     with pytest.raises(ValueError):
         ScanConfig(IsotropicSource(), st_a, st_a, pairs_per_step=0)
+    with pytest.raises(ValueError, match="seed"):
+        ScanConfig(IsotropicSource(), st_a, st_a, seed=-1)
+    one_step = run_scan_step(ScanConfig(IsotropicSource(), st_a, st_a, pairs_per_step=10), 0)
+    with pytest.raises(ValueError, match="at least 2 scan steps"):
+        coincidence_modulation(ScanResult(ScanConfig(IsotropicSource(), st_a, st_a), (one_step,)))
 
 
 def test_step_counts_partition_pairs():
@@ -413,16 +420,14 @@ def test_tabulate_codes_equals_reference(n, seed):
 
 @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 29])
 def test_tally_row_chunks_are_invisible(monkeypatch, n):
-    import eprblab.domain as domain
-
-    monkeypatch.setattr(domain, "_TALLY_ROWS", 7)
+    monkeypatch.setattr(domain, "_BLOCK_ROWS", 7)
     codes = np.array([MISS_CODE, PLUS_CODE, MINUS_CODE, DOUBLE_CODE], dtype=np.int8)
     rng = np.random.default_rng(n)
     codes_a, codes_b = codes[rng.integers(0, 4, n)], codes[rng.integers(0, 4, n)]
     assert CountTable.from_codes(codes_a, codes_b) == reference_tabulate_codes(codes_a, codes_b)
 
 
-TABLE_ROWS = optics._TABLE_ROWS
+BLOCK_ROWS = domain._BLOCK_ROWS
 BIG = (1e6, -1e6, 1e12, -1e12)
 table_angles = (
     st.integers(-16, 16).map(lambda k: k * PI / 8)
@@ -436,17 +441,17 @@ zero_noise_stations = st.builds(StationConfig, angle=table_angles, threshold=tab
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from((1, 2, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 2 * TABLE_ROWS + 1))
+    st.sampled_from((1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1))
     | st.integers(1, 3000),
     zero_noise_stations,
     zero_noise_stations,
     st.integers(0, 2**32),
 )
-@example(2 * TABLE_ROWS + 1, StationConfig(1e12, 0.0), StationConfig(-1e6, 1.0), 3)
-@example(TABLE_ROWS + 1, StationConfig(PI / 4, 0.5), StationConfig(3 * PI / 8, 0.92), 4)
-@example(TABLE_ROWS, StationConfig(-PI, 1.0), StationConfig(PI / 8, 0.0), 5)
+@example(2 * BLOCK_ROWS + 1, StationConfig(1e12, 0.0), StationConfig(-1e6, 1.0), 3)
+@example(BLOCK_ROWS + 1, StationConfig(PI / 4, 0.5), StationConfig(3 * PI / 8, 0.92), 4)
+@example(BLOCK_ROWS, StationConfig(-PI, 1.0), StationConfig(PI / 8, 0.0), 5)
 # ~7 % of pairs unproven: the unproven batch fills up before the last block
-@example(20 * TABLE_ROWS + 3, StationConfig(0.1, 0.0), StationConfig(0.2, 1.0), 6)
+@example(20 * BLOCK_ROWS + 3, StationConfig(0.1, 0.0), StationConfig(0.2, 1.0), 6)
 def test_zero_noise_counts_equal_every_pair_measured(n, cfg_a, cfg_b, seed):
     rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
     got = scan._count_stream(IsotropicSource(), cfg_a, cfg_b, n, rng)
@@ -454,7 +459,7 @@ def test_zero_noise_counts_equal_every_pair_measured(n, cfg_a, cfg_b, seed):
     assert rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
 
 
-TABLE_EDGE_N = (1, TABLE_ROWS - 1, TABLE_ROWS, TABLE_ROWS + 1, 3 * TABLE_ROWS + 5)
+BLOCK_EDGE_N = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5)
 REGIMES = [(sigma_a, eta_a, sigma_b, eta_b)
            for sigma_a in (0.0, 0.03) for eta_a in (1.0, 0.4)
            for sigma_b in (0.0, 0.05) for eta_b in (1.0, 0.3)]
@@ -467,7 +472,7 @@ stream_thresholds = st.sampled_from([0.0, 0.5, 1.0])
 @pytest.mark.parametrize("sigma_a, eta_a, sigma_b, eta_b", REGIMES)
 @settings(max_examples=6, deadline=None)
 @given(
-    n=st.sampled_from(TABLE_EDGE_N),
+    n=st.sampled_from(BLOCK_EDGE_N),
     angle_a=stream_angles,
     angle_b=stream_angles,
     t_a=stream_thresholds,
@@ -476,7 +481,7 @@ stream_thresholds = st.sampled_from([0.0, 0.5, 1.0])
     seed=st.integers(0, 2**32),
 )
 # fixed-hv with A bisecting the basis: every A trial sits on the exact 0.5 tie.
-@example(n=3 * TABLE_ROWS + 5, angle_a=PI / 4, angle_b=PI / 8, t_a=0.5, t_b=0.5, basis=0.0,
+@example(n=3 * BLOCK_ROWS + 5, angle_a=PI / 4, angle_b=PI / 8, t_a=0.5, t_b=0.5, basis=0.0,
          seed=1)
 def test_count_pairs_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigma_b, eta_b,
                                                  n, angle_a, angle_b, t_a, t_b, basis, seed):
@@ -501,8 +506,8 @@ def test_count_pairs_keeps_a_callers_buffered_half_word():
         g.integers(0, 2, 3)
     assert rng.bit_generator.state["has_uint32"] == 1
     for source in (FixedBasisSource(0.0), IsotropicSource()):
-        got = scan._count_stream(source, cfg_a, cfg_b, TABLE_ROWS + 3, rng)
-        assert got == reference_count(source, cfg_a, cfg_b, TABLE_ROWS + 3, ref_rng)
+        got = scan._count_stream(source, cfg_a, cfg_b, BLOCK_ROWS + 3, rng)
+        assert got == reference_count(source, cfg_a, cfg_b, BLOCK_ROWS + 3, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -535,7 +540,7 @@ def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b
     # path, the only one that draws the words again. On every path the
     # Malus/threshold kernel sees only the pairs whose code the bounds leave
     # open, not every pair.
-    n = 2 * TABLE_ROWS + 1
+    n = 2 * BLOCK_ROWS + 1
     want = reference_count(source, cfg_a, cfg_b, n, np.random.default_rng(4))
     built, rows, drawn = [], {0.0: 0, 0.5 * PI: 0}, []
     init, exact, draw = optics._Station.__init__, optics._exact_codes, optics._draw_words
@@ -565,7 +570,7 @@ def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b
 
 def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
     n = 1 << 20
-    assert n >= 16 * TABLE_ROWS  # at least 16 raw-draw blocks per setting
+    assert n >= 16 * BLOCK_ROWS  # at least 16 raw-draw blocks per setting
     pair_a, pair_b = default_chsh_configs(t_a=0.5, t_b=0.75)
     tracemalloc.start()
     try:
@@ -579,7 +584,7 @@ def test_zero_noise_chsh_memory_does_not_grow_with_pairs():
 
 #: Per-block temporaries allowed on top of the two int8 codes per pair: sixteen
 #: float64 arrays of one block of pairs.
-BLOCK_ALLOWANCE = 16 * 8 * TABLE_ROWS
+BLOCK_ALLOWANCE = 16 * 8 * BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -592,7 +597,7 @@ BLOCK_ALLOWANCE = 16 * 8 * TABLE_ROWS
     ids=["noisy-lossy", "fixed-hv-lossy", "fixed-hv-noisy"],
 )
 def test_count_stream_memory_is_two_bytes_per_pair(source, cfg_a, cfg_b):
-    n = 32 * TABLE_ROWS
+    n = 32 * BLOCK_ROWS
     rng = np.random.default_rng(22)
     tracemalloc.start()
     try:
@@ -620,6 +625,9 @@ def test_pathology_aligned_alpha_is_clean():
     assert report.a_double_rate == 0.0
     assert report.a_single_rate == 1.0
     assert report.max_match_deviation is not None
+    # An empty scan is refused, not replaced by the default angles.
+    with pytest.raises(ValueError, match="at least 2 steps"):
+        pathology_probe(basis=0.0, alpha=0.0, pairs_per_step=2_000, seed=3, b_angles=())
 
 
 def test_pathology_noise_splits_tie_to_quarter_doubles():

@@ -1,6 +1,7 @@
 """Start-up: `import eprblab` is lazy, and a CLI launch loads only the
 modules its subcommand runs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -164,3 +165,23 @@ def test_every_exported_name_still_resolves():
 
 def test_submodules_are_listed():
     assert {"cli", "domain", "disks", "eventio", "intervals", "optics", "scan"} <= set(dir(eprblab))
+
+
+def _module_level_names(path: Path) -> set[str]:
+    """The names a module's top-level assignments and imports bind."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def test_the_block_size_is_decided_in_domain_alone():
+    # Every blocked pass takes its slices from domain._blocks, so no other
+    # module binds a row count of its own (or a copy of domain's).
+    rows = {path.stem: sorted(name for name in _module_level_names(path) if name.endswith("_ROWS"))
+            for path in sorted(Path(eprblab.__file__).parent.glob("*.py"))}
+    assert {module: names for module, names in rows.items() if names} == {"domain": ["_BLOCK_ROWS"]}
