@@ -11,7 +11,8 @@ manifest's config, keyed by dest.
 
 Every table and summary.txt renders through domain's one cell rule (_table,
 _summary), and _write_run writes the run record, manifest.json last: a run
-that fails before then leaves no --out, and re-running the manifest's argv
+that fails before writing leaves no --out, a failed run leaves no
+manifest.json in a reused --out, and re-running the manifest's argv
 reproduces every CSV byte for byte. Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
 
@@ -26,6 +27,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from collections import namedtuple
@@ -41,6 +43,7 @@ from .domain import (
     _summary,
     _table,
     check_angle,
+    chsh,
     correlation,
 )
 
@@ -96,10 +99,11 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     write_events writes, or to a (header, integer columns) pair, which the
     same chunked CSV writer writes as one row per index. The manifest is
     serialized before --out is created, so a NaN or infinity in it stops the
-    run before anything is written; it is written last, after every output.
-    When --out holds an earlier run, the outputs its manifest lists and this
-    run does not write are deleted first, so no output of the earlier run
-    stays beside the new ones.
+    run before anything is written. When --out holds an earlier run, its
+    manifest.json and the outputs it lists that this run does not write are
+    deleted first, so no output of the earlier run stays beside the new ones.
+    The new manifest is written last, beside the outputs, and moved into
+    place, so a manifest.json in --out always describes one whole run.
     """
     doc = {
         "tool": "eprblab",
@@ -115,8 +119,10 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for stale in _stale_outputs(out, files):
-        stale.unlink()
+    stale = _stale_outputs(out, files)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for path in stale:
+        path.unlink()
     for name, content in files.items():
         if isinstance(content, str):
             (out / name).write_text(content, encoding="utf-8")
@@ -127,7 +133,8 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
             write_events(out / name, content)
         else:
             _write_csv(out / name, *content)
-    (out / "manifest.json").write_text(manifest, encoding="utf-8")
+    (out / "manifest.json.tmp").write_text(manifest, encoding="utf-8")
+    os.replace(out / "manifest.json.tmp", out / "manifest.json")
     return 0
 
 
@@ -548,7 +555,6 @@ def _read_input(path: str):
 
 def _cmd_events_match(args, argv: list[str]) -> int:
     from .eventio import match_coincidences
-    from .scan import chsh_report_from_tables
 
     (events_a, sha_a), (events_b, sha_b) = _read_input(args.a), _read_input(args.b)
     result = match_coincidences(events_a, events_b, args.window)
@@ -560,11 +566,9 @@ def _cmd_events_match(args, argv: list[str]) -> int:
             e = None
         rows.append((sa, sb, t.n_pp, t.n_pm, t.n_mp, t.n_mm, t.singles_a, t.singles_b, e))
 
-    a, a2, b, b2 = STANDARD_CHSH_ANGLES
-    try:
-        s: float | None = chsh_report_from_tables(result.tables, (a, a2), (b, b2)).s
-    except NoCoincidencesError:
-        s = None
+    # The rows run (0,0), (0,1), (1,0), (1,1): chsh's argument order.
+    es = [row[-1] for row in rows]
+    s = None if None in es else chsh(*es)
     config = {"a": str(args.a), "b": str(args.b), "window_ns": args.window}
     inputs = {
         side: {"path": str(path), "sha256": sha}

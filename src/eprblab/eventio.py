@@ -7,7 +7,9 @@ the station model through that same path: generate per-side CSV streams
 with exponential pair spacing, per-event setting choice (each pair measured
 by optics.measure_pairs, the station kernel the scans count with) and
 per-side latency jitter, persist them, and re-derive per-setting count
-tables with a greedy nearest-neighbor window matcher.
+tables with a greedy nearest-neighbor window matcher. Only generate_events
+runs the station kernel; reading, writing and matching streams need only
+domain.
 
 Each stream is an EventStream of three numpy columns validated once, as
 arrays; no stage of the pipeline builds a per-record object.
@@ -26,13 +28,16 @@ coincidences aligned with the in-memory both-single rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .domain import MINUS_CODE, PLUS_CODE, CountTable, _blocks, check_angle
-from .optics import SourceModel, StationConfig, measure_pairs
+from .domain import MINUS_CODE, PLUS_CODE, CountTable, _blocks, _cells, check_angle
+
+if TYPE_CHECKING:
+    from .optics import SourceModel, StationConfig
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
@@ -204,6 +209,8 @@ def generate_events(
     if not (latest := duration + _JITTER_SIGMAS * cfg.jitter_sigma) * 1e9 < 2.0**63:
         raise ValueError(f"event times could pass 2**63 ns: duration + {_JITTER_SIGMAS} * "
                          f"jitter_sigma = {latest:g} s")
+    from .optics import measure_pairs
+
     rng = np.random.default_rng(seed)
     times = _emission_times(cfg.mean_rate, duration, rng)
     n = len(times)
@@ -443,18 +450,15 @@ def match_coincidences(
     rows_b = match_b[rows_a]
     pairs = np.column_stack((rows_a, rows_b))
 
-    # Cell index: setting_a, setting_b, then CountTable order pp, pm, mp, mm.
-    cell = (
-        8 * events_a.setting[rows_a]
-        + 4 * events_b.setting[rows_b]
-        + 2 * (events_a.channel[rows_a] < 0)
-        + (events_b.channel[rows_b] < 0)
-    )
-    cells = np.bincount(cell, minlength=16).reshape(2, 2, 4).tolist()
+    # Channels are outcome codes: domain's 16 cells at 16 * (2 * setting_a + setting_b).
+    cell = _cells(events_a.channel[rows_a], events_b.channel[rows_b])
+    cell += 16 * (2 * events_a.setting[rows_a] + events_b.setting[rows_b])
+    cells = np.bincount(cell, minlength=64).reshape(4, 16)
     singles_a = np.bincount(events_a.setting, minlength=2).tolist()
     singles_b = np.bincount(events_b.setting, minlength=2).tolist()
     tables = {
-        (sa, sb): CountTable(*cells[sa][sb], singles_a=singles_a[sa], singles_b=singles_b[sb])
+        (sa, sb): replace(CountTable.from_cells(cells[2 * sa + sb]), singles_a=singles_a[sa],
+                          singles_b=singles_b[sb], n_pairs=0)
         for sa in (0, 1)
         for sb in (0, 1)
     }

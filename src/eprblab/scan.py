@@ -231,11 +231,11 @@ def chsh_report_from_tables(
     angles_a: tuple[float, float],
     angles_b: tuple[float, float],
 ) -> ChshReport:
-    """Build a ChshReport from externally tabulated per-setting counts.
+    """Build a ChshReport from one CountTable per (setting_a, setting_b).
 
-    Used by the event-file pipeline, whose window matcher produces one
-    CountTable per (setting_a, setting_b). Raises NoCoincidencesError if
-    any of the four tables is empty.
+    run_chsh reports through it, and tables tallied elsewhere, such as
+    match_coincidences', can too. Raises NoCoincidencesError if any of the
+    four tables is empty.
     """
     missing = [ij for i in (0, 1) for j in (0, 1) if (ij := (i, j)) not in tables]
     if missing:

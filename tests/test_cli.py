@@ -298,6 +298,38 @@ def test_reused_out_drops_outputs_of_the_earlier_run(tmp_path):
     assert {"disk_a.txt", "disk_b.txt", "notes.txt"} <= {p.name for p in out.iterdir()}
 
 
+def test_a_failed_run_leaves_no_manifest_in_a_reused_out(tmp_path, capsys, monkeypatch):
+    from eprblab import eventio
+
+    out = tmp_path / "x"
+    assert run_cli("scan", "--steps", "2", "--pairs", "10", "--out", str(out)) == 0
+    (out / "chsh.csv").mkdir()  # the new run cannot write its first output
+    capsys.readouterr()
+    assert run_cli("chsh", "--pairs", "10", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and len(err.strip().splitlines()) == 1
+    assert not (out / "manifest.json").exists()
+
+    # A writer that fails partway, after one whole output and part of the next.
+    (out / "chsh.csv").rmdir()
+    gen = ("events", "gen", "--rate", "1000", "--duration", "0.01", "--out", str(out))
+    assert run_cli(*gen) == 0
+    write_csv, calls = eventio._write_csv, []
+
+    def fail_on_second_file(path, header, columns):
+        calls.append(path)
+        if len(calls) == 1:
+            return write_csv(path, header, columns)
+        Path(path).write_text(header + "\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(eventio, "_write_csv", fail_on_second_file)
+    assert run_cli(*gen, "--seed", "1") == 1
+    assert [Path(path).name for path in calls] == ["events_a.csv", "events_b.csv"]
+    assert "No space left" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # --- chsh / pathology ----------------------------------------------------------------
 
 def test_chsh_cli(tmp_path):

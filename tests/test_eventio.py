@@ -1,5 +1,6 @@
 import math
 import re
+import tempfile
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -27,6 +28,7 @@ from eprblab import (
     run_chsh,
     write_events,
 )
+from eprblab.cli import main
 
 A0, A1, B0, B1 = STANDARD_CHSH_ANGLES
 HEADER = "t_ns,setting,channel\n"
@@ -78,6 +80,7 @@ def test_stream_column_contract():
         s.t_ns[0] = 1  # columns are read-only
     assert s == _stream(np.array([5, 5, 9]), setting=[1, 0, 1], channel=[-1, 1, 1])
     assert s != _stream([5, 5, 9], setting=[1, 0, 1], channel=[-1, 1, -1])
+    assert s != (s.t_ns, s.setting, s.channel)  # not a stream, so never equal
     assert len(_stream([])) == 0
     with pytest.raises(ValueError, match="of one length"):
         EventStream(t_ns=[1, 2], setting=[0], channel=[1, 1])
@@ -696,6 +699,28 @@ def test_matcher_equals_reference(inputs):
     assert result.pairs.dtype == np.int64 and result.pairs.shape == (len(pairs), 2)
     assert [tuple(p) for p in result.pairs.tolist()] == pairs
     assert result.tables == tables
+
+
+@settings(max_examples=50, deadline=None)
+@given(a=event_streams(0, 100), b=event_streams(0, 100), window=st.integers(0, 200))
+@example(a=_stream([0, 1]), b=_stream([0, 1]), window=0)  # only (0, 0) has coincidences
+def test_events_match_s_is_the_chsh_report_s(a, b, window):
+    # events match takes S as chsh of its matched.csv E column, so the rows
+    # must run in chsh's argument order: (0,0), (0,1), (1,0), (1,1).
+    try:
+        tables = match_coincidences(a, b, window).tables
+        expected = domain._cell(chsh_report_from_tables(tables, (A0, A1), (B0, B1)).s)
+    except domain.NoCoincidencesError:
+        expected = "nan"
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, "a.csv"), Path(tmp, "b.csv")]
+        write_events(paths[0], a)
+        write_events(paths[1], b)
+        argv = ["events", "match", "--a", str(paths[0]), "--b", str(paths[1]),
+                "--window", str(window), "--out", str(Path(tmp, "out"))]
+        assert main(argv) == 0
+        summary = Path(tmp, "out", "summary.txt").read_text().splitlines()
+    assert f"s = {expected}" in summary
 
 
 def test_matcher_equals_reference_on_generated_streams():
