@@ -49,6 +49,12 @@ RUNS = {
                                          "--kind", "correlated", *SMALL),
     "disk-demo-special": ("disk-demo", "--figure", "special", "--alpha",
                           "0.7853981633974483", *SMALL),
+    # Shared and independent pointers over more than two blocks of trials:
+    # pinned before static disks were read by boundary comparison.
+    "disk-demo-1-big": ("disk-demo", "--figure", "1", "--seed", "11", "--n", "40000"),
+    "disk-demo-3-big": ("disk-demo", "--figure", "3", "--seed", "11", "--n", "40000"),
+    "disk-demo-special-big": ("disk-demo", "--figure", "special", "--alpha", "0.7853981633974483",
+                              "--seed", "11", "--n", "40000"),
     "scan-figure6": ("scan", "--preset", "figure6", *SCAN),
     "scan-figure7": ("scan", "--preset", "figure7", *SCAN),
     "scan-figure8-left": ("scan", "--preset", "figure8-left", *SCAN),
@@ -97,6 +103,10 @@ GOLDEN = {
         "disk.txt": "d3d14158d9b3e1768102ab65280f52dc2d84f37ed761426f2832119d296104e4",
         "summary.txt": "6693acefe6069bc650a980eff150bccc1c4f6d7c0ec87a7dc671bb22e4de01ed",
     },
+    "disk-demo-1-big": {
+        "disk.txt": "d3d14158d9b3e1768102ab65280f52dc2d84f37ed761426f2832119d296104e4",
+        "summary.txt": "22c88874c546b2fdfc54d2ae56abffbf9a74d1bd853442fe08bd1e6d714ed796",
+    },
     "disk-demo-2": {
         "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
         "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
@@ -106,6 +116,11 @@ GOLDEN = {
         "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
         "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
         "summary.txt": "59672a57a446d4b969f91daabd1d50fbe30af348656b902e7701e5df9d03b0d3",
+    },
+    "disk-demo-3-big": {
+        "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
+        "disk_b.txt": "00c01747bea2a4dcd16dc04c90acf74e7fd6119668a73ead19b947c51c7bf1e5",
+        "summary.txt": "dae2111588f9efda72ecb9610cb88a283a7a102927bd989ebb71863dc39b0803",
     },
     "disk-demo-4": {
         "disk_a.txt": "ceb85d53c2c43304553bdb02f23043c7085f03639f730ed7509bed50cc4b0fdb",
@@ -130,6 +145,11 @@ GOLDEN = {
         "disk_a.txt": "a8765b979d84586892760c9117d871763d8f39144c77e3c80512d02703180387",
         "disk_b.txt": "132348e51f21e3594de508ec8f0c4917f9fbb1f32f35c14e5e36d01a115dac4f",
         "summary.txt": "00911596ec4b7012175746b3ff6a0d94ae8b1c6899680d8e2e49a7598cbc9a52",
+    },
+    "disk-demo-special-big": {
+        "disk_a.txt": "a8765b979d84586892760c9117d871763d8f39144c77e3c80512d02703180387",
+        "disk_b.txt": "132348e51f21e3594de508ec8f0c4917f9fbb1f32f35c14e5e36d01a115dac4f",
+        "summary.txt": "79664c96a698ea93fecd92223d814c9b682b0aeb533c9e5531d8a75aba60626c",
     },
     "events-gen": {
         "events_a.csv": "e36b0078e06dc5b294ffd91c41cf93c8a4b9e4b9b12056b0cb73d63baf022834",
@@ -197,8 +217,10 @@ MANIFESTS = {
     "chsh-noisy-lossy": "08fe48ee049831c00ffa3073d3e1e67090db8aae3ce10fdc5d34c8f527bc2eb5",
     "chsh": "6052cde7d9c2a1ef1b639bac41655f2a0b229a560ed776c93d5e6ed7f920bdcb",
     "disk-demo-1": "53a94a46d6a443aae8a9a1a755d5e185804ba934b11ee02960c297c1121aa4b4",
+    "disk-demo-1-big": "a6ba967dabf7d260b4f550f304458d6960ddb90524d26941c148d6ab962d6d5e",
     "disk-demo-2": "6bfc363e65401ce01e01951e25cdea0ff0e1bf3db154c02ee06a5760226d5c2d",
     "disk-demo-3": "cdc567df44a2dbdfc453dedf0312e75dc7a017e92e2eaff2067ec028b5d95f04",
+    "disk-demo-3-big": "40cb663333726153c960fb1918d90ec2807f7ca8a95ce2177cb78a49a73320f4",
     "disk-demo-4": "e181049acfd69fbb1d56bdbe6e7a86940fb972d441c4f1cc3bb381ea5c78a1c4",
     "disk-demo-5-assume-random": "5cbf0b556690b75cec69ac111072b4ca3f04f68a6118e909e4d3a728a77a08ff",
     "disk-demo-5-assume-zero": "2c72c1e2817e346926d255d0a9deba151a9c639600651fb3669504395665d4ba",
@@ -206,6 +228,7 @@ MANIFESTS = {
         "81873fc36f3b2eefb376948f90df9f42a30fb973b6b474b4b32dd8b0e51b11f1",
     "disk-demo-5-random-a": "0a76e96d074033ee3c7170715cd441f4366728ab59216e44ce2ff18bd4b3ae00",
     "disk-demo-special": "0ab672ee5017ed9372a475a40d0b3786ba491ce670082744f10ef813784c8d58",
+    "disk-demo-special-big": "80edff4e971b5853fbf2c4930d3cd2a2185e55c4483f03332f81590ca9ee1b2b",
     "events-gen": "76c4a03b482ba85fb540d7851d0c13704f82d7a1755666defe6242f6b86b2a72",
     "events-gen-fixed-hv-lossy": "caa818f548fd3910b7c2e96b2b0bdb2e4c761f7ab22a73cb9fe843e350552155",
     "events-gen-noisy-lossy": "5655a494aa44faefbf7627b1de9a155058c0411024875325a0b17f29c7680875",
