@@ -34,6 +34,8 @@ from collections import namedtuple
 from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .domain import (
     STANDARD_CHSH_ANGLES,
@@ -69,6 +71,19 @@ _NEGATIVE_FLOAT = re.compile(
 
 #: The --policy names; _policy builds each one's disks knowledge policy.
 _POLICIES = ("both-known", "assume-zero", "assume-fixed", "assume-random", "integrate")
+
+
+def _environment() -> dict:
+    """Where the run ran: output bytes hold per numpy version, whose
+    generators draw every sample. nproc counts the CPUs this process may use."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "nproc": nproc,
+    }
+
 
 def _fingerprint(config: dict) -> str:
     return hashlib.sha256(
@@ -114,6 +129,7 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
         "config": config,
         "config_sha256": _fingerprint(config),
         "outputs": sorted(files),
+        "environment": _environment(),
         **blocks,
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -38,6 +38,7 @@ from .domain import (
     JointPmf,
     SingletKind,
     _blocks,
+    _cells,
     qm_joint_prediction,
     wrap_angle,
 )
@@ -259,6 +260,16 @@ def _per_trial_lookup(lams: np.ndarray, theta, kind: SingletKind, outcomes) -> n
     return out
 
 
+def _segment(lams: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Index j of the segment [bounds[j], bounds[j + 1]) holding each pointer
+    in [0, 2*pi): the number of bounds[1:] at or below it, one comparison
+    pass per boundary, which on a split disk's few boundaries beats a search."""
+    index = np.zeros(lams.shape, dtype=np.min_scalar_type(len(bounds) - 1))
+    for b in bounds[1:].tolist():
+        index += lams >= b
+    return index
+
+
 def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
     """One side's outcomes (int8) at an array of pointer angles.
 
@@ -267,17 +278,18 @@ def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
     rounded arc ends miss each other) reads the sector that begins next.
     Pointers outside [0, 2*pi) are first reduced as wrap_angle reduces one;
     a non-finite pointer raises ValueError. The disk is compiled once, on
-    first use, into sorted boundaries searched with np.searchsorted.
+    first use, into sorted boundaries, and each pointer reads the outcome of
+    the segment _segment finds for it by comparison with those boundaries.
     """
     lams = np.asarray(lams, dtype=float)
-    # In-range pointers skip np.remainder, which costs more than the search.
+    # In-range pointers skip np.remainder, which costs more than the lookup.
     if lams.size and not (lams.min() >= 0.0 and lams.max() < TWO_PI):
         if not np.isfinite(lams).all():
             raise ValueError("pointer angles must be finite")
         lams = lams % TWO_PI
         lams = np.where(lams >= TWO_PI, 0.0, lams)
     bounds, outcomes = disk._table
-    return outcomes[np.searchsorted(bounds, lams, side="right") - 1]
+    return outcomes.take(_segment(lams, bounds))
 
 
 def split_disk(disk: DiskPreparation) -> tuple[SplitDisk, SplitDisk]:
@@ -307,18 +319,31 @@ def _sample_separated_rng(
     n: int,
     rng: np.random.Generator,
 ) -> CountTable:
-    # Pointers are drawn and looked up in row blocks (domain._blocks). A shared
-    # pointer serves both sides block by block; independent pointers take one
-    # pass per side, A's blocks before B's, the order of one (n,) draw each.
-    side_a = (disk_a, np.empty(n, dtype=np.int8))
-    side_b = (disk_b, np.empty(n, dtype=np.int8))
-    passes = [(side_a, side_b)] if mode is SamplingMode.SHARED_LAMBDA else [(side_a,), (side_b,)]
-    for sides in passes:
-        for rows in _blocks(n):
-            lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
-            for disk, codes in sides:
-                codes[rows] = sample_split_many(disk, lams)
-    return CountTable.from_codes(side_a[1], side_b[1])
+    # Pointers are drawn in row blocks (domain._blocks), the order of one
+    # (n,) draw. Independent pointers take one pass per side, A's blocks
+    # before B's, and tally the two sides' codes. A shared pointer needs no
+    # codes: both sides are constant on each segment of the union of their
+    # tables' boundaries, reading what _segment gives at its first double, so
+    # the pointers below each cut count every segment's trials into its cell.
+    # The count skips sample_split_many's range check: it relies on uniform
+    # never returning 2*pi, since TWO_PI * (1 - 2**-53) rounds below TWO_PI.
+    if mode is SamplingMode.INDEPENDENT_LAMBDAS:
+        codes = []
+        for disk in (disk_a, disk_b):
+            codes.append(np.empty(n, dtype=np.int8))
+            for rows in _blocks(n):
+                lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
+                codes[-1][rows] = sample_split_many(disk, lams)
+        return CountTable.from_codes(*codes)
+    bounds = np.union1d(disk_a._table[0], disk_b._table[0])
+    below = np.zeros(len(bounds) - 1, dtype=np.int64)
+    for rows in _blocks(n):
+        lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
+        below += [np.count_nonzero(lams < b) for b in bounds[1:].tolist()]
+    side_a, side_b = (d._table[1].take(_segment(bounds, d._table[0])) for d in (disk_a, disk_b))
+    cells = np.zeros(16, dtype=np.int64)
+    np.add.at(cells, _cells(side_a, side_b), np.diff(below, prepend=0, append=n))
+    return CountTable.from_cells(cells)
 
 
 def sample_separated(

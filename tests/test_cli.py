@@ -426,6 +426,30 @@ def test_events_manifests_carry_counters_and_input_digests(tmp_path):
     assert manifest["config_sha256"] == summary["config_sha256"]
 
 
+def test_every_manifest_records_its_environment(tmp_path):
+    import numpy as np
+
+    gen = tmp_path / "events gen"
+    runs = {
+        "disk-demo": ("--figure", "1", "--n", "10"),
+        "scan": ("--steps", "2", "--pairs", "100"),
+        "chsh": ("--pairs", "100"),
+        "pathology": ("--steps", "2", "--pairs", "100"),
+        "events gen": ("--rate", "1000", "--duration", "0.01"),
+        "events match": ("--a", str(gen / "events_a.csv"), "--b", str(gen / "events_b.csv"),
+                         "--window", "100"),
+    }
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    environment = {"python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+                   "platform": sys.platform, "nproc": nproc}
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert run_cli(*command.split(), *args, "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == environment, command
+        assert "environment" not in manifest["config"]
+
+
 @pytest.mark.parametrize(
     "flag, value, name",
     [

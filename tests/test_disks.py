@@ -653,3 +653,104 @@ def test_per_trial_lookup_equals_each_rows_compiled_table(thetas, kind, side):
     theta_col, lams = (np.array(col) for col in zip(*rows))
     got = disks._per_trial_lookup(lams, theta_col, kind, outcomes).tolist()
     assert got == [_row_table_lookup(x, t, kind, outcomes) for t, x in rows]
+
+
+# --- the segment kernel and the shared-pointer count ----------------------------
+
+def reference_split_many(disk: SplitDisk, lams) -> np.ndarray:
+    """sample_split_many as it searched the compiled table with np.searchsorted."""
+    lams = np.asarray(lams, dtype=float)
+    # In-range pointers skip np.remainder, which costs more than the search.
+    if lams.size and not (lams.min() >= 0.0 and lams.max() < TWO_PI):
+        if not np.isfinite(lams).all():
+            raise ValueError("pointer angles must be finite")
+        lams = lams % TWO_PI
+        lams = np.where(lams >= TWO_PI, 0.0, lams)
+    bounds, outcomes = disk._table
+    return outcomes[np.searchsorted(bounds, lams, side="right") - 1]
+
+
+@st.composite
+def static_disk_pairs(draw) -> tuple[SplitDisk, SplitDisk]:
+    """The two sides' disks of every static construction: the split singlet,
+    the policy-built disks under AssumeFixed, and the special disks."""
+    source = draw(st.sampled_from(["singlet", "param", "special"]))
+    if source == "singlet":
+        return split_disk(build_singlet_disk(draw(angles), draw(kinds)))
+    if source == "param":
+        alpha, beta, guess_a, guess_b = (draw(angles) for _ in range(4))
+        return build_param_disks(alpha, beta, AssumeFixed(guess_a), AssumeFixed(guess_b),
+                                 draw(kinds))
+    return build_bell_special(draw(angles))
+
+
+class ProbedRng:
+    """A Generator whose uniform draws start, block by block, with the probe
+    pointers; records the draws it returns and the ones it made."""
+
+    def __init__(self, seed: int, probes: list[float]):
+        self.rng = np.random.default_rng(seed)
+        self.probes = np.array(probes)
+        self.made, self.returned = [], []
+
+    def uniform(self, low, high, size):
+        lams = self.rng.uniform(low, high, size)
+        self.made.append(lams.copy())
+        k = min(size, len(self.probes))
+        lams[:k] = self.probes[:k]
+        self.returned.append(lams.copy())
+        return lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(static_disk_pairs(), st.sampled_from(list(SamplingMode)),
+       st.sampled_from([1, domain._BLOCK_ROWS, domain._BLOCK_ROWS + 1]), st.integers(0, 2**32))
+@example(build_bell_special(math.pi / 4), SamplingMode.SHARED_LAMBDA, domain._BLOCK_ROWS + 1, 0)
+def test_boundary_comparison_equals_the_searchsorted_lookup(pair, mode, n, seed):
+    # Every compiled boundary and its neighbours, a per-trial gap pointer, 0
+    # and the largest double below 2*pi: where a lookup can read one segment
+    # too far or too short.
+    probes = {0.0, GAP_LAM, math.nextafter(TWO_PI, 0.0)}
+    for disk in pair:
+        for x in disk._table[0].tolist():
+            probes.update((math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
+    probes = sorted(x for x in probes if 0.0 <= x < TWO_PI)
+    for disk in pair:
+        assert sample_split_many(disk, probes).tolist() == reference_split_many(disk, probes).tolist()
+
+    rng = ProbedRng(seed, probes)
+    got = disks._sample_separated_rng(*pair, mode, n, rng)
+    lams = np.concatenate(rng.returned)
+    lam_a, lam_b = (lams, lams) if mode is SamplingMode.SHARED_LAMBDA else (lams[:n], lams[n:])
+    assert got == CountTable.from_codes(*map(reference_split_many, pair, (lam_a, lam_b)))
+    # The blocked draws are one draw of n pointers per pointer array.
+    fresh = np.random.default_rng(seed)
+    made = [fresh.uniform(0.0, TWO_PI, n) for _ in range(len(lams) // n)]
+    assert np.array_equal(np.concatenate(rng.made), np.concatenate(made))
+    assert rng.rng.bit_generator.state == fresh.bit_generator.state
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 key word whose tempered output is y."""
+    for shift, mask in ((18, None), (15, 0xEFC60000), (7, 0x9D2C5680), (11, None)):
+        x = y
+        for _ in range(32 // shift + 1):
+            x = y ^ (((x << shift) & mask) if mask else (x >> shift))
+        y = x
+    return y
+
+
+def test_uniform_pointers_stay_below_two_pi():
+    # The shared-pointer count skips sample_split_many's range check, so it
+    # relies on Generator.uniform(0, 2*pi) never returning 2*pi. Its largest
+    # raw double is 1 - 2**-53, and 2*pi times that rounds below 2*pi.
+    assert TWO_PI * (1 - 2**-53) < TWO_PI
+    bits = np.random.MT19937()
+    state = bits.state
+    state["state"]["key"][:] = _untemper(0xFFFFFFFF)
+    state["state"]["pos"] = 0
+    bits.state = state
+    assert np.random.Generator(bits).random() == 1 - 2**-53
+    bits.state = state
+    top = np.random.Generator(bits).uniform(0.0, TWO_PI, 4)
+    assert (top == math.nextafter(TWO_PI, 0.0)).all()
