@@ -339,7 +339,8 @@ def _sample_separated_rng(
     below = np.zeros(len(bounds) - 1, dtype=np.int64)
     for rows in _blocks(n):
         lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
-        below += [np.count_nonzero(lams < b) for b in bounds[1:].tolist()]
+        for j, b in enumerate(bounds[1:].tolist()):
+            below[j] += np.count_nonzero(lams < b)
     side_a, side_b = (d._table[1].take(_segment(bounds, d._table[0])) for d in (disk_a, disk_b))
     cells = np.zeros(16, dtype=np.int64)
     np.add.at(cells, _cells(side_a, side_b), np.diff(below, prepend=0, append=n))

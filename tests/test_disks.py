@@ -684,6 +684,10 @@ def static_disk_pairs(draw) -> tuple[SplitDisk, SplitDisk]:
     return build_bell_special(draw(angles))
 
 
+#: A disk of one sector, whose compiled table is one segment.
+WHOLE = SplitDisk((SplitSector(0.0, TWO_PI, 1),))
+
+
 class ProbedRng:
     """A Generator whose uniform draws start, block by block, with the probe
     pointers; records the draws it returns and the ones it made."""
@@ -706,6 +710,8 @@ class ProbedRng:
 @given(static_disk_pairs(), st.sampled_from(list(SamplingMode)),
        st.sampled_from([1, domain._BLOCK_ROWS, domain._BLOCK_ROWS + 1]), st.integers(0, 2**32))
 @example(build_bell_special(math.pi / 4), SamplingMode.SHARED_LAMBDA, domain._BLOCK_ROWS + 1, 0)
+@example((WHOLE, WHOLE), SamplingMode.SHARED_LAMBDA, 1, 0)  # one segment: no cut
+@example((WHOLE, build_bell_special(0.3)[0]), SamplingMode.SHARED_LAMBDA, 1, 0)
 def test_boundary_comparison_equals_the_searchsorted_lookup(pair, mode, n, seed):
     # Every compiled boundary and its neighbours, a per-trial gap pointer, 0
     # and the largest double below 2*pi: where a lookup can read one segment
@@ -716,7 +722,7 @@ def test_boundary_comparison_equals_the_searchsorted_lookup(pair, mode, n, seed)
             probes.update((math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)))
     probes = sorted(x for x in probes if 0.0 <= x < TWO_PI)
     for disk in pair:
-        assert sample_split_many(disk, probes).tolist() == reference_split_many(disk, probes).tolist()
+        assert np.array_equal(sample_split_many(disk, probes), reference_split_many(disk, probes))
 
     rng = ProbedRng(seed, probes)
     got = disks._sample_separated_rng(*pair, mode, n, rng)
