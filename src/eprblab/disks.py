@@ -172,9 +172,12 @@ def _holds(lams, start, length):
 
     The one arc test: (lam - start) % 2*pi < length. Arcs are half-open, the
     boundary belongs to the arc that starts there, and a zero-length arc
-    holds nothing.
+    holds nothing. For lams in [0, 2*pi) and a start in [0, 2*pi], as every
+    caller passes, % only adds 2*pi to a negative d = lam - start, so adding
+    it here gives the same doubles without np.remainder.
     """
-    return (lams - start) % TWO_PI < length
+    d = lams - start
+    return d + TWO_PI * (d < 0) < length
 
 
 def _sector_lookup(lams, arcs) -> np.ndarray:
@@ -206,8 +209,7 @@ def _first_unheld(lo: int, hi: int, start: float, length: float) -> int:
     """Bits of the first double in bits [lo, hi) the arc does not hold, or hi.
 
     Bisection; the arc must hold a prefix of the range. On one Python float,
-    _holds computes what numpy computes elementwise: both % take fmod and
-    move a negative remainder up by 2*pi.
+    _holds rounds each step as numpy does elementwise.
     """
     while lo < hi:
         mid = (lo + hi) // 2
@@ -222,7 +224,7 @@ def _compile_lookup(arcs) -> tuple[np.ndarray, np.ndarray]:
     """Sorted boundaries and outcomes that equal _sector_lookup on [0, 2*pi).
 
     For a start in [0, 2*pi], lam - start rounds monotonically in lam, and so
-    does the 2*pi that % adds to it below the start. So an arc holds a prefix
+    does the 2*pi that _holds adds to it below the start. So an arc holds a prefix
     of [0, start) and a prefix of [start, 2*pi), and bisection finds where
     each prefix ends, exactly. The cuts are 0 and, per arc, its start and
     those two ends; every arc's test is constant from one cut to the next,
@@ -335,7 +337,8 @@ def _sample_separated_rng(
                 lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
                 codes[-1][rows] = sample_split_many(disk, lams)
         return CountTable.from_codes(*codes)
-    bounds = np.union1d(disk_a._table[0], disk_b._table[0])
+    bounds = np.sort(np.concatenate([disk_a._table[0], disk_b._table[0]]))
+    bounds = bounds[np.concatenate([[True], bounds[1:] != bounds[:-1]])]  # np.union1d loads np.ma
     below = np.zeros(len(bounds) - 1, dtype=np.int64)
     for rows in _blocks(n):
         lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)

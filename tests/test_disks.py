@@ -335,6 +335,48 @@ def test_arc_test_is_monotone_on_each_side_of_start(start, length, lams):
         assert not (h[1:] & ~h[:-1]).any()
 
 
+def reference_holds(lams, start, length):
+    """_holds as it took np.remainder (Python's float % on a float)."""
+    return (lams - start) % TWO_PI < length
+
+
+#: Arc starts at the ends of their range, and pointers where an arc test can
+#: round differently: 0, the smallest subnormal and the largest double below 2*pi.
+EDGE_STARTS = [0.0, math.pi, math.nextafter(TWO_PI, 0.0), TWO_PI]
+EDGE_LAMS = [0.0, 5e-324, math.nextafter(TWO_PI, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(EDGE_STARTS), st.floats(0.0, TWO_PI)),
+    st.floats(0.0, TWO_PI),
+    st.lists(st.floats(0.0, TWO_PI, exclude_max=True), max_size=30),
+)
+@example(TWO_PI, 1e-300, [])
+@example(0.0, TWO_PI, [])
+@example(math.nextafter(TWO_PI, 0.0), 5e-324, [])
+def test_arc_test_equals_the_remainder_form(start, length, lams):
+    # Pointers in [0, 2*pi) and a start in [0, 2*pi], the range every caller
+    # keeps to: the test without % reads what % read, on arrays and on the
+    # Python floats _first_unheld bisects over.
+    points = {*EDGE_LAMS, *lams}
+    for mark in (start, wrap_angle(start + length), *EDGE_STARTS):
+        points.update((math.nextafter(mark, -math.inf), mark, math.nextafter(mark, math.inf)))
+    points = np.array(sorted(x for x in points if 0.0 <= x < TWO_PI))
+    assert np.array_equal(disks._holds(points, start, length),
+                          reference_holds(points, start, length))
+    for x in points.tolist():
+        assert disks._holds(x, start, length) is reference_holds(x, start, length)
+    # Per-element lengths at each pointer's % value and the double above it:
+    # the arc holds it at the second and not at the first, so the test
+    # compares the very double % gave.
+    offset = (points - start) % TWO_PI
+    assert not disks._holds(points, start, offset).any()
+    assert disks._holds(points, start, np.nextafter(offset, math.inf)).all()
+    for x, r in zip(points.tolist(), offset.tolist()):
+        assert not disks._holds(x, start, r) and disks._holds(x, start, math.nextafter(r, math.inf))
+
+
 def test_special_disk_gap_pointer_reads_the_next_arc():
     # fl(pi/2) is what rng.uniform(0, 2*pi) returns for a raw uniform of
     # 0.25. At alpha = pi/4 side A's + arc starts one ulp above it and the -
@@ -734,6 +776,51 @@ def test_boundary_comparison_equals_the_searchsorted_lookup(pair, mode, n, seed)
     made = [fresh.uniform(0.0, TWO_PI, n) for _ in range(len(lams) // n)]
     assert np.array_equal(np.concatenate(rng.made), np.concatenate(made))
     assert rng.rng.bit_generator.state == fresh.bit_generator.state
+
+
+def _assert_merge_is_union1d(monkeypatch, pair) -> None:
+    """The shared-pointer count's merged boundaries, at which it reads each
+    side's outcome through _segment, are np.union1d of the two tables'."""
+    seen = []
+    segment = disks._segment
+
+    def recording(lams, bounds):
+        seen.append(lams)
+        return segment(lams, bounds)
+
+    monkeypatch.setattr(disks, "_segment", recording)
+    disks._sample_separated_rng(*pair, SamplingMode.SHARED_LAMBDA, 1, np.random.default_rng(0))
+    want = np.union1d(pair[0]._table[0], pair[1]._table[0])
+    assert len(seen) == 2
+    for got in seen:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+#: The split disks of the figures that count a shared pointer: figures 1 and
+#: 2 (split singlet), 4 and 5 with static policies (policy-built) and special.
+FIGURE_PAIRS = [
+    split_disk(build_singlet_disk(math.pi / 8, ANTI)),
+    split_disk(build_singlet_disk(math.pi / 8, CORR)),
+    build_param_disks(0.0, 0.0, BothKnown(), BothKnown(), ANTI),
+    build_param_disks(math.pi / 4, 0.0, BothKnown(), BothKnown(), CORR),
+    build_param_disks(math.pi / 4, 0.0, AssumeFixed(0.0), AssumeFixed(0.0), ANTI),
+    build_bell_special(0.0),
+    build_bell_special(math.pi / 8),
+    build_bell_special(math.pi / 4),
+]
+
+
+@pytest.mark.parametrize("pair", FIGURE_PAIRS)
+def test_merged_boundaries_equal_union1d_on_the_figure_disks(monkeypatch, pair):
+    _assert_merge_is_union1d(monkeypatch, pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(static_disk_pairs(), st.tuples(split_disks(), split_disks())))
+@example((WHOLE, WHOLE))
+def test_merged_boundaries_equal_union1d(pair):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_merge_is_union1d(monkeypatch, pair)
 
 
 def _untemper(y: int) -> int:

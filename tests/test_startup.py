@@ -58,7 +58,8 @@ LOADED = {
 }
 
 #: One launch: run eprblab.cli as `python -m eprblab.cli` does, then print
-#: the exit code and the eprblab modules left in sys.modules.
+#: the exit code, the eprblab modules left in sys.modules and whether
+#: numpy.ma is among them (numpy 2.x's np.unique and np.union1d import it).
 CHILD = """
 import json, runpy, sys
 sys.argv = ["eprblab", *json.loads(sys.argv[1])]
@@ -67,17 +68,17 @@ try:
 except SystemExit as exc:
     code = exc.code
 names = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("eprblab."))
-print(json.dumps([code, names]))
+print(json.dumps([code, names, "numpy.ma" in sys.modules]))
 """
 
 
-def _launch(argv: list[str], cwd: Path) -> tuple[int, set[str]]:
+def _launch(argv: list[str], cwd: Path) -> tuple[int, set[str], bool]:
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    code, names = json.loads(done.stdout.splitlines()[-1])
-    return code, set(names)
+    code, names, masked = json.loads(done.stdout.splitlines()[-1])
+    return code, set(names), masked
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +107,10 @@ def test_a_launch_loads_only_its_subcommand_modules(tmp_path, events, command, a
         argv += ["--a", str(events / "events_a.csv"), "--b", str(events / "events_b.csv")]
     if command != "--version":
         argv += ["--out", str(tmp_path / "o")]
-    code, loaded = _launch(argv, tmp_path)
+    code, loaded, masked = _launch(argv, tmp_path)
     assert code == 0
     assert loaded == LOADED[command]
+    assert not masked, "numpy.ma was imported"
 
 
 def test_config_file_runs_load_configparser_and_others_do_not(tmp_path):
