@@ -10,11 +10,11 @@ silent: --help states each default, and the resolved values land in the
 manifest's config, keyed by dest.
 
 Every table and summary.txt renders through domain's one cell rule (_table,
-_summary), and _write_run writes the run record, manifest.json last: a run
-that fails before writing leaves no --out, a failed run leaves no
-manifest.json in a reused --out, and re-running the manifest's argv
-reproduces every CSV byte for byte. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+_summary), and _write_run writes the run record beside --out and swaps it in
+whole: --out belongs to the run, a failed run leaves it as it was, and
+re-running the manifest's argv reproduces every CSV byte for byte. An
+existing --out must be empty or a run record. Exit codes: 0 success, 1
+runtime failure, 2 usage error.
 
 Each handler imports the modules it runs when it is dispatched, as names
 local to the handler, so a launch compiles only its subcommand's modules
@@ -29,6 +29,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sys
 from collections import namedtuple
 from dataclasses import astuple, replace
@@ -91,34 +92,18 @@ def _fingerprint(config: dict) -> str:
     ).hexdigest()
 
 
-def _stale_outputs(out: Path, files: dict) -> list[Path]:
-    """Files an earlier run's manifest in out lists that this run does not write.
-
-    Only plain files directly in out count; a file no manifest lists, or an
-    unreadable manifest, leaves everything in place.
-    """
-    try:
-        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
-    except (OSError, ValueError, KeyError, TypeError):
-        return []
-    names = listed if isinstance(listed, list) else []
-    paths = [out / name for name in names if isinstance(name, str) and name not in files]
-    return [path for path in paths if path.parent == out and path.is_file()]
-
-
 def _write_run(args, command: str, argv: list[str], seed: int | None, config: dict,
                files: dict, **blocks: dict) -> int:
-    """Write one run record into --out and return the exit code 0.
+    """Write one run record as --out, whole, and return the exit code 0.
 
     files maps each output name to its text, to an EventStream, which
     write_events writes, or to a (header, integer columns) pair, which the
     same chunked CSV writer writes as one row per index. The manifest is
-    serialized before --out is created, so a NaN or infinity in it stops the
-    run before anything is written. When --out holds an earlier run, its
-    manifest.json and the outputs it lists that this run does not write are
-    deleted first, so no output of the earlier run stays beside the new ones.
-    The new manifest is written last, beside the outputs, and moved into
-    place, so a manifest.json in --out always describes one whole run.
+    serialized first, so a NaN or infinity in it stops the run before anything
+    is written. --out belongs to the run: an existing one must be empty or hold
+    a manifest.json, which is not read. The outputs and manifest.json go into
+    .NAME.PID.new beside the resolved --out, and two renames swap it in; a
+    failure before the second puts --out back as it was and leaves no sibling.
     """
     doc = {
         "tool": "eprblab",
@@ -133,24 +118,36 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
         **blocks,
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stale = _stale_outputs(out, files)
-    (out / "manifest.json").unlink(missing_ok=True)
-    for path in stale:
-        path.unlink()
-    for name, content in files.items():
-        if isinstance(content, str):
-            (out / name).write_text(content, encoding="utf-8")
-            continue
-        from .eventio import EventStream, _write_csv, write_events
+    out = Path(args.out).resolve()
+    if out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
+                                               or not any(out.iterdir()))):
+        raise ValueError(f"--out {args.out} is neither an empty directory nor a run record")
+    new, old = (out.with_name(f".{out.name}.{os.getpid()}.{end}") for end in ("new", "old"))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    new.mkdir()
+    moved = False
+    try:
+        for name, content in {**files, "manifest.json": manifest}.items():
+            if isinstance(content, str):
+                (new / name).write_text(content, encoding="utf-8")
+                continue
+            from .eventio import EventStream, _write_csv, write_events
 
-        if isinstance(content, EventStream):
-            write_events(out / name, content)
-        else:
-            _write_csv(out / name, *content)
-    (out / "manifest.json.tmp").write_text(manifest, encoding="utf-8")
-    os.replace(out / "manifest.json.tmp", out / "manifest.json")
+            if isinstance(content, EventStream):
+                write_events(new / name, content)
+            else:
+                _write_csv(new / name, *content)
+        if out.exists():
+            out.rename(old)
+            moved = True
+        new.rename(out)  # a kill here leaves no --out: the earlier run at old, this one at new
+    except BaseException:
+        if moved:
+            old.rename(out)
+        shutil.rmtree(new, ignore_errors=True)
+        raise
+    if moved:
+        shutil.rmtree(old)
     return 0
 
 

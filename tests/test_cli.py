@@ -280,40 +280,21 @@ def test_disk_demo_figure1_joint(tmp_path):
     assert float(summary["tv_distance"]) < 0.01
 
 
-def test_reused_out_drops_outputs_of_the_earlier_run(tmp_path):
-    out = tmp_path / "d"
-    common = ("--n", "1000", "--seed", "3", "--out", str(out))
-    assert run_cli("disk-demo", "--figure", "1", *common) == 0
-    assert (out / "disk.txt").exists()
-    (out / "notes.txt").write_text("kept: no manifest lists it\n")
-    assert run_cli("disk-demo", "--figure", "2", *common) == 0
-    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
-    assert outputs == ["disk_a.txt", "disk_b.txt", "summary.txt"]
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        [*outputs, "manifest.json", "notes.txt"]
-    )
-    # An unreadable manifest lists nothing, so nothing is deleted.
-    (out / "manifest.json").write_text("not json\n")
-    assert run_cli("disk-demo", "--figure", "1", *common) == 0
-    assert {"disk_a.txt", "disk_b.txt", "notes.txt"} <= {p.name for p in out.iterdir()}
+def _record(out: Path) -> dict:
+    """Every entry of a run record by name, with its bytes."""
+    return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
-def test_a_failed_run_leaves_no_manifest_in_a_reused_out(tmp_path, capsys, monkeypatch):
+def test_a_failed_run_leaves_the_earlier_run_whole(tmp_path, capsys, monkeypatch):
     from eprblab import eventio
 
     out = tmp_path / "x"
-    assert run_cli("scan", "--steps", "2", "--pairs", "10", "--out", str(out)) == 0
-    (out / "chsh.csv").mkdir()  # the new run cannot write its first output
-    capsys.readouterr()
-    assert run_cli("chsh", "--pairs", "10", "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("eprblab: error:") and len(err.strip().splitlines()) == 1
-    assert not (out / "manifest.json").exists()
-
-    # A writer that fails partway, after one whole output and part of the next.
-    (out / "chsh.csv").rmdir()
     gen = ("events", "gen", "--rate", "1000", "--duration", "0.01", "--out", str(out))
     assert run_cli(*gen) == 0
+    earlier = _record(out)
+    assert "manifest.json" in earlier and "truth.csv" in earlier
+
+    # A writer that fails partway, after one whole output and part of the next.
     write_csv, calls = eventio._write_csv, []
 
     def fail_on_second_file(path, header, columns):
@@ -323,11 +304,84 @@ def test_a_failed_run_leaves_no_manifest_in_a_reused_out(tmp_path, capsys, monke
         Path(path).write_text(header + "\n")
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(eventio, "_write_csv", fail_on_second_file)
-    assert run_cli(*gen, "--seed", "1") == 1
+    with monkeypatch.context() as m:
+        m.setattr(eventio, "_write_csv", fail_on_second_file)
+        capsys.readouterr()
+        assert run_cli(*gen, "--seed", "1") == 1
     assert [Path(path).name for path in calls] == ["events_a.csv", "events_b.csv"]
-    assert "No space left" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("eprblab: error:") and "No space left" in err
+    assert len(err.strip().splitlines()) == 1
+    assert _record(out) == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+
+    # The swap itself fails after --out was moved aside: --out is put back.
+    rename = Path.rename
+
+    def fail_into_out(self, target):
+        if self.name.endswith(".new"):
+            raise OSError("rename refused")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", fail_into_out)
+    assert run_cli(*gen, "--seed", "1") == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert _record(out) == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+
+
+def test_a_reused_run_record_is_replaced_whole(tmp_path):
+    out = tmp_path / "d"
+    common = ("--n", "1000", "--seed", "3", "--out", str(out))
+    assert run_cli("disk-demo", "--figure", "1", *common) == 0
+    (out / "notes.txt").write_text("added to the record\n")
+    assert run_cli("disk-demo", "--figure", "2", *common) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == ["disk_a.txt", "disk_b.txt", "summary.txt"]
+    assert sorted(_record(out)) == sorted([*outputs, "manifest.json"])
+    # The old manifest is never read: an unreadable one is replaced as well.
+    (out / "manifest.json").write_text("not json\n")
+    assert run_cli("disk-demo", "--figure", "1", *common) == 0
+    assert sorted(_record(out)) == ["disk.txt", "manifest.json", "summary.txt"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["disk.txt", "summary.txt"]
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+
+
+def test_an_out_that_is_not_a_run_record_is_refused(tmp_path, capsys):
+    argv = ("scan", "--steps", "2", "--pairs", "10", "--out")
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "keep.txt").write_text("not a run\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("a file\n")
+    for out in (notes, plain):
+        before = _record(out) if out.is_dir() else out.read_bytes()
+        assert run_cli(*argv, str(out)) == 1
+        err = capsys.readouterr().err
+        assert "neither an empty directory nor a run record" in err
+        assert err.startswith("eprblab: error:") and len(err.strip().splitlines()) == 1
+        assert (_record(out) if out.is_dir() else out.read_bytes()) == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run_cli(*argv, str(empty)) == 0
+    assert sorted(_record(empty)) == ["manifest.json", "scan.csv", "summary.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "notes", "plain.txt"]
+
+
+def test_out_given_through_dot_dot_or_a_symlink_replaces_the_directory_it_names(tmp_path):
+    argv = ("disk-demo", "--n", "1000", "--out")
+    (tmp_path / "sub").mkdir()
+    record = tmp_path / "o"
+    assert run_cli(*argv, str(record), "--figure", "1") == 0
+    assert run_cli(*argv, str(tmp_path / "sub" / ".." / "o"), "--figure", "2") == 0
+    assert sorted(_record(record)) == ["disk_a.txt", "disk_b.txt", "manifest.json", "summary.txt"]
+
+    link = tmp_path / "link"
+    link.symlink_to(record)
+    assert run_cli(*argv, str(link), "--figure", "1") == 0
+    assert link.is_symlink() and link.resolve() == record
+    assert sorted(_record(record)) == ["disk.txt", "manifest.json", "summary.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "o", "sub"]
 
 
 # --- chsh / pathology ----------------------------------------------------------------
@@ -683,7 +737,7 @@ def test_manifest_refuses_non_finite_json(tmp_path):
         _write_run(args, "scan", [], 0, {"basis": math.inf}, {"summary.txt": "x\n"})
     with pytest.raises(ValueError):
         _write_run(args, "scan", [], 0, {}, {"summary.txt": "x\n"}, counters={"n": math.nan})
-    assert not (tmp_path / "o").exists()
+    assert not any(tmp_path.iterdir())  # no --out and no staging directory beside it
 
 
 def test_cli_import_leaves_thread_pool_module_unloaded(tmp_path):
@@ -918,3 +972,4 @@ def test_argv_fuzz_exits_cleanly_and_writes_whole_runs(fuzz_inputs, argv):
             listed = json.loads((out / "manifest.json").read_text())["outputs"]
             written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert sorted(listed) == written, argv
+        assert [p.name for p in Path(tmp).iterdir()] in ([], ["out"]), argv
