@@ -13,8 +13,8 @@ Every table and summary.txt renders through domain's one cell rule (_table,
 _summary), and _write_run writes the run record beside --out and swaps it in
 whole: --out belongs to the run, a failed run leaves it as it was, and
 re-running the manifest's argv reproduces every CSV byte for byte. An
-existing --out must be empty or a run record. Exit codes: 0 success, 1
-runtime failure, 2 usage error.
+existing --out must be empty or a run record (_check_out), which main checks
+before dispatch. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Each handler imports the modules it runs when it is dispatched, as names
 local to the handler, so a launch compiles only its subcommand's modules
@@ -92,6 +92,16 @@ def _fingerprint(config: dict) -> str:
     ).hexdigest()
 
 
+def _check_out(path: str) -> Path:
+    """The resolved --out, refused unless absent, an empty directory or a run
+    record: one holding a manifest.json, which is not read."""
+    out = Path(path).resolve()
+    if out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
+                                               or not any(out.iterdir()))):
+        raise ValueError(f"--out {path} is neither an empty directory nor a run record")
+    return out
+
+
 def _write_run(args, command: str, argv: list[str], seed: int | None, config: dict,
                files: dict, **blocks: dict) -> int:
     """Write one run record as --out, whole, and return the exit code 0.
@@ -100,10 +110,10 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
     write_events writes, or to a (header, integer columns) pair, which the
     same chunked CSV writer writes as one row per index. The manifest is
     serialized first, so a NaN or infinity in it stops the run before anything
-    is written. --out belongs to the run: an existing one must be empty or hold
-    a manifest.json, which is not read. The outputs and manifest.json go into
-    .NAME.PID.new beside the resolved --out, and two renames swap it in; a
-    failure before the second puts --out back as it was and leaves no sibling.
+    is written. --out belongs to the run, and _check_out checks it again before
+    the swap. The outputs and manifest.json go into .NAME.PID.new beside the
+    resolved --out, and two renames swap it in; a failure before the second
+    puts --out back as it was and leaves no sibling.
     """
     doc = {
         "tool": "eprblab",
@@ -118,10 +128,7 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
         **blocks,
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    out = Path(args.out).resolve()
-    if out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
-                                               or not any(out.iterdir()))):
-        raise ValueError(f"--out {args.out} is neither an empty directory nor a run record")
+    out = _check_out(args.out)
     new, old = (out.with_name(f".{out.name}.{os.getpid()}.{end}") for end in ("new", "old"))
     out.parent.mkdir(parents=True, exist_ok=True)
     new.mkdir()
@@ -701,6 +708,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)  # before any handler computes
         return args.func(args, argv)
     except Exception as exc:  # runtime failure contract: exit 1, message on stderr
         print(f"eprblab: error: {exc}", file=sys.stderr)

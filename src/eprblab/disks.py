@@ -174,7 +174,9 @@ def _holds(lams, start, length):
     boundary belongs to the arc that starts there, and a zero-length arc
     holds nothing. For lams in [0, 2*pi) and a start in [0, 2*pi], as every
     caller passes, % only adds 2*pi to a negative d = lam - start, so adding
-    it here gives the same doubles without np.remainder.
+    it here gives the same doubles without np.remainder. Unlike wrap_angle it
+    does not fold: folding d + 2*pi to 0 would make an arc hold pointers a
+    few ulps below its start, which changes the compiled tables.
     """
     d = lams - start
     return d + TWO_PI * (d < 0) < length
@@ -286,10 +288,7 @@ def sample_split_many(disk: SplitDisk, lams: np.ndarray) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     # In-range pointers skip np.remainder, which costs more than the lookup.
     if lams.size and not (lams.min() >= 0.0 and lams.max() < TWO_PI):
-        if not np.isfinite(lams).all():
-            raise ValueError("pointer angles must be finite")
-        lams = lams % TWO_PI
-        lams = np.where(lams >= TWO_PI, 0.0, lams)
+        lams = wrap_angle(lams)
     bounds, outcomes = disk._table
     return outcomes.take(_segment(lams, bounds))
 

@@ -2,7 +2,8 @@
 polarization-correlation experiments.
 
 Angles are plain floats in radians with canonical range [0, 2*pi); where
-polarization symmetry applies, quantities reduce mod pi instead. Outcomes
+polarization symmetry applies, quantities reduce mod pi instead. Every
+module reduces an angle, or an array of them, through wrap_angle. Outcomes
 are encoded +1/-1 package-wide, and a station's trial as one of four
 outcome codes. The closed-form prediction here is the joint coincidence
 probability for a correlated or anticorrelated pair; everything else is
@@ -48,19 +49,19 @@ class NoCoincidencesError(ValueError):
     """A statistic needed coincidence counts and the table has none."""
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce an angle into [0, 2*pi). Idempotent, including at float edges.
+def wrap_angle(x, period: float = TWO_PI):
+    """Reduce an angle, or an array of them elementwise, into [0, period).
 
-    Plain ``x % TWO_PI`` can round up to exactly 2*pi for tiny negative x,
-    which would break both the range contract and idempotence, so that case
-    is folded back to 0.
+    ``x % period`` can round up to exactly period for tiny negative x; that
+    folds to 0, so the result is in range, idempotent and the same double for
+    a float and an array entry. A non-finite input raises ValueError.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"angle must be finite, got {x!r}")
-    r = x % TWO_PI
-    if r >= TWO_PI:
-        r = 0.0
-    return r
+    if not np.isfinite(x).all():
+        raise ValueError("angles must be finite")
+    r = x % period
+    if isinstance(x, np.ndarray):
+        return np.where(r >= period, 0.0, r)
+    return 0.0 if r >= period else r
 
 
 def check_angle(name: str, x: float) -> None:

@@ -9,7 +9,7 @@ sector tables in `disks` and the detection-window oracle in `scan`.
 
 from __future__ import annotations
 
-import math
+from .domain import wrap_angle
 
 Segment = tuple[float, float]
 
@@ -17,19 +17,15 @@ Segment = tuple[float, float]
 def _unroll_arc(start: float, length: float, period: float) -> list[Segment]:
     """Split the arc [start, start + length) into linear segments in [0, period).
 
-    The start may be any finite value (it is reduced mod period) and the arc
-    may wrap through the period boundary, in which case two segments come
-    back. A zero-length arc unrolls to nothing.
+    The start may be any finite value (wrap_angle reduces it mod period) and
+    the arc may wrap through the period boundary, in which case two segments
+    come back. A zero-length arc unrolls to nothing.
     """
-    if not (math.isfinite(start) and math.isfinite(length)):
-        raise ValueError(f"arc ({start!r}, {length!r}) must be finite")
     if not 0.0 <= length <= period:
         raise ValueError(f"arc length {length!r} outside [0, {period!r}]")
+    lo = wrap_angle(start, period)
     if length == 0.0:
         return []
-    lo = start % period
-    if lo >= period:  # float modulo can round tiny negatives up to the period
-        lo = 0.0
     hi = lo + length
     if hi <= period:
         return [(lo, hi)]

@@ -49,6 +49,7 @@ from .domain import (
     _cells,
     _tally,
     check_angle,
+    wrap_angle,
 )
 
 #: The bucket path groups pairs by this many top bits of their raw draw.
@@ -70,9 +71,8 @@ class IsotropicSource:
 
 @dataclass(frozen=True)
 class FixedBasisSource:
-    """Pairs confined to one orthogonal basis: phi in {basis, basis + pi/2}.
-
-    basis is in radians, at most MAX_ANGLE (2**43) in magnitude.
+    """Pairs confined to one orthogonal basis: phi in {basis, basis + pi/2},
+    reduced as wrap_angle reduces one; |basis| <= MAX_ANGLE (2**43) rad.
     """
 
     basis: float = 0.0
@@ -197,10 +197,11 @@ def _draw_words(source: SourceModel, m: int, rng) -> tuple[np.ndarray, np.ndarra
 
 
 def _phis_of_words(source: SourceModel, words: np.ndarray) -> np.ndarray:
-    """The pair angles of these angle words."""
+    """The pair angles of these angle words, in [0, 2*pi): a fixed-hv word's
+    angle is basis + pi/2 * word, reduced as wrap_angle reduces one."""
     if isinstance(source, IsotropicSource):
         return _phis_of_raw(words)
-    return (source.basis + 0.5 * math.pi * words) % TWO_PI
+    return wrap_angle(source.basis + 0.5 * math.pi * words)
 
 
 def _bounded_codes(key, noise, out: np.ndarray, threshold: float, bounds):

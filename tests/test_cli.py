@@ -368,6 +368,30 @@ def test_an_out_that_is_not_a_run_record_is_refused(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "notes", "plain.txt"]
 
 
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (("chsh", "--tb", "0.75", "--pairs", "1000000", "--noise-b", "0.01"), "scan", "run_chsh"),
+        (("disk-demo", "--figure", "2"), "disks", "sample_separated"),
+        (("events", "match", "--a", "a.csv", "--b", "b.csv", "--window", "100"), "eventio",
+         "read_events"),
+    ],
+    ids=["chsh", "disk-demo", "events-match"],
+)
+def test_a_refused_out_stops_the_run_before_it_computes(tmp_path, capsys, monkeypatch,
+                                                         argv, module, name):
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(f"eprblab.{module}.{name}", computed)
+    monkeypatch.chdir(tmp_path)
+    Path("plain.txt").write_text("a file\n")
+    assert run_cli(*argv, "--out", "plain.txt") == 1
+    assert capsys.readouterr().err == (
+        "eprblab: error: --out plain.txt is neither an empty directory nor a run record\n")
+    assert Path("plain.txt").read_text() == "a file\n"
+
+
 def test_out_given_through_dot_dot_or_a_symlink_replaces_the_directory_it_names(tmp_path):
     argv = ("disk-demo", "--n", "1000", "--out")
     (tmp_path / "sub").mkdir()
@@ -405,6 +429,17 @@ def test_pathology_cli(tmp_path):
     summary = _read_summary(out / "summary.txt")
     assert float(summary["a_double_rate"]) == 1.0
     assert (out / "pathology.csv").exists()
+
+
+def test_pathology_at_a_basis_just_below_zero_writes_what_basis_zero_writes(tmp_path):
+    # Station A at pi/4 bisects the basis: a pair angle left at exactly 2*pi
+    # instead of 0 misses the exact tie, and fewer trials read as doubles.
+    outs = [tmp_path / "below", tmp_path / "zero"]
+    for basis, out in zip(("--basis=-1e-20", "--basis=0"), outs):
+        assert run_cli("pathology", basis, "--steps", "3", "--pairs", "1000", "--out", str(out)) == 0
+    below, zero = (_read_summary(out / "summary.txt") for out in outs)
+    assert below["a_double_rate"] == zero["a_double_rate"] == "1.0"
+    assert (outs[0] / "pathology.csv").read_bytes() == (outs[1] / "pathology.csv").read_bytes()
 
 
 # --- events ---------------------------------------------------------------------------

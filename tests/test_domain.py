@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +17,7 @@ from eprblab import (
     qm_joint_prediction,
     wrap_angle,
 )
+from eprblab.domain import MAX_ANGLE
 
 
 # Reference copies of two helpers the library no longer exports.
@@ -46,11 +48,18 @@ any_float = st.floats(allow_nan=False, allow_infinity=False)
 
 # --- angle normalization ----------------------------------------------------
 
+#: The two periods angles reduce by: 2*pi for angles, pi for polarizations.
+PERIODS = (TWO_PI, math.pi)
+
+
 @given(any_float)
 def test_wrap_angle_range_and_idempotence(x):
-    w = wrap_angle(x)
-    assert 0.0 <= w < TWO_PI
-    assert wrap_angle(w) == w
+    for period in PERIODS:
+        w = wrap_angle(x, period)
+        assert 0.0 <= w < period
+        assert wrap_angle(w, period) == w
+        # An array reduces each entry to the float result.
+        assert wrap_angle(np.array([x, w]), period).tolist() == [w, w]
 
 
 @given(any_float)
@@ -58,12 +67,23 @@ def test_wrap_pi_range_and_idempotence(x):
     w = wrap_pi(x)
     assert 0.0 <= w < math.pi
     assert wrap_pi(w) == w
+    assert wrap_angle(x, math.pi) == w
 
 
 def test_wrap_angle_tiny_negative_folds_to_zero():
     # x % 2*pi rounds up to exactly 2*pi here; the wrapper must fold it back.
     assert wrap_angle(-1e-300) == 0.0
     assert wrap_pi(-1e-300) == 0.0
+    for period in PERIODS:
+        edges = [0.0, -0.0, -5e-324, -1e-300, math.nextafter(period, 0.0), period,
+                 MAX_ANGLE, -MAX_ANGLE]
+        floats = [wrap_angle(x, period) for x in edges]
+        assert floats[:4] == [0.0] * 4 and floats[4:6] == [math.nextafter(period, 0.0), 0.0]
+        assert all(math.copysign(1.0, w) == 1.0 for w in floats)
+        wrapped = wrap_angle(np.array(edges), period)
+        assert wrapped.dtype == np.float64 and wrapped.tolist() == floats
+        assert np.all((0.0 <= wrapped) & (wrapped < period))
+        assert wrap_angle(wrapped, period).tolist() == floats
 
 
 def test_wrap_rejects_nonfinite():
@@ -72,6 +92,9 @@ def test_wrap_rejects_nonfinite():
             wrap_angle(bad)
         with pytest.raises(ValueError):
             wrap_pi(bad)
+        for period in PERIODS:
+            with pytest.raises(ValueError, match="finite"):
+                wrap_angle(np.array([1.0, bad]), period)
 
 
 # --- closed-form predictions ---------------------------------------------------

@@ -17,6 +17,7 @@ from eprblab import (
     StationConfig,
     correlation,
     measure_pairs,
+    wrap_angle,
 )
 import eprblab.domain as domain
 import eprblab.optics as optics
@@ -502,6 +503,30 @@ def test_bisected_fixed_basis_tie_stays_an_exact_double():
     for menus in (None, tie_menus):
         codes_a, _ = measured_like_reference(FixedBasisSource(0.0), TIE_A, TIE_A, n, 13, menus)
         assert np.all(codes_a == DOUBLE_CODE)
+
+
+#: Fixed-hv bases whose pair angle basis + pi/2 * word rounds up to exactly
+#: 2*pi under a plain % 2*pi: just below 0, and just below -pi/2.
+BASES_BELOW_A_TURN = (-5e-324, -1e-20, math.nextafter(-math.pi / 2, -math.inf))
+
+
+@pytest.mark.parametrize("basis", BASES_BELOW_A_TURN)
+def test_fixed_hv_angles_are_reduced_as_wrap_angle_reduces_one(basis):
+    phis = optics._phis_of_words(FixedBasisSource(basis), np.arange(2))
+    assert phis.tolist() == [wrap_angle(basis + 0.5 * math.pi * word) for word in (0.0, 1.0)]
+    assert np.all((0.0 <= phis) & (phis < TWO_PI))
+
+
+def test_a_basis_just_below_zero_measures_as_basis_zero():
+    # Station A bisects the basis, so every pair is a double at basis 0; an
+    # angle left at 2*pi would miss that exact tie.
+    n, cfg_b = 2 * R + 5, StationConfig(angle=0.3, threshold=0.75)
+    for menus in (None, ((TIE_A.angle, 0.3), (0.0, math.pi / 8))):
+        below, zero = (measured_like_reference(FixedBasisSource(basis), TIE_A, cfg_b, n, 17, menus)
+                       for basis in (-1e-20, 0.0))
+        assert np.array_equal(below[0], zero[0]) and np.array_equal(below[1], zero[1])
+        if menus is None:
+            assert np.all(below[0] == DOUBLE_CODE)
 
 
 CONCURRENT_A = StationConfig(angle=0.3, threshold=0.5, noise_sigma=0.02, efficiency=0.9)

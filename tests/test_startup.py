@@ -136,15 +136,16 @@ def test_import_eprblab_loads_no_module():
         "import sys, eprblab\n"
         "def loaded(): return sorted(m for m in sys.modules if m.startswith('eprblab'))\n"
         "print(loaded())\n"
-        "eprblab.intervals.arc_overlaps\n"
+        "eprblab.domain.wrap_angle\n"
         "print(loaded())\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert done.returncode == 0, done.stderr
-    # A submodule attribute imports that module, and only it, on first access.
-    assert done.stdout.splitlines() == ["['eprblab']", "['eprblab', 'eprblab.intervals']"]
+    # A submodule attribute imports that module, and only it, on first access;
+    # domain is the one eprblab module that imports no other.
+    assert done.stdout.splitlines() == ["['eprblab']", "['eprblab', 'eprblab.domain']"]
 
 
 def test_every_exported_name_still_resolves():
