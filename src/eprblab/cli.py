@@ -184,7 +184,7 @@ def _finite_float(text: str) -> float:
 
 
 def _angle(text: str) -> float:
-    """An analyzer or basis angle, rad, as StationConfig and FixedBasisSource take it."""
+    """Every angle flag's value, rad: |x| <= 2**43 (check_angle), so differences stay finite."""
     value = _finite_float(text)
     try:
         check_angle("angle", value)
@@ -632,11 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--figure", required=True, choices=["1", "2", "3", "4", "5", "special"])
-    p.add_argument("--theta", type=_finite_float,
+    p.add_argument("--theta", type=_angle,
                    help="relative angle for figures 1-3 (default pi/8)")
-    p.add_argument("--alpha", type=_finite_float,
+    p.add_argument("--alpha", type=_angle,
                    help="station A setting for figures 4/5/special (default 0)")
-    p.add_argument("--beta", type=_finite_float,
+    p.add_argument("--beta", type=_angle,
                    help="station B setting for figures 4/5 (default 0)")
     p.add_argument("--kind", choices=sorted(k.value for k in SingletKind), default="anticorrelated",
                    help="pair preparation (default anticorrelated)")
@@ -646,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--policy-b", "override figure-5 policy for side B"),
     ):
         p.add_argument(flag, choices=list(_POLICIES), help=text)
-    p.add_argument("--policy-value", type=_finite_float,
+    p.add_argument("--policy-value", type=_angle,
                    help="assumed remote setting for assume-fixed")
     _flags(p, "n")
     _common_flags(p, "disk-demo-out")

@@ -39,6 +39,7 @@ from .domain import (
     SingletKind,
     _blocks,
     _cells,
+    _tally,
     qm_joint_prediction,
     wrap_angle,
 )
@@ -144,8 +145,11 @@ def _singlet_arcs(theta, kind: SingletKind):
     """Starts and lengths of the four singlet sectors at relative angle theta.
 
     theta is a float or an array of per-trial angles; both go through the
-    same float operations, so an array entry equals the float result.
+    same float operations, so an array entry equals the float result. Every
+    disk's arcs pass here, so a non-finite theta raises ValueError first.
     """
+    if not np.isfinite(theta).all():
+        raise ValueError(f"theta must be finite, got {np.extract(~np.isfinite(theta), theta)[0]}")
     same = TWO_PI * qm_joint_prediction(theta, kind)   # (+,+) and (-,-)
     diff = math.pi - same                              # (+,-) and (-,+)
     starts = (0.0, same, same + diff, same + diff + diff)
@@ -161,8 +165,6 @@ def build_singlet_disk(theta: float, kind: SingletKind) -> DiskPreparation:
     (pi sin^2, pi cos^2, pi cos^2, pi sin^2) and for correlated pairs the
     sin/cos roles swap.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
     arcs = zip(*_singlet_arcs(theta, kind), _SINGLET_A, _SINGLET_B)
     return DiskPreparation(tuple(Sector(*arc) for arc in arcs))
 
@@ -251,16 +253,16 @@ def _compile_lookup(arcs) -> tuple[np.ndarray, np.ndarray]:
 def _per_trial_lookup(lams: np.ndarray, theta, kind: SingletKind, outcomes) -> np.ndarray:
     """Outcomes (int8) at lams on singlet disks laid out per trial at theta.
 
-    theta is a float or an array shaped like lams. Each row reads the first
-    of its own arcs that holds its pointer; a pointer no arc holds (a gap of
-    a few ulps) reads what the compiled table of its row's arcs reads, the
-    sector that begins next, so this lookup is total like the static one.
+    theta is a float or an array shaped like lams, which lie in [0, 2*pi).
+    Each row reads the first of its own arcs that holds its pointer; a
+    pointer no arc holds (a gap of a few ulps) reads, through _segment, its
+    row's compiled table: the sector that begins next, so it is total too.
     """
     out = _sector_lookup(lams, zip(*_singlet_arcs(theta, kind), outcomes))
     for i in np.flatnonzero(out == 0).tolist():
         row_theta = float(np.broadcast_to(theta, lams.shape)[i])
         bounds, codes = _compile_lookup(list(zip(*_singlet_arcs(row_theta, kind), outcomes)))
-        out[i] = codes[np.searchsorted(bounds, lams[i], side="right") - 1]
+        out[i] = codes.take(_segment(lams[i], bounds))
     return out
 
 
@@ -439,18 +441,18 @@ def sample_param_setup(
     kind: SingletKind,
     n: int,
     seed: int,
-    mode: SamplingMode = SamplingMode.SHARED_LAMBDA,
 ) -> CountTable:
     """Run n trials of the policy-built apparatus and tabulate outcomes.
 
-    With only static policies the disks are built once and sampled as in
-    sample_separated. A per-trial policy lays out its side's sectors from a
-    fresh guess every trial: one uniform block of shape (n, k) holds, per
-    trial and in this order, A's guess, B's guess (each only if that side is
-    per-trial) and the pointer angle(s), which is the order of n * k scalar
-    draws. The block is drawn and looked up in row blocks (domain._blocks);
-    successive (m, k) draws equal one (n, k) draw, so the blocking never
-    changes the result.
+    Both sides read one shared pointer. One uniform block of shape (n, k)
+    holds, per trial and in this order, A's guess, B's guess (each only if
+    that side is per-trial) and the pointer: the order of n * k scalar draws.
+    With only static policies k = 1, and the disks are built once and counted
+    as sample_separated counts a shared pointer, whose (n,) draw equals the
+    (n, 1) one. A per-trial policy lays out its side's sectors from a fresh
+    guess every trial; each row block (domain._blocks) is drawn, looked up
+    and tallied into 16 cells, so no array of n codes is held. Successive
+    (m, k) draws equal one (n, k) draw, so the blocking never changes the result.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")
@@ -460,21 +462,17 @@ def sample_param_setup(
     guess_a, guess_b = policy_is_per_trial(policy_a), policy_is_per_trial(policy_b)
     if not (guess_a or guess_b):
         da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind)
-        return _sample_separated_rng(da, db, mode, n, rng)
+        return _sample_separated_rng(da, db, SamplingMode.SHARED_LAMBDA, n, rng)
 
-    shared = mode is SamplingMode.SHARED_LAMBDA
-    k = guess_a + guess_b + (1 if shared else 2)
-    side_a = np.empty(n, dtype=np.int8)
-    side_b = np.empty(n, dtype=np.int8)
+    cells = np.zeros(16, dtype=np.int64)
     for rows in _blocks(n):
-        columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - rows.start, k)).T)
+        columns = iter(rng.uniform(0.0, TWO_PI, (rows.stop - rows.start, 1 + guess_a + guess_b)).T)
         beta_hat = next(columns) if guess_a else _assumed_remote(policy_a, beta)
         alpha_hat = next(columns) if guess_b else _assumed_remote(policy_b, alpha)
-        lam_a = next(columns)
-        lam_b = lam_a if shared else next(columns)
-        side_a[rows] = _per_trial_lookup(lam_a, alpha - beta_hat, kind, _SINGLET_A)
-        side_b[rows] = _per_trial_lookup(lam_b, alpha_hat - beta, kind, _SINGLET_B)
-    return CountTable.from_codes(side_a, side_b)
+        lams = next(columns)
+        cells += _tally(_per_trial_lookup(lams, alpha - beta_hat, kind, _SINGLET_A),
+                        _per_trial_lookup(lams, alpha_hat - beta, kind, _SINGLET_B))
+    return CountTable.from_cells(cells)
 
 
 def build_bell_special(alpha: float) -> tuple[SplitDisk, SplitDisk]:

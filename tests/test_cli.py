@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eprblab
 from eprblab.cli import build_parser, main
@@ -824,6 +824,8 @@ TOO_BIG = "8796093022209"  # 2**43 + 1
         (("events", "gen"), "--angles-a", "0,1e308"),
         (("events", "gen"), "--angles-b", "0,-1e13"),
         (("events", "gen"), "--basis", TOO_BIG),
+        (("disk-demo", "--figure", "1"), "--theta", TOO_BIG),
+        (("disk-demo", "--figure", "4"), "--beta", "-1e308"),
     ],
 )
 def test_angle_flags_past_two_to_the_43_are_usage_errors(tmp_path, capsys, argv, flag, value):
@@ -852,6 +854,25 @@ def test_config_angles_past_two_to_the_43_are_runtime_errors(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert err.startswith("eprblab: error: config [") and len(err.strip().splitlines()) == 1
     assert "angle " in err and " exceeds 2**43 rad in magnitude" in err
+    assert not out.exists()
+
+
+#: disk-demo argvs whose angles differ by more than the largest double: each
+#: must stop at its first flag past 2**43, before a subtraction overflows.
+OVERFLOWING_DISK_ARGVS = [
+    ["disk-demo", "--figure", "4", "--alpha", "1e308", "--beta", "-1e308"],
+    ["disk-demo", "--figure", "5", "--policy-a", "assume-fixed", "--policy-b", "assume-random",
+     "--policy-value", "1e308", "--alpha", "-1e308", "--n", "10"],
+]
+
+
+@pytest.mark.parametrize("argv, flag", zip(OVERFLOWING_DISK_ARGVS, ["--alpha", "--policy-value"]))
+def test_disk_demo_angles_share_the_angle_bound(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = usage_error(capsys, *argv, "--out", str(out))
+    assert f"argument {flag}: angle 1e+308 exceeds 2**43 rad in magnitude" in err
     assert not out.exists()
 
 
@@ -986,6 +1007,8 @@ def fuzz_inputs(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None)
 @given(argv=_argv())
+@example(argv=OVERFLOWING_DISK_ARGVS[0])
+@example(argv=OVERFLOWING_DISK_ARGVS[1])
 def test_argv_fuzz_exits_cleanly_and_writes_whole_runs(fuzz_inputs, argv):
     # Any argv exits 0, 1 or 2 with at most one stderr line and no traceback
     # or warning, and --out is either absent or a whole run record.

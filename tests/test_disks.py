@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,31 +104,12 @@ def reference_param_disks(alpha, beta, policy_a, policy_b, kind, rng=None):
     return split_disk(disk_for_a)[0], split_disk(disk_for_b)[1]
 
 
-def reference_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed,
-                          mode=SamplingMode.SHARED_LAMBDA) -> CountTable:
-    """One scalar walk per trial. Static policies draw A's pointer array, then
-    B's; a per-trial policy rebuilds both disks every trial and draws (A's
-    guess, B's guess, pointer angle(s)) per trial."""
-    rng = np.random.default_rng(seed)
+def reference_table(cells: list[tuple[int, int]]) -> CountTable:
+    """The table of per-trial (outcome_a, outcome_b) pairs, every one a single."""
     counts = {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
-    if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
-        da, db = reference_param_disks(alpha, beta, policy_a, policy_b, kind)
-        if mode is SamplingMode.SHARED_LAMBDA:
-            lam_a = lam_b = rng.uniform(0.0, TWO_PI, n)
-        else:
-            lam_a = rng.uniform(0.0, TWO_PI, n)
-            lam_b = rng.uniform(0.0, TWO_PI, n)
-        for x, y in zip(lam_a.tolist(), lam_b.tolist()):
-            counts[(outcome_at(da, x), outcome_at(db, y))] += 1
-    else:
-        for _ in range(n):
-            da, db = reference_param_disks(alpha, beta, policy_a, policy_b, kind, rng=rng)
-            if mode is SamplingMode.SHARED_LAMBDA:
-                lam_a = lam_b = float(rng.uniform(0.0, TWO_PI))
-            else:
-                lam_a = float(rng.uniform(0.0, TWO_PI))
-                lam_b = float(rng.uniform(0.0, TWO_PI))
-            counts[(outcome_at(da, lam_a), outcome_at(db, lam_b))] += 1
+    for cell in cells:
+        counts[cell] += 1
+    n = len(cells)
     return CountTable(
         n_pp=counts[(1, 1)],
         n_pm=counts[(1, -1)],
@@ -136,6 +119,31 @@ def reference_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed,
         singles_b=n,
         n_pairs=n,
     )
+
+
+def reference_separated(da, db, mode, n, rng) -> CountTable:
+    """A scalar walk over A's pointer array and B's, which SHARED_LAMBDA
+    makes one array and INDEPENDENT_LAMBDAS draws after A's."""
+    lam_a = rng.uniform(0.0, TWO_PI, n)
+    lam_b = lam_a if mode is SamplingMode.SHARED_LAMBDA else rng.uniform(0.0, TWO_PI, n)
+    return reference_table([(outcome_at(da, x), outcome_at(db, y))
+                            for x, y in zip(lam_a.tolist(), lam_b.tolist())])
+
+
+def reference_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed) -> CountTable:
+    """One scalar walk per trial on one shared pointer. Static policies draw
+    the n pointers as one array; a per-trial policy rebuilds both disks every
+    trial and draws (A's guess, B's guess, pointer angle) per trial."""
+    rng = np.random.default_rng(seed)
+    if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
+        disks_ab = reference_param_disks(alpha, beta, policy_a, policy_b, kind)
+        return reference_separated(*disks_ab, SamplingMode.SHARED_LAMBDA, n, rng)
+    cells = []
+    for _ in range(n):
+        da, db = reference_param_disks(alpha, beta, policy_a, policy_b, kind, rng=rng)
+        lam = float(rng.uniform(0.0, TWO_PI))
+        cells.append((outcome_at(da, lam), outcome_at(db, lam)))
+    return reference_table(cells)
 
 
 def joint_lookup(disk: DiskPreparation, lams) -> list[tuple[int, int]]:
@@ -532,6 +540,19 @@ def test_non_finite_settings_are_rejected():
         sample_param_setup(math.nan, 0.0, AssumeRandom(), BothKnown(), ANTI, 10, 1)
 
 
+def test_an_overflowing_static_side_fails_as_the_all_static_setup_fails():
+    # A's guessed relative angle -1e308 - 1e308 overflows to -inf. A mixed
+    # setup reads that static side per trial; it fails with the same one
+    # ValueError as the all-static setup, before any cos or remainder warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for policy_b in (AssumeRandom(), AssumeFixed(0.0)):
+            with pytest.raises(ValueError, match="theta must be finite, got -inf"):
+                sample_param_setup(-1e308, 0.0, AssumeFixed(1e308), policy_b, ANTI, 10, 0)
+        with pytest.raises(ValueError, match="theta must be finite, got nan"):
+            disks._per_trial_lookup(np.zeros(2), np.array([0.0, math.nan]), ANTI, disks._SINGLET_A)
+
+
 policies = st.one_of(
     st.sampled_from([BothKnown(), AssumeFixed(0.0), AssumeRandom()]),
     st.builds(AssumeFixed, angles),
@@ -543,18 +564,17 @@ policies = st.one_of(
     policies,
     policies,
     kinds,
-    st.sampled_from(list(SamplingMode)),
     angles,
     angles,
     st.integers(min_value=0, max_value=2**32 - 1),
     st.integers(min_value=1, max_value=200),
 )
-@example(AssumeRandom(), AssumeRandom(), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 0, 200)
-@example(AssumeFixed(0.0), AssumeRandom(), CORR, SamplingMode.INDEPENDENT_LAMBDAS, 0.0, 0.0, 1, 200)
-@example(AssumeRandom(), AssumeFixed(0.3), ANTI, SamplingMode.SHARED_LAMBDA, 0.0, 0.0, 11, 200)
-def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, seed, n):
-    assert sample_param_setup(alpha, beta, pa, pb, kind, n, seed, mode) == reference_param_setup(
-        alpha, beta, pa, pb, kind, n, seed, mode
+@example(AssumeRandom(), AssumeRandom(), ANTI, 0.0, 0.0, 0, 200)
+@example(AssumeFixed(0.0), AssumeRandom(), CORR, 0.0, 0.0, 1, 200)
+@example(AssumeRandom(), AssumeFixed(0.3), ANTI, 0.0, 0.0, 11, 200)
+def test_param_setup_equals_scalar_reference(pa, pb, kind, alpha, beta, seed, n):
+    assert sample_param_setup(alpha, beta, pa, pb, kind, n, seed) == reference_param_setup(
+        alpha, beta, pa, pb, kind, n, seed
     )
 
 
@@ -562,15 +582,31 @@ def test_param_setup_equals_scalar_reference(pa, pb, kind, mode, alpha, beta, se
 @pytest.mark.parametrize("mode", list(SamplingMode))
 def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
     # Chunked draws and lookups give the one-block result, even when chunks
-    # are tiny and n is not a multiple of them.
+    # are tiny and n is not a multiple of them. sample_param_setup has one
+    # layout; mode picks the draws of sample_separated on the static disks.
     monkeypatch.setattr(domain, "_BLOCK_ROWS", block_rows)
-    args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5, mode)
+    args = (0.4, 0.1, AssumeRandom(), AssumeRandom(), ANTI, 203, 5)
     assert sample_param_setup(*args) == reference_param_setup(*args)
-    # The static path: sample_separated, directly and through sample_param_setup.
-    static = (0.4, 0.1, AssumeFixed(0.0), AssumeFixed(0.3), ANTI, 203, 5, mode)
-    da, db = build_param_disks(*static[:5])
-    assert sample_separated(da, db, mode, 203, 5) == reference_param_setup(*static)
+    static = (0.4, 0.1, AssumeFixed(0.0), AssumeFixed(0.3), ANTI, 203, 5)
     assert sample_param_setup(*static) == reference_param_setup(*static)
+    da, db = build_param_disks(*static[:5])
+    assert sample_separated(da, db, mode, 203, 5) == reference_separated(
+        da, db, mode, 203, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("policies", [(AssumeRandom(), AssumeRandom()),
+                                      (AssumeRandom(), AssumeFixed(0.3))],
+                         ids=["both-per-trial", "mixed"])
+def test_per_trial_setup_holds_one_block_of_codes(policies):
+    # 2**21 trials held as two int8 code arrays would peak above 4 MiB; one
+    # row block of draws, arcs and codes at a time stays under 3 MiB.
+    tracemalloc.start()
+    try:
+        sample_param_setup(0.3, 0.1, *policies, ANTI, 2**21, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_assume_random_averages_to_quarter():
