@@ -322,24 +322,26 @@ def _source(opt: dict):
     return FixedBasisSource(opt["basis"]) if opt["source"] == "fixed-hv" else IsotropicSource()
 
 
-def _policy(name: str | None, value: float | None):
-    """The disks knowledge policy a --policy name and --policy-value build.
+def _policy(args: argparse.Namespace, side: str):
+    """The knowledge policy of side "a" or "b": --policy-<side>, else --policy.
 
     assume-zero assumes the remote setting is 0. integrate averages over the
     unknown remote setting, which a fresh uniform guess every trial samples.
     """
     from .disks import AssumeFixed, AssumeRandom, BothKnown
 
-    name = name or "assume-zero"
+    flag, name = f"--policy-{side}", getattr(args, f"policy_{side}")
+    if name is None:
+        flag, name = "--policy", args.policy or "assume-zero"
     if name == "both-known":
         return BothKnown()
     if name in ("assume-random", "integrate"):
         return AssumeRandom()
     if name == "assume-zero":
         return AssumeFixed(value=0.0)
-    if value is None:
-        raise ValueError("--policy assume-fixed needs --policy-value")
-    return AssumeFixed(value=value)
+    if args.policy_value is None:
+        raise ValueError(f"{flag} assume-fixed needs --policy-value")
+    return AssumeFixed(value=args.policy_value)
 
 
 # --- disk-demo ---------------------------------------------------------------
@@ -396,8 +398,7 @@ def _cmd_disk_demo(args, argv: list[str]) -> int:
         if args.figure == "4":
             policy_a = policy_b = BothKnown()
         else:
-            policy_a = _policy(args.policy_a or args.policy, args.policy_value)
-            policy_b = _policy(args.policy_b or args.policy, args.policy_value)
+            policy_a, policy_b = _policy(args, "a"), _policy(args, "b")
         counts = sample_param_setup(alpha, beta, policy_a, policy_b, kind, n, seed)
         if not (policy_is_per_trial(policy_a) or policy_is_per_trial(policy_b)):
             da, db = build_param_disks(alpha, beta, policy_a, policy_b, kind)

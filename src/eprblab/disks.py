@@ -24,6 +24,7 @@ is pure given (inputs, seed).
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import math
@@ -322,22 +323,25 @@ def _sample_separated_rng(
     n: int,
     rng: np.random.Generator,
 ) -> CountTable:
-    # Pointers are drawn in row blocks (domain._blocks), the order of one
-    # (n,) draw. Independent pointers take one pass per side, A's blocks
-    # before B's, and tally the two sides' codes. A shared pointer needs no
-    # codes: both sides are constant on each segment of the union of their
-    # tables' boundaries, reading what _segment gives at its first double, so
-    # the pointers below each cut count every segment's trials into its cell.
-    # The count skips sample_split_many's range check: it relies on uniform
-    # never returning 2*pi, since TWO_PI * (1 - 2**-53) rounds below TWO_PI.
+    # Pointers are drawn in row blocks (domain._blocks), the order of one (n,)
+    # draw. Independent pointers are A's n draws, then B's n: PCG64 spends one
+    # raw word per uniform double, so B's are read beside A's from a copy of rng
+    # advanced by n, and rng ends as 2n draws leave it (advance drops a buffered
+    # 32-bit half, which sample_separated's fresh rng lacks). A shared pointer
+    # needs no codes: both sides are constant on each segment of the union of
+    # their tables' boundaries, reading what _segment gives at its first double,
+    # so the pointers below each cut count every segment's trials into its cell.
+    # The count skips sample_split_many's range check: it relies on uniform never
+    # returning 2*pi, since TWO_PI * (1 - 2**-53) rounds below TWO_PI.
+    cells = np.zeros(16, dtype=np.int64)
     if mode is SamplingMode.INDEPENDENT_LAMBDAS:
-        codes = []
-        for disk in (disk_a, disk_b):
-            codes.append(np.empty(n, dtype=np.int8))
-            for rows in _blocks(n):
-                lams = rng.uniform(0.0, TWO_PI, rows.stop - rows.start)
-                codes[-1][rows] = sample_split_many(disk, lams)
-        return CountTable.from_codes(*codes)
+        rng_b = copy.deepcopy(rng)
+        rng_b.bit_generator.advance(n)
+        for rows in _blocks(n):
+            lam_a, lam_b = (g.uniform(0.0, TWO_PI, rows.stop - rows.start) for g in (rng, rng_b))
+            cells += _tally(sample_split_many(disk_a, lam_a), sample_split_many(disk_b, lam_b))
+        rng.bit_generator.advance(n)
+        return CountTable.from_cells(cells)
     bounds = np.sort(np.concatenate([disk_a._table[0], disk_b._table[0]]))
     bounds = bounds[np.concatenate([[True], bounds[1:] != bounds[:-1]])]  # np.union1d loads np.ma
     below = np.zeros(len(bounds) - 1, dtype=np.int64)
@@ -346,7 +350,6 @@ def _sample_separated_rng(
         for j, b in enumerate(bounds[1:].tolist()):
             below[j] += np.count_nonzero(lams < b)
     side_a, side_b = (d._table[1].take(_segment(bounds, d._table[0])) for d in (disk_a, disk_b))
-    cells = np.zeros(16, dtype=np.int64)
     np.add.at(cells, _cells(side_a, side_b), np.diff(below, prepend=0, append=n))
     return CountTable.from_cells(cells)
 
@@ -361,8 +364,9 @@ def sample_separated(
     """Sample n trials from two per-side disks.
 
     SHARED_LAMBDA draws one uniform pointer per trial used by both sides;
-    INDEPENDENT_LAMBDAS draws one per side (A's array first). Every trial is
-    a single on both sides, so the CountTable has no doubles or misses.
+    INDEPENDENT_LAMBDAS draws A's n pointers, then B's n, read block by block
+    beside A's from a generator copy advanced by n, so no n codes are held.
+    Every trial is a single on both sides: the table has no doubles or misses.
     """
     if n <= 0:
         raise ValueError(f"n must be positive, got {n!r}")

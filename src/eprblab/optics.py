@@ -45,6 +45,7 @@ from .domain import (
     MISS_CODE,
     PLUS_CODE,
     TWO_PI,
+    CountTable,
     _blocks,
     _cells,
     _tally,
@@ -354,12 +355,12 @@ def _count_keys(source: SourceModel, n: int, stations, rng) -> np.ndarray:
 
 def _count_pairs(
     source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
-) -> np.ndarray:
-    """Counts of the 16 (code_a, code_b) cells, indexed as _cells does, of
-    the next n pairs: those of a tally of measure_pairs on the same rng,
-    which this leaves in the same state."""
+) -> CountTable:
+    """The CountTable of the next n pairs: CountTable.from_codes of
+    measure_pairs on the same rng, which this leaves in the same state.
+    Lossless noiseless stations are counted per key, with no per-pair code."""
     noiseless = cfg_a.noise_sigma == cfg_b.noise_sigma == 0.0
     if noiseless and cfg_a.efficiency == cfg_b.efficiency == 1.0:
         stations = [_Station(source, shift, cfg) for shift, cfg in zip(_SHIFTS, (cfg_a, cfg_b))]
-        return _count_keys(source, n, stations, rng)
-    return _tally(*measure_pairs(source, cfg_a, cfg_b, n, rng))
+        return CountTable.from_cells(_count_keys(source, n, stations, rng))
+    return CountTable.from_codes(*measure_pairs(source, cfg_a, cfg_b, n, rng))

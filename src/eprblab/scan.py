@@ -14,8 +14,8 @@ index), so steps can execute in any order or in parallel without changing
 the result, and identical (config, seed) reproduce identical output. Each
 step or CHSH sub-run is counted by optics._count_pairs, which walks the
 stream in blocks and keeps at most one int8 code per pair and station; its
-counts are those of a tally of optics.measure_pairs on the same stream, and
-the blocking changes no output byte.
+table is that of optics.measure_pairs' codes on the same stream, and the
+blocking changes no output byte.
 """
 
 from __future__ import annotations
@@ -100,19 +100,12 @@ class ScanResult:
     steps: tuple[ScanStep, ...]
 
 
-def _count_stream(
-    source: SourceModel, cfg_a: StationConfig, cfg_b: StationConfig, n: int, rng
-) -> CountTable:
-    """Counts of n pairs emitted by source on rng and measured by the two stations."""
-    return CountTable.from_cells(_count_pairs(source, cfg_a, cfg_b, n, rng))
-
-
 def run_scan_step(cfg: ScanConfig, step_index: int) -> ScanStep:
     """Run one scan step on its own stream derived from (seed, step_index)."""
     b_angle = cfg.b_angles[step_index]
     rng = np.random.default_rng([cfg.seed, step_index])
     station_b = replace(cfg.station_b, angle=b_angle)
-    counts = _count_stream(cfg.source, cfg.station_a, station_b, cfg.pairs_per_step, rng)
+    counts = _count_pairs(cfg.source, cfg.station_a, station_b, cfg.pairs_per_step, rng)
     try:
         match = match_probability(counts)
         corr = correlation(counts)
@@ -292,7 +285,7 @@ def run_chsh(
     tables: dict[tuple[int, int], CountTable] = {}
     for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         rng = np.random.default_rng([seed, idx])
-        tables[(i, j)] = _count_stream(source, cfg_a_pair[i], cfg_b_pair[j], pairs_per_setting, rng)
+        tables[(i, j)] = _count_pairs(source, cfg_a_pair[i], cfg_b_pair[j], pairs_per_setting, rng)
     angles_a = (cfg_a_pair[0].angle, cfg_a_pair[1].angle)
     angles_b = (cfg_b_pair[0].angle, cfg_b_pair[1].angle)
     return chsh_report_from_tables(tables, angles_a, angles_b)

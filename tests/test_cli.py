@@ -600,6 +600,10 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
           "--policy-b", "both-known"), "--figure 5 does not read --policy"),
         (("disk-demo", "--figure", "5", "--policy", "assume-fixed"),
          "--policy assume-fixed needs --policy-value"),
+        (("disk-demo", "--figure", "5", "--policy-a", "assume-fixed", "--policy-b", "both-known"),
+         "--policy-a assume-fixed needs --policy-value"),
+        (("disk-demo", "--figure", "5", "--policy-a", "both-known", "--policy-b", "assume-fixed"),
+         "--policy-b assume-fixed needs --policy-value"),
     ],
     ids=["disk-demo", "disk-demo-special-correlated", "scan", "chsh", "pathology", "events-gen",
          "events-gen-too-large", "events-gen-jitter-past-int64", "events-gen-time-past-int64",
@@ -608,7 +612,8 @@ def test_events_gen_rejects_non_finite_inputs(tmp_path, capsys, flag, value, nam
          "figure2-beta", "figure3-alpha", "special-beta", "figure1-policy-value",
          "figure4-policy", "special-policy-a", "figure2-policy-b", "figure5-random-policy-value",
          "figure5-default-policy-value", "figure5-policy-under-both-sides",
-         "figure5-assume-fixed-without-value"],
+         "figure5-assume-fixed-without-value", "figure5-a-assume-fixed-without-value",
+         "figure5-b-assume-fixed-without-value"],
 )
 def test_runtime_failure_leaves_no_out_dir(tmp_path, capsys, monkeypatch, argv, word):
     monkeypatch.chdir(tmp_path)

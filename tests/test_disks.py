@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -594,15 +595,19 @@ def test_param_setup_row_chunks_are_invisible(monkeypatch, block_rows, mode):
         da, db, mode, 203, np.random.default_rng(5))
 
 
-@pytest.mark.parametrize("policies", [(AssumeRandom(), AssumeRandom()),
-                                      (AssumeRandom(), AssumeFixed(0.3))],
-                         ids=["both-per-trial", "mixed"])
-def test_per_trial_setup_holds_one_block_of_codes(policies):
+@pytest.mark.parametrize("run", [
+    lambda n: sample_param_setup(0.3, 0.1, AssumeRandom(), AssumeRandom(), ANTI, n, 3),
+    lambda n: sample_param_setup(0.3, 0.1, AssumeRandom(), AssumeFixed(0.3), ANTI, n, 3),
+    lambda n: sample_separated(*split_disk(build_singlet_disk(0.3, ANTI)),
+                               SamplingMode.INDEPENDENT_LAMBDAS, n, 3),
+], ids=["both-per-trial", "mixed", "independent-pointers"])
+def test_per_trial_setup_holds_one_block_of_codes(run):
     # 2**21 trials held as two int8 code arrays would peak above 4 MiB; one
-    # row block of draws, arcs and codes at a time stays under 3 MiB.
+    # row block of draws, arcs and codes at a time stays under 3 MiB. Figure
+    # 3's independent pointers are counted one row block at a time too.
     tracemalloc.start()
     try:
-        sample_param_setup(0.3, 0.1, *policies, ANTI, 2**21, 3)
+        run(2**21)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -768,12 +773,21 @@ WHOLE = SplitDisk((SplitSector(0.0, TWO_PI, 1),))
 
 class ProbedRng:
     """A Generator whose uniform draws start, block by block, with the probe
-    pointers; records the draws it returns and the ones it made."""
+    pointers; records the draws it returns and the ones it made. A deep copy
+    probes too, and is listed in copies."""
 
-    def __init__(self, seed: int, probes: list[float]):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, seed: int, probes: list[float], rng=None):
+        self.rng = np.random.default_rng(seed) if rng is None else rng
         self.probes = np.array(probes)
-        self.made, self.returned = [], []
+        self.made, self.returned, self.copies = [], [], []
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def __deepcopy__(self, memo):
+        self.copies.append(ProbedRng(None, self.probes, copy.deepcopy(self.rng, memo)))
+        return self.copies[-1]
 
     def uniform(self, low, high, size):
         lams = self.rng.uniform(low, high, size)
@@ -804,13 +818,16 @@ def test_boundary_comparison_equals_the_searchsorted_lookup(pair, mode, n, seed)
 
     rng = ProbedRng(seed, probes)
     got = disks._sample_separated_rng(*pair, mode, n, rng)
-    lams = np.concatenate(rng.returned)
-    lam_a, lam_b = (lams, lams) if mode is SamplingMode.SHARED_LAMBDA else (lams[:n], lams[n:])
+    # Independent pointers read B's from a copy of rng, whose blocks probe too.
+    streams = [rng, *rng.copies]
+    assert len(streams) == (1 if mode is SamplingMode.SHARED_LAMBDA else 2)
+    lams = [np.concatenate(r.returned) for r in streams]
+    lam_a, lam_b = lams if len(lams) == 2 else lams * 2
     assert got == CountTable.from_codes(*map(reference_split_many, pair, (lam_a, lam_b)))
-    # The blocked draws are one draw of n pointers per pointer array.
+    # The blocked draws are one draw of n pointers per pointer array, A's first.
     fresh = np.random.default_rng(seed)
-    made = [fresh.uniform(0.0, TWO_PI, n) for _ in range(len(lams) // n)]
-    assert np.array_equal(np.concatenate(rng.made), np.concatenate(made))
+    made = np.concatenate([np.concatenate(r.made) for r in streams])
+    assert np.array_equal(made, fresh.uniform(0.0, TWO_PI, n * len(streams)))
     assert rng.rng.bit_generator.state == fresh.bit_generator.state
 
 
@@ -867,6 +884,26 @@ def _untemper(y: int) -> int:
             x = y ^ (((x << shift) & mask) if mask else (x >> shift))
         y = x
     return y
+
+
+@pytest.mark.parametrize("n", [1, domain._BLOCK_ROWS, domain._BLOCK_ROWS + 1,
+                               3 * domain._BLOCK_ROWS + 7])
+def test_an_advanced_copy_draws_the_second_n_pointers(n):
+    # Independent pointers read B's n draws from a copy of the generator
+    # advanced by n: PCG64 spends one raw word per uniform double, so the
+    # copy's blocks are draws n..2n-1 of one (2n,) draw, and advancing the
+    # original by n after its own n draws leaves the state 2n draws leave.
+    whole = np.random.default_rng(8)
+    want = whole.uniform(0.0, TWO_PI, 2 * n)
+    rng = np.random.default_rng(8)
+    rng_b = copy.deepcopy(rng)
+    rng_b.bit_generator.advance(n)
+    blocks = [[g.uniform(0.0, TWO_PI, rows.stop - rows.start) for g in (rng, rng_b)]
+              for rows in domain._blocks(n)]
+    for side, drawn in enumerate(zip(*blocks)):
+        assert np.array_equal(np.concatenate(drawn), want[side * n:(side + 1) * n])
+    rng.bit_generator.advance(n)
+    assert rng.bit_generator.state == whole.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_uniform_pointers_stay_below_two_pi():

@@ -454,7 +454,7 @@ zero_noise_stations = st.builds(StationConfig, angle=table_angles, threshold=tab
 @example(20 * BLOCK_ROWS + 3, StationConfig(0.1, 0.0), StationConfig(0.2, 1.0), 6)
 def test_zero_noise_counts_equal_every_pair_measured(n, cfg_a, cfg_b, seed):
     rng, ref_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-    got = scan._count_stream(IsotropicSource(), cfg_a, cfg_b, n, rng)
+    got = optics._count_pairs(IsotropicSource(), cfg_a, cfg_b, n, rng)
     assert got == reference_count(IsotropicSource(), cfg_a, cfg_b, n, ref_rng)
     assert rng.bit_generator.random_raw() == ref_rng.bit_generator.random_raw()
 
@@ -491,7 +491,7 @@ def test_count_pairs_equals_every_pair_measured(isotropic, sigma_a, eta_a, sigma
     cfg_a = StationConfig(angle_a, t_a, sigma_a, eta_a)
     cfg_b = StationConfig(angle_b, t_b, sigma_b, eta_b)
     rng, ref_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
-    got = scan._count_stream(source, cfg_a, cfg_b, n, rng)
+    got = optics._count_pairs(source, cfg_a, cfg_b, n, rng)
     assert got == reference_count(source, cfg_a, cfg_b, n, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -506,7 +506,7 @@ def test_count_pairs_keeps_a_callers_buffered_half_word():
         g.integers(0, 2, 3)
     assert rng.bit_generator.state["has_uint32"] == 1
     for source in (FixedBasisSource(0.0), IsotropicSource()):
-        got = scan._count_stream(source, cfg_a, cfg_b, BLOCK_ROWS + 3, rng)
+        got = optics._count_pairs(source, cfg_a, cfg_b, BLOCK_ROWS + 3, rng)
         assert got == reference_count(source, cfg_a, cfg_b, BLOCK_ROWS + 3, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -560,7 +560,7 @@ def test_count_stream_picks_a_path_per_station(monkeypatch, source, cfg_a, cfg_b
     monkeypatch.setattr(optics._Station, "__init__", recording_init)
     monkeypatch.setattr(optics, "_exact_codes", counting_exact)
     monkeypatch.setattr(optics, "_draw_words", counting_draw)
-    assert scan._count_stream(source, cfg_a, cfg_b, n, np.random.default_rng(4)) == want
+    assert optics._count_pairs(source, cfg_a, cfg_b, n, np.random.default_rng(4)) == want
     taken = {station.shift: "full" if station.table is None
              else {1 << 12: "bucket", 2: "bit"}[station.table[0].shape[0]] for station in built}
     assert len(built) == 2 and (taken[0.0], taken[0.5 * PI]) == paths
@@ -601,7 +601,7 @@ def test_count_stream_memory_is_two_bytes_per_pair(source, cfg_a, cfg_b):
     rng = np.random.default_rng(22)
     tracemalloc.start()
     try:
-        counts = scan._count_stream(source, cfg_a, cfg_b, n, rng)
+        counts = optics._count_pairs(source, cfg_a, cfg_b, n, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
