@@ -205,6 +205,15 @@ def _seed(text: str) -> int:
     return value
 
 
+_MAX_STEPS = 2**16  #: most scan steps: each is held to the end, ~0.74 kB and ~0.34 ms
+
+
+def _steps(text: str) -> int:
+    if (value := _seed(text)) > _MAX_STEPS:  # an integer in [0, 2**64), as a seed
+        raise argparse.ArgumentTypeError(f"must be at most 2**16 = {_MAX_STEPS}, got {text!r}")
+    return value
+
+
 def _angle_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -237,7 +246,7 @@ _OPTIONS = {
                       choices=("isotropic", "fixed-hv")),
     "basis": _Option("source", "basis", 0.0, _angle, "fixed-hv basis angle, rad (default 0)"),
     "seed": _Option("run", "seed", 0, _seed, "random seed, u64 (default 0)"),
-    "steps": _Option("run", "steps", 33, int, "scan steps over [0, pi] (default 33)"),
+    "steps": _Option("run", "steps", 33, _steps, "scan steps over [0, pi] (default 33)"),
     "pairs_per_step": _Option("run", "pairs_per_step", 100_000, int,
                               "pairs per step (default 100000)", flag="--pairs"),
     "pairs_per_setting": _Option("run", "pairs_per_setting", 100_000, int,

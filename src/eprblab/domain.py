@@ -38,10 +38,10 @@ PLUS_CODE = 1
 MINUS_CODE = -1
 DOUBLE_CODE = 2
 
-#: Rows per block of every blocked pass (_blocks): the tally, the station
-#: kernel and count driver in optics, the disk draws and the CSV writer. Any
-#: value gives the same output bytes; 2**14 rows keep a block's arrays in
-#: cache and on the heap, where a freed block's pages serve the next.
+#: Rows per block of every blocked pass (_blocks): the tally, optics' kernel
+#: and count driver, the disk draws, and eventio's draws, writer, reader and
+#: matcher. Any value gives the same output bytes; 2**14 rows keep a block's
+#: arrays in cache and on the heap, where a freed block's pages serve the next.
 _BLOCK_ROWS = 1 << 14
 
 

@@ -17,8 +17,8 @@ arrays; no stage of the pipeline builds a per-record object.
 File format: text CSV, header ``t_ns,setting,channel``, one record per
 line, rows sorted by t_ns ascending. Files are written with LF line ends;
 the reader also takes CRLF line ends and a missing final line end, and each
-field must be -?digits within int64. The writer works in row blocks and
-the reader in array passes over the whole file. Timestamps are integer
+field must be -?digits within int64. The writer, the reader and the matcher
+work one domain._blocks block of rows at a time. Timestamps are integer
 nanoseconds, setting is the index (0 or 1) of the analyzer angle active for
 that event, channel is +1 or -1. Misses and doubles produce no record (a
 record carries exactly one fired channel), which keeps file-derived
@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
-#: Most expected pairs generate_events draws: at ~126 B a pair, about 2.0 GiB.
+#: Most expected pairs generate_events draws: at ~83 B a pair, about 1.3 GiB.
 _MAX_EXPECTED_PAIRS = 2**24
 #: Jitter widths generate_events allows past duration before 2**63 ns. numpy's
 #: ziggurat draws no standard normal past 14 in magnitude.
@@ -60,10 +60,11 @@ def _columns_equal(self, other) -> bool:
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
-def _check_records(t_ns, setting, channel, where: str, first_row: int) -> None:
-    """Raise for the first invalid record, named as where + its row number."""
+def _check_records(t_ns, setting, channel, where: str, first_row: int, before=0) -> None:
+    """Raise for the first invalid record, named as where + its row; before is the prior t_ns."""
     bad = (t_ns < 0) | ((setting != 0) & (setting != 1)) | ((channel != 1) & (channel != -1))
     bad[1:] |= t_ns[1:] < t_ns[:-1]
+    bad[:1] |= t_ns[:1] < before
     if not bad.any():
         return
     k = int(np.argmax(bad))
@@ -74,7 +75,7 @@ def _check_records(t_ns, setting, channel, where: str, first_row: int) -> None:
         raise ValueError(f"{at}: setting must be 0 or 1, got {setting[k]}")
     if channel[k] not in (1, -1):
         raise ValueError(f"{at}: channel must be +1 or -1, got {channel[k]}")
-    raise UnsortedEventsError(f"{at}: t_ns {t_ns[k]} follows {t_ns[k - 1]}, not sorted")
+    raise UnsortedEventsError(f"{at}: t_ns {t_ns[k]} follows {np.r_[before, t_ns][k]}, not sorted")
 
 
 _COLUMNS = {"t_ns": np.int64, "setting": np.int8, "channel": np.int8}
@@ -87,7 +88,8 @@ class EventStream:
 
     Takes equal-length 1-D integer array-likes and validates them once, as
     arrays: a bad record raises ValueError (UnsortedEventsError if out of
-    order) naming its row.
+    order) naming its row. A column that already has its dtype is kept, not
+    copied, and made read-only.
     """
 
     t_ns: np.ndarray
@@ -101,8 +103,8 @@ class EventStream:
         integer_1d = all(c.ndim == 1 and (c.dtype.kind in "iu" or not c.size) for c in cols)
         if not (integer_1d and len({len(c) for c in cols}) == 1):
             raise ValueError("t_ns, setting and channel must be 1-D integer columns of one length")
-        # Checked in int64, so no out-of-range value wraps into range.
-        cols = [c.astype(np.int64) for c in cols]
+        # Any other dtype is checked in int64, so no out-of-range value wraps into range.
+        cols = [c if c.dtype == d else c.astype(np.int64) for c, d in zip(cols, _COLUMNS.values())]
         _check_records(*cols, "row ", 0)
         for (name, dtype), col in zip(_COLUMNS.items(), cols):
             col = col.astype(dtype, copy=False)
@@ -169,20 +171,21 @@ def _emission_times(rate: float, duration: float, rng: np.random.Generator) -> n
     return times[times <= duration]
 
 
-def _side_stream(
-    times: np.ndarray,
-    jitter: np.ndarray,
-    settings: np.ndarray,
-    codes: np.ndarray,
-) -> tuple[EventStream, np.ndarray]:
-    # Only singles produce records; sort by timestamp (stable, so equal
-    # stamps keep emission order) and map each pair to its row, or -1.
+def _side_stream(times: np.ndarray, settings: np.ndarray, codes: np.ndarray, sigma: float,
+                 rng: np.random.Generator) -> tuple[EventStream, np.ndarray]:
+    # Each block of pairs draws its jitter as one whole draw would and stamps its
+    # singles, the only records; rows sort by timestamp (stable, so equal stamps
+    # keep emission order), and each pair maps to its row, or -1.
     detected = np.flatnonzero((codes == PLUS_CODE) | (codes == MINUS_CODE))
-    with np.errstate(over="ignore"):
-        t_ns = np.rint((times[detected] + jitter[detected]) * 1e9)
-    if not (t_ns < 2.0**63).all():
-        raise ValueError("an event time is past 2**63 ns: duration or jitter_sigma too large")
-    t_ns = t_ns.astype(np.int64)
+    t_ns = np.empty(len(detected), dtype=np.int64)
+    for rows in _blocks(len(times)):
+        at, m = slice(*np.searchsorted(detected, (rows.start, rows.stop))), rows.stop - rows.start
+        jitter = np.abs(rng.normal(0.0, sigma, m)) if sigma > 0.0 else np.zeros(m)
+        with np.errstate(over="ignore"):
+            t = np.rint((times[detected[at]] + jitter[detected[at] - rows.start]) * 1e9)
+        if not (t < 2.0**63).all():
+            raise ValueError("an event time is past 2**63 ns: duration or jitter_sigma too large")
+        t_ns[at] = t
     order = np.argsort(t_ns, kind="stable")
     pair_of_row = detected[order]
     row_of_pair = np.full(len(codes), -1, dtype=np.int64)
@@ -190,9 +193,7 @@ def _side_stream(
     return EventStream(t_ns[order], settings[pair_of_row], codes[pair_of_row]), row_of_pair
 
 
-def generate_events(
-    cfg: GeneratorConfig, duration: float, seed: int
-) -> GeneratedStreams:
+def generate_events(cfg: GeneratorConfig, duration: float, seed: int) -> GeneratedStreams:
     """Simulate duration seconds of emissions and build both record streams.
 
     Pair emission times are exponentially spaced at mean_rate. Draw order on
@@ -214,19 +215,13 @@ def generate_events(
     rng = np.random.default_rng(seed)
     times = _emission_times(cfg.mean_rate, duration, rng)
     n = len(times)
-    set_a = rng.integers(0, 2, n)
-    set_b = rng.integers(0, 2, n)
+    set_a, set_b = index = np.empty((2, n), dtype=np.int8)
+    for rows in _blocks(2 * n):  # as integers(0, 2, n) for A, then for B, draws them
+        index.reshape(-1)[rows] = rng.integers(0, 2, rows.stop - rows.start)
     settings = ((cfg.settings_a, set_a), (cfg.settings_b, set_b))
     codes_a, codes_b = measure_pairs(cfg.source, cfg.station_a, cfg.station_b, n, rng, settings)
-
-    if cfg.jitter_sigma > 0.0:
-        jit_a = np.abs(rng.normal(0.0, cfg.jitter_sigma, n))
-        jit_b = np.abs(rng.normal(0.0, cfg.jitter_sigma, n))
-    else:
-        jit_a = jit_b = np.zeros(n)
-
-    events_a, rows_a = _side_stream(times, jit_a, set_a, codes_a)
-    events_b, rows_b = _side_stream(times, jit_b, set_b, codes_b)
+    events_a, rows_a = _side_stream(times, set_a, codes_a, cfg.jitter_sigma, rng)
+    events_b, rows_b = _side_stream(times, set_b, codes_b, cfg.jitter_sigma, rng)
     both = (rows_a >= 0) & (rows_b >= 0)
     truth = np.column_stack((rows_a[both], rows_b[both]))
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
@@ -308,11 +303,8 @@ def _parse_fields(buf: np.ndarray, starts: np.ndarray, stops: np.ndarray):
         digit = buf[_MAX_DIGITS - 1 - k :][at] - 48
         if k >= always:
             digit *= lengths > k
-        if k:
-            np.maximum(worst, digit, out=worst)
-            mag += digit * np.uint64(10**k)
-        else:
-            worst, mag = digit, digit.astype(np.uint64)
+        np.maximum(worst, digit, out=worst)
+        mag += digit * np.uint64(10**k)
     ok &= worst < 10
     if places == _MAX_DIGITS:  # fewer digits always fit int64
         ok &= mag <= np.uint64(_INT64_MAX) + neg
@@ -329,53 +321,60 @@ def read_events(path: Path | str, data: bytes | None = None) -> EventStream:
     place of reading path, which then only names the file in messages.
 
     Accepted: the header line, then rows of three -?digits fields in int64,
-    with LF or CRLF line ends; the final line end may be missing. Each check
-    is one array pass, over the bytes, the separators or the fields.
+    with LF or CRLF line ends; the final line end may be missing. Lines are
+    parsed into the columns one _blocks block at a time, each check one array
+    pass over the block's bytes, separators or fields. A bad record anywhere
+    is reported before a value out of range or out of order.
     """
     if data is None:
         data = Path(path).read_bytes()
+    data = data if data.endswith(b"\n") else data + b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.max(initial=0) >= 0x80:
         k = int(np.argmax(buf >= 0x80))
         line_no = data.count(b"\n", 0, k) + 1
         raise ValueError(f"{path}:{line_no}: non-ASCII byte {data[k : k + 1]!r}")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-        buf = np.frombuffer(data, dtype=np.uint8)
-    body = data.index(b"\n") + 1
-    if data[: body - 1].removesuffix(b"\r") != EVENTS_CSV_HEADER.encode():
+    pos = data.index(b"\n")  # the LF before the next block of lines: the header's, first
+    if data[:pos].removesuffix(b"\r") != EVENTS_CSV_HEADER.encode():
         raise ValueError(f"{path}: missing '{EVENTS_CSV_HEADER}' header")
-
-    # Commas and LFs cut the lines into fields; seps[0] is the header's LF.
-    # Line i is good while seps[3i + 1 : 3i + 4] are ',' ',' LF, so the first
-    # line to break that pattern holds other than two commas. Any other byte
-    # (a CR before an LF ends its line) is left in the fields, whose digit
-    # check finds it.
-    seps = np.flatnonzero((buf == 44) | (buf == 10))[2:]
-    n = (len(seps) - 1) // 3
-    kinds = buf[seps[1 : 3 * n + 1]].reshape(-1, 3)
-    wrong = (kinds[:, 0] != 44) | (kinds[:, 1] != 44) | (kinds[:, 2] != 10)
-    first = int(np.argmax(wrong)) if wrong.any() else n
-    cuts = seps[: 3 * first + 1]
-    lf = cuts[3::3]
-    bounds = (
-        (cuts[:-1:3] + 1, cuts[1::3]),
-        (cuts[1::3] + 1, cuts[2::3]),
-        (cuts[2::3] + 1, lf - (buf[lf - 1] == 13)),
-    )
-    columns, oks = zip(*(_parse_fields(buf, *field) for field in bounds))
-    bad = ~(oks[0] & oks[1] & oks[2])
-    if bad.any():
-        first = int(np.argmax(bad))
-    if 3 * first + 1 < len(seps):
-        start = seps[3 * first] + 1
-        line = data[start : data.index(b"\n", start)].removesuffix(b"\r").decode("ascii")
-        raise ValueError(f"{path}:{first + 2}: bad record {line!r}")
-    try:
-        return EventStream(*columns)
-    except ValueError:
-        _check_records(*columns, f"{path}:", 2)
-        raise
+    n = data.count(b"\n", pos + 1)
+    columns = [np.empty(n, dtype) for dtype in _COLUMNS.values()]
+    span = error = None
+    for rows in _blocks(n):
+        lo, m = rows.start, rows.stop - rows.start
+        # Commas and LFs cut the lines into fields; seps[0] is pos. Line i is
+        # good while seps[3i + 1 : 3i + 4] are ',' ',' LF, so the first line to
+        # break that pattern is bad; any other byte (a CR before an LF ends its
+        # line) is left in the fields, whose digit check finds it. The window is
+        # the last block's bytes and a quarter, else 64 a line, the longest good.
+        for size in ((span or (len(buf) - pos) * m // n) * 5 // 4, (3 * _MAX_DIGITS + 7) * m):
+            window = buf[pos : pos + size + 1]
+            if len(seps := np.flatnonzero((window == 44) | (window == 10)) + pos) > 3 * m:
+                break
+        k = min(m, (len(seps) - 1) // 3)
+        wrong = (buf[seps[1 : 3 * k + 1]].reshape(-1, 3) != (44, 44, 10)).any(axis=1)
+        first = int(np.argmax(wrong)) if wrong.any() else k
+        cuts = seps[: 3 * first + 1]
+        lf = cuts[3::3]
+        bounds = ((cuts[:-1:3] + 1, cuts[1::3]), (cuts[1::3] + 1, cuts[2::3]),
+                  (cuts[2::3] + 1, lf - (buf[lf - 1] == 13)))
+        values, oks = zip(*(_parse_fields(buf, *field) for field in bounds))
+        bad = ~(oks[0] & oks[1] & oks[2])
+        first = int(np.argmax(bad)) if bad.any() else first
+        if first < m:
+            start = seps[3 * first] + 1
+            line = data[start : data.index(b"\n", start)].removesuffix(b"\r").decode("ascii")
+            raise ValueError(f"{path}:{lo + first + 2}: bad record {line!r}")
+        for col, v in zip(columns, values):
+            col[rows] = v
+        try:  # in int64: a setting or channel out of range may wrap in its int8 column
+            error = error or _check_records(*values, f"{path}:", lo + 2, columns[0][max(lo - 1, 0)])
+        except ValueError as exc:
+            error = exc
+        span, pos = seps[3 * m] - pos, seps[3 * m]
+    if error:
+        raise error
+    return EventStream(*columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,11 +398,7 @@ class MatchResult:
         return len(self.pairs)
 
 
-def match_coincidences(
-    events_a: EventStream,
-    events_b: EventStream,
-    window_ns: int,
-) -> MatchResult:
+def match_coincidences(events_a: EventStream, events_b: EventStream, window_ns: int) -> MatchResult:
     """Greedy nearest-neighbor matching within +/- window_ns, one linear pass.
 
     Walking both streams in time order, each A record takes the nearest
@@ -418,16 +413,17 @@ def match_coincidences(
     from it or from the first B row of its own window, whichever is later.
     An A record whose window holds exactly one B row that no neighbour's
     window reaches therefore takes that row; those are settled in bulk, and
-    the walk visits only the other A records that have a candidate.
+    the walk visits only the other A records that have a candidate, one
+    _blocks block of them at a time, with the B stamps of their windows.
     """
     if window_ns < 0:
         raise ValueError(f"window_ns must be >= 0, got {window_ns!r}")
-    # No two int64 timestamps are further apart than this, so a wider
-    # window matches exactly the same records.
+    # No two int64 timestamps are further apart than this, so a wider window
+    # matches exactly the same records, as does t_a + w cut at int64's end.
     w = min(int(window_ns), _INT64_MAX)
     t_a, t_b = events_a.t_ns, events_b.t_ns
     lo = np.searchsorted(t_b, t_a - w, "left")  # first B row with t_b >= t_a - w
-    hi = np.searchsorted(t_b - w, t_a, "right")  # first B row with t_b > t_a + w
+    hi = np.searchsorted(t_b, np.minimum(t_a, _INT64_MAX - w) + w, "right")  # t_b > t_a + w
     apart = hi[:-1] <= lo[1:]  # no B row lies in both of two neighbours' windows
     alone = hi - lo == 1
     alone[1:] &= apart
@@ -435,17 +431,22 @@ def match_coincidences(
     match_b = np.where(alone, lo, -1)
 
     walk = np.flatnonzero((hi > lo) & ~alone)
-    t_b_list = t_b.tolist()
     j = 0
-    for i, t, lo_i, hi_i in zip(
-        walk.tolist(), t_a[walk].tolist(), lo[walk].tolist(), hi[walk].tolist()
-    ):
-        j = max(j, lo_i)
-        if j < hi_i:
-            while j + 1 < hi_i and abs(t_b_list[j + 1] - t) < abs(t_b_list[j] - t):
+    for rows in _blocks(len(walk)):
+        i_s, lo_s, hi_s = walk[rows], lo[walk[rows]], hi[walk[rows]]
+        # The stamps of these records' windows, by B row: windows only move
+        # forward, so each adds the rows past the one before it.
+        starts = np.maximum(lo_s, np.r_[0, hi_s[:-1]])
+        lens = hi_s - starts
+        union = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        stamps = dict(zip(union.tolist(), t_b[union].tolist()))
+        for i, t, lo_i, hi_i in zip(i_s.tolist(), t_a[i_s].tolist(), lo_s.tolist(), hi_s.tolist()):
+            j = max(j, lo_i)
+            if j < hi_i:
+                while j + 1 < hi_i and abs(stamps[j + 1] - t) < abs(stamps[j] - t):
+                    j += 1
+                match_b[i] = j
                 j += 1
-            match_b[i] = j
-            j += 1
     rows_a = np.flatnonzero(match_b >= 0)
     rows_b = match_b[rows_a]
     pairs = np.column_stack((rows_a, rows_b))
@@ -454,8 +455,8 @@ def match_coincidences(
     cell = _cells(events_a.channel[rows_a], events_b.channel[rows_b])
     cell += 16 * (2 * events_a.setting[rows_a] + events_b.setting[rows_b])
     cells = np.bincount(cell, minlength=64).reshape(4, 16)
-    singles_a = np.bincount(events_a.setting, minlength=2).tolist()
-    singles_b = np.bincount(events_b.setting, minlength=2).tolist()
+    singles_a, singles_b = ([len(e) - (k := int(np.count_nonzero(e.setting))), k]
+                            for e in (events_a, events_b))  # a bincount would copy to intp
     tables = {
         (sa, sb): replace(CountTable.from_cells(cells[2 * sa + sb]), singles_a=singles_a[sa],
                           singles_b=singles_b[sb], n_pairs=0)

@@ -237,7 +237,7 @@ class _Station:
     def __init__(self, source: SourceModel, shift: float, cfg: StationConfig, setting=None):
         angles, index = setting if setting is not None else ((cfg.angle,), None)
         self.source, self.shift, self.cfg = source, shift, cfg
-        self.index = None if index is None else np.asarray(index, dtype=np.int64)
+        self.index = None if index is None else np.asarray(index)
         self.angles = np.asarray(angles, dtype=float)
         self.keys_per_angle = 1 << _BUCKET_BITS if isinstance(source, IsotropicSource) else 2
         self.table = None
@@ -252,7 +252,7 @@ class _Station:
         the block's normals and the station's bounds (_key_bounds). Only the
         pairs these leave unsure go through _exact_codes."""
         if self.index is not None:
-            key = key + self.keys_per_angle * self.index[rows]
+            key = key + self.keys_per_angle * self.index[rows].astype(np.int64)  # int8 overflows
         if self.table is None:
             unsure = _bounded_codes(key, noise, out, self.cfg.threshold, bounds)
         else:

@@ -697,6 +697,18 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "pathology"])
+def test_steps_past_two_to_the_16_are_usage_errors(tmp_path, capsys, command):
+    # Parsed only: the ceiling passes the parser, and one past it stops there.
+    assert build_parser().parse_args([command, "--steps", str(2**16)]).steps == 2**16
+    out = tmp_path / "o"
+    err = usage_error(capsys, command, "--steps", str(2**16 + 1), "--out", str(out))
+    assert f"argument --steps: must be at most 2**16 = 65536, got '{2**16 + 1}'" in err
+    assert not out.exists()
+    for value in ("-1", "x"):
+        assert "argument --steps:" in usage_error(capsys, command, "--steps", value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [("disk-demo", "--figure", "1", "--n", "10"), ("chsh", "--pairs", "100")],
@@ -740,6 +752,7 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[stationb]\nthreshold = 0.75\n", ("[stationb] threshold: unknown key",)),
         ("chsh", "[DEFAULT]\nthreshold = 0.75\n", ("[DEFAULT] threshold: unknown key",)),
         ("chsh", "[run]\nsteps = many\n", ("[run] steps", "'many'")),
+        ("pathology", "[run]\nsteps = 65537\n", ("[run] steps", "at most 2**16", "'65537'")),
         ("chsh", "[run]\nseed = 18446744073709551616\n", ("[run] seed", "below 2**64")),
         # A file configparser cannot parse names its first bad line.
         ("chsh", "[run]\nseed = 3\nbogus line\n", ("run.ini line 3", "not key = value")),
@@ -751,8 +764,8 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
     ],
     ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
          "threshold-text", "key-typo", "section-typo", "default-section", "unread-key-bad-value",
-         "seed-past-u64", "bare-line", "no-section", "duplicate-key", "duplicate-section",
-         "percent-sign"],
+         "steps-past-ceiling", "seed-past-u64", "bare-line", "no-section", "duplicate-key",
+         "duplicate-section", "percent-sign"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,

@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
@@ -82,6 +83,8 @@ def test_stream_column_contract():
     assert s != _stream([5, 5, 9], setting=[1, 0, 1], channel=[-1, 1, -1])
     assert s != (s.t_ns, s.setting, s.channel)  # not a stream, so never equal
     assert len(_stream([])) == 0
+    t_ns = np.array([5, 9])  # already int64: kept, not copied, and made read-only
+    assert _stream(t_ns).t_ns is t_ns and not t_ns.flags.writeable
     with pytest.raises(ValueError, match="of one length"):
         EventStream(t_ns=[1, 2], setting=[0], channel=[1, 1])
     with pytest.raises(ValueError, match="integer columns"):
@@ -503,24 +506,89 @@ bodies = st.tuples(
 @given(bodies)
 @example("5,0,1\n3,0,1")
 @example("1,0,1\r\n2,1,-1")
+# At 2-row blocks: a CRLF line ending block 1 and no final LF in block 2; a row
+# out of order across a block edge; setting 300 in block 1 and a bad record in
+# block 3, which is reported; 257, which would wrap to a good 1 in int8; block
+# 2's lines four times block 1's; and a line past the longest good one.
+@example("1,0,1\r\n2,1,-1\r\n3,0,1")
+@example("1,0,1\n5,0,1\n3,0,1\n")
+@example("1,300,1\n2,0,1\n3,0,1\n4,0,1\n5,0,x\n")
+@example("1,0,1\n2,0,1\n3,257,1\n")
+@example("1,0,1\n2,0,1\n999999999999999998,0,-1\n999999999999999999,1,-1\n")
+@example("1,0,1\n" + "1" * 80 + ",0,1\n2,0,1\n")
 def test_parser_accept_set(tmp_path_factory, body):
     path = tmp_path_factory.getbasetemp() / "accept.csv"
     path.write_bytes((HEADER + body).encode("ascii"))
     refused = accepted_lines(body)
-    if refused is not None:
-        line_no, line = refused
-        with pytest.raises(ValueError, match=re.escape(f"{path}:{line_no}: bad record {line!r}")):
-            read_events(path)
-        return
-    # What the parser accepts, the reference accepted too, with the same
-    # stream or the same semantic error.
+    expected = error = None
+    if refused is None:
+        # What the parser accepts, the reference accepted too, with the same
+        # stream or the same semantic error.
+        try:
+            expected = reference_read_events(path)
+        except ValueError as exc:
+            error = exc
+    for block_rows in (domain._BLOCK_ROWS, 2):  # the second puts block edges inside the body
+        with mock.patch.object(domain, "_BLOCK_ROWS", block_rows):
+            if refused is not None:
+                line_no, line = refused
+                text = f"{path}:{line_no}: bad record {line!r}"
+                with pytest.raises(ValueError, match=re.escape(text)):
+                    read_events(path)
+            elif error is not None:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    read_events(path)
+            else:
+                assert read_events(path) == expected
+
+
+# --- memory: each stage holds its columns plus one block ------------------------
+
+BLOCK_ROWS = domain._BLOCK_ROWS
+
+
+def _peak(run):
+    """run()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
     try:
-        expected = reference_read_events(path)
-    except ValueError as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            read_events(path)
-    else:
-        assert read_events(path) == expected
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_generate_events_memory_per_pair():
+    # Per pair: its emission time, two setting indices, two codes, two row maps
+    # and the records built from them, ~69 B a pair at these thresholds.
+    streams, peak = _peak(lambda: generate_events(_config(rate=1e6, jitter=10e-9), 0.25, 3))
+    assert streams.n_pairs >= 15 * BLOCK_ROWS
+    assert peak <= 80 * streams.n_pairs, peak / streams.n_pairs
+
+
+def test_read_events_holds_its_file_its_columns_and_one_block(tmp_path):
+    n = 16 * BLOCK_ROWS
+    rng = np.random.default_rng(5)
+    events = EventStream(np.sort(rng.integers(0, 10**15, n)), rng.integers(0, 2, n),
+                         rng.choice([-1, 1], n))
+    path = tmp_path / "long.csv"
+    write_events(path, events)
+    read, peak = _peak(lambda: read_events(path))
+    assert read == events
+    # The file's bytes, 10 B a record of columns and one block's temporaries,
+    # ~160 B a block row.
+    assert peak <= path.stat().st_size + 10 * n + 200 * BLOCK_ROWS
+
+
+def test_matcher_memory_does_not_grow_with_the_b_stream():
+    # A sparse A stream over a long B stream: each A window holds three B
+    # records, so every A record is walked, with the B stream between them.
+    n_a, n_b = 2**10, 2**21
+    t_b = np.arange(n_b) * 10
+    a = _stream(t_b[:: n_b // n_a] + 3)
+    b = _stream(t_b)
+    result, peak = _peak(lambda: match_coincidences(a, b, 15))
+    assert result.pairs.tolist() == [[i, i * (n_b // n_a)] for i in range(n_a)]
+    assert peak < n_b  # under a byte per B record: nothing spans the B stream
+    assert result.tables[0, 0].singles_b == n_b
 
 
 # --- matching -----------------------------------------------------------------

@@ -6,8 +6,8 @@ counters and inputs, so the recorded run cannot drift either.
 
 The digests were taken with numpy NUMPY_VERSION. PCG64 streams and the
 ziggurat normal/exponential samplers belong to numpy, so another numpy
-version may legitimately produce other bytes; a change that alters a digest
-on the same numpy must say why.
+version may legitimately produce other bytes; tests/test_draws.py names the
+draw that moved. A change that alters a digest on the same numpy must say why.
 
 To print the digests of the current code: PYTHONPATH=src python tests/test_golden.py
 """
@@ -287,7 +287,8 @@ def test_golden_digests(name, block_rows, tmp_path, monkeypatch):
     if block_rows is not None:
         monkeypatch.setattr(domain, "_BLOCK_ROWS", block_rows)
     assert run_digests(name, tmp_path) == GOLDEN[name], (
-        f"digests were taken with numpy {NUMPY_VERSION}; this is numpy {np.__version__}"
+        f"digests were taken with numpy {NUMPY_VERSION}; this is numpy {np.__version__}. "
+        "If tests/test_draws.py fails too, it names the numpy draw that moved."
     )
 
 
