@@ -108,7 +108,8 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
 
     files maps each output name to its text, to an EventStream, which
     write_events writes, or to a (header, integer columns) pair, which the
-    same chunked CSV writer writes as one row per index. The manifest is
+    same chunked CSV writer writes as one row per index. The --config file
+    that _resolve read, if any, is the manifest's inputs block. The manifest is
     serialized first, so a NaN or infinity in it stops the run before anything
     is written. --out belongs to the run, and _check_out checks it again before
     the swap. The outputs and manifest.json go into .NAME.PID.new beside the
@@ -125,6 +126,7 @@ def _write_run(args, command: str, argv: list[str], seed: int | None, config: di
         "config_sha256": _fingerprint(config),
         "outputs": sorted(files),
         "environment": _environment(),
+        **({"inputs": args.inputs} if getattr(args, "inputs", None) else {}),
         **blocks,
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -282,15 +284,21 @@ def _resolve(args, **default_overrides) -> dict:
     """The subcommand's options by dest: the flag, else the --config file's
     entry, else default_overrides, else the table default. Every file entry is
     cast, read here or not; one that no option has or its type refuses raises,
-    as does a file that does not parse. Values are read as written, with no %."""
+    as does a file that does not parse. Values are read as written, with no %.
+    The file is read once, and args.inputs records the sha256 of the bytes parsed."""
     values = {}
     if args.config:
         import configparser
+        import io
 
-        cp = configparser.ConfigParser(interpolation=None)
         try:
-            if not cp.read(args.config):
-                raise FileNotFoundError(f"config file not found: {args.config}")
+            data = Path(args.config).read_bytes()
+        except OSError:
+            raise FileNotFoundError(f"config file not found: {args.config}") from None
+        args.inputs = {"config": {"path": args.config, "sha256": hashlib.sha256(data).hexdigest()}}
+        cp = configparser.ConfigParser(interpolation=None)
+        try:  # universal newlines, as a text-mode read of the file has
+            cp.read_file(io.StringIO(data.decode(), newline=None), args.config)
         except configparser.Error as exc:  # whose own message takes two or three lines
             why = {"MissingSectionHeaderError": "no [section] header above it",
                    "DuplicateSectionError": "repeats a [section]",
@@ -488,7 +496,7 @@ def _cmd_scan(args, argv: list[str]) -> int:
 # --- chsh ------------------------------------------------------------------------
 
 def _cmd_chsh(args, argv: list[str]) -> int:
-    from .scan import run_chsh
+    from .scan import CHSH_PAIRS, run_chsh
 
     opt = _resolve(args)
     seed = opt["seed"]
@@ -501,8 +509,7 @@ def _cmd_chsh(args, argv: list[str]) -> int:
 
     config = {**opt, "angles_a": [a, a2], "angles_b": [b, b2]}
     rows = []
-    for name, i, j in (("ab", 0, 0), ("ab_prime", 0, 1), ("a_prime_b", 1, 0),
-                       ("a_prime_b_prime", 1, 1)):
+    for name, (i, j) in CHSH_PAIRS.items():
         t = report.tables[i][j]
         rows.append((name, report.angles_a[i], report.angles_b[j], t.n_pp, t.n_pm, t.n_mp,
                      t.n_mm, t.coincidences, report.e_values[i][j], report.stderrs[i][j]))

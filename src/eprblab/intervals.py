@@ -4,7 +4,8 @@ Arcs are (start, length) pairs on a circle of a given period. This module
 flattens them into half-open linear segments and measures overlaps, which is
 all that exact (non-Monte-Carlo) integration of piecewise-constant functions
 of a uniform angle requires: arc_overlaps, the one such integral, gives the
-sector tables in `disks` and the detection-window oracle in `scan`.
+exact joint table of `disks.joint_pmf_from_splits` and the single-arc oracle
+in `scan`.
 """
 
 from __future__ import annotations

@@ -5,17 +5,15 @@ over a list of angles, tabulating the four coincidence cells together with
 per-side singles, doubles and misses at every step. On top of that sit the
 CHSH runs over four setting pairs, the calibration diagnostics (singles
 asymmetry between the sides, modulation of the total coincidence rate
-across the sweep), the fixed-basis pathology probe, and an exact zero-noise
-correlation oracle obtained by integrating the detection-window overlaps
-instead of sampling them.
+across the sweep), the fixed-basis pathology probe, and an exact oracle for
+isotropic zero-noise runs at every threshold and efficiency: E and the
+coincidence rate, integrated over the single-detection arcs, not sampled.
 
 Every step runs on its own random stream derived from (base seed, step
 index), so steps can execute in any order or in parallel without changing
 the result, and identical (config, seed) reproduce identical output. Each
-step or CHSH sub-run is counted by optics._count_pairs, which walks the
-stream in blocks and keeps at most one int8 code per pair and station; its
-table is that of optics.measure_pairs' codes on the same stream, and the
-blocking changes no output byte.
+step or CHSH sub-run is counted by optics._count_pairs, whose table is that
+of optics.measure_pairs' codes on the same stream.
 """
 
 from __future__ import annotations
@@ -154,14 +152,15 @@ def coincidence_modulation(result: ScanResult) -> float:
 # --- exact zero-noise oracle -------------------------------------------------
 
 def _windows(threshold: float, shift: float, plus, minus) -> list[tuple]:
-    """A zero-noise station's firing arcs (start, length, label) on the period-pi
-    circle, turned by shift: each channel fires on an arc of width 2*acos(sqrt(T))
-    centered on 0 (plus) or pi/2 (minus). Below T = 0.5 the arcs would overlap,
-    giving doubles positive measure, so such thresholds are rejected."""
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
+    """A zero-noise station's single-detection arcs (start, length, label) on the
+    period-pi circle, turned by shift and centered on 0 (plus) and pi/2 (minus):
+    each channel fires within w = acos(sqrt(T)) of its center, and doubles are
+    never coincidences, so a single arc has half-width min(w, pi/2 - w)."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0, 1]")
     w = math.acos(math.sqrt(threshold))
-    return [(math.pi - w + shift, 2.0 * w, plus), (0.5 * math.pi - w + shift, 2.0 * w, minus)]
+    h = min(w, 0.5 * math.pi - w)
+    return [(math.pi - h + shift, 2.0 * h, plus), (0.5 * math.pi - h + shift, 2.0 * h, minus)]
 
 
 def _overlap_matrix(theta: float, t_a: float, t_b: float) -> dict[tuple[int, int], float]:
@@ -174,12 +173,11 @@ def _overlap_matrix(theta: float, t_a: float, t_b: float) -> dict[tuple[int, int
 def analytic_correlation(theta: float, t_a: float, t_b: float) -> float:
     """Exact E(theta) of the zero-noise model by window-overlap integration.
 
-    For sigma = 0 each channel fires on a fixed arc of the pair angle, so
-    every coincidence cell's probability is an arc-overlap length and E is
-    their signed ratio: a piecewise-linear closed form used as the oracle
-    for the Monte Carlo scans. Thresholds below 0.5 are rejected (the
-    channel windows would overlap, giving doubles positive measure and
-    leaving E undefined without a doubles policy).
+    For sigma = 0 each side gives a single on fixed arcs of the pair angle,
+    so every coincidence cell's probability is an arc-overlap length and E is
+    their signed ratio: a piecewise-linear closed form, the oracle for
+    isotropic zero-noise runs at any thresholds in [0, 1]. Efficiency thins
+    every cell alike, so E does not depend on it.
     """
     m = _overlap_matrix(theta, t_a, t_b)
     total = math.fsum(m.values())
@@ -189,11 +187,17 @@ def analytic_correlation(theta: float, t_a: float, t_b: float) -> float:
 
 
 def analytic_coincidence_fraction(theta: float, t_a: float, t_b: float) -> float:
-    """Exact zero-noise probability that a pair yields singles on both sides."""
+    """Exact zero-noise probability that a pair yields singles on both sides at
+    full efficiency; efficiencies eta_a and eta_b scale it by eta_a * eta_b."""
     return math.fsum(_overlap_matrix(theta, t_a, t_b).values()) / math.pi
 
 
 # --- CHSH runs ---------------------------------------------------------------
+
+#: Each CHSH setting's (A setting, B setting) indices, in grid order, by its
+#: name in chsh.csv.
+CHSH_PAIRS = {"ab": (0, 0), "ab_prime": (0, 1), "a_prime_b": (1, 0), "a_prime_b_prime": (1, 1)}
+
 
 @dataclass(frozen=True)
 class ChshReport:
@@ -227,23 +231,18 @@ def chsh_report_from_tables(
     """Build a ChshReport from one CountTable per (setting_a, setting_b).
 
     run_chsh reports through it, and tables tallied elsewhere, such as
-    match_coincidences', can too. Raises NoCoincidencesError if any of the
-    four tables is empty.
+    match_coincidences', can too. Raises NoCoincidencesError naming each of
+    the four settings, by its CHSH_PAIRS name, whose table is empty.
     """
-    missing = [ij for i in (0, 1) for j in (0, 1) if (ij := (i, j)) not in tables]
-    if missing:
+    if missing := [ij for ij in CHSH_PAIRS.values() if ij not in tables]:
         raise ValueError(f"missing setting pairs: {missing}")
-    e = {ij: correlation(tables[ij]) for ij in tables}
-    se = {ij: correlation_stderr(tables[ij]) for ij in tables}
-    s = chsh(e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)])
-    return ChshReport(
-        angles_a=angles_a,
-        angles_b=angles_b,
-        tables=((tables[(0, 0)], tables[(0, 1)]), (tables[(1, 0)], tables[(1, 1)])),
-        e_values=((e[(0, 0)], e[(0, 1)]), (e[(1, 0)], e[(1, 1)])),
-        stderrs=((se[(0, 0)], se[(0, 1)]), (se[(1, 0)], se[(1, 1)])),
-        s=s,
-    )
+    if empty := [name for name, ij in CHSH_PAIRS.items() if tables[ij].coincidences == 0]:
+        raise NoCoincidencesError(f"no coincidences to correlate at setting {', '.join(empty)}")
+    grid = tuple(tuple(tables[i, j] for j in (0, 1)) for i in (0, 1))
+    e = tuple(tuple(map(correlation, row)) for row in grid)
+    se = tuple(tuple(map(correlation_stderr, row)) for row in grid)
+    return ChshReport(angles_a=angles_a, angles_b=angles_b, tables=grid, e_values=e, stderrs=se,
+                      s=chsh(e[0][0], e[0][1], e[1][0], e[1][1]))
 
 
 def default_chsh_configs(
@@ -278,12 +277,12 @@ def run_chsh(
 
     Each sub-run draws pairs_per_setting emissions on a stream derived from
     (seed, sub-run index), in grid order (0,0), (0,1), (1,0), (1,1).
-    Zero-coincidence sub-runs raise NoCoincidencesError.
+    Zero-coincidence sub-runs raise NoCoincidencesError, which names them.
     """
     if pairs_per_setting < 1:
         raise ValueError("pairs_per_setting must be >= 1")
     tables: dict[tuple[int, int], CountTable] = {}
-    for idx, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+    for idx, (i, j) in enumerate(CHSH_PAIRS.values()):
         rng = np.random.default_rng([seed, idx])
         tables[(i, j)] = _count_pairs(source, cfg_a_pair[i], cfg_b_pair[j], pairs_per_setting, rng)
     angles_a = (cfg_a_pair[0].angle, cfg_a_pair[1].angle)

@@ -93,6 +93,37 @@ def test_scan_config_file_and_flag_precedence(tmp_path):
     assert manifest["seed"] == 3
 
 
+def test_config_file_sha256_lands_in_the_manifest_inputs(tmp_path, capsys):
+    # The bytes parsed are the bytes hashed, recorded as events match records
+    # its inputs; a run without --config has no inputs block.
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_bytes(b"[station_b]\nthreshold = 0.75\n[run]\nsteps = 3\npairs_per_step = 100\n")
+
+    def manifest(*argv):
+        out = tmp_path / f"o{len(list(tmp_path.iterdir()))}"
+        assert run_cli("scan", *argv, "--out", str(out)) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    first = manifest("--config", str(cfg))
+    sha = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert first["inputs"] == {"config": {"path": str(cfg), "sha256": sha}}
+    cfg.write_bytes(cfg.read_bytes().replace(b"0.75", b"0.76"))
+    second = manifest("--config", str(cfg))
+    assert second["inputs"]["config"]["sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert second["inputs"]["config"]["sha256"] != sha and second["config"]["tb"] == 0.76
+    assert "inputs" not in manifest("--steps", "3", "--pairs", "100")
+    # CRLF and CR line ends parse as a text-mode read of the file parses them.
+    for end in (b"\r\n", b"\r"):
+        cfg.write_bytes(b"[station_b]" + end + b"threshold = 0.76" + end + b"[run]" + end
+                        + b"steps = 3" + end + b"pairs_per_step = 100" + end)
+        assert manifest("--config", str(cfg))["config"] == second["config"]
+    # A missing file, or a directory, keeps its one-line message.
+    capsys.readouterr()
+    for path in (tmp_path / "absent.cfg", tmp_path):
+        assert run_cli("scan", "--config", str(path), "--out", str(tmp_path / "x")) == 1
+        assert capsys.readouterr().err == f"eprblab: error: config file not found: {path}\n"
+
+
 SCAN = ("scan", "--steps", "3", "--pairs", "100")
 PATHOLOGY = ("pathology", "--steps", "3", "--pairs", "100")
 CHSH = ("chsh", "--pairs", "100")
@@ -419,6 +450,24 @@ def test_chsh_cli(tmp_path):
     assert float(summary["abs_s"]) == pytest.approx(3.0, abs=0.06)
     lines = (out / "chsh.csv").read_text().strip().splitlines()
     assert lines[0].startswith("setting,") and len(lines) == 5
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("--ta", "0"), "ab, ab_prime, a_prime_b, a_prime_b_prime"),
+        # 0.92 windows 0.63 rad apart never meet (test_dead_zone_has_no_coincidences_anywhere).
+        (("--ta", "0.92", "--tb", "0.92", "--angle-a", "0", "--angle-a2", "0.3",
+          "--angle-b", "0", "--angle-b2", "0.6283185307179586"), "ab_prime"),
+    ],
+    ids=["every-trial-a-double", "one-dead-setting"],
+)
+def test_chsh_without_coincidences_names_the_empty_settings(tmp_path, capsys, argv, names):
+    out = tmp_path / "chsh"
+    assert run_cli("chsh", *argv, "--pairs", "2000", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == f"eprblab: error: no coincidences to correlate at setting {names}\n"
+    assert not out.exists()
 
 
 def test_pathology_cli(tmp_path):

@@ -130,13 +130,23 @@ def test_oracle_equals_the_old_window_loop_bit_for_bit(t_a):
                 assert got == want, (new.__name__, theta, t_a, t_b)
 
 
-def test_oracle_refuses_what_the_old_windows_refused():
-    for t in (0.3, 0.4999, 1.0001):
+def test_oracle_refuses_only_thresholds_outside_the_unit_interval():
+    for t in (-0.1, 1.0001, math.nan):
         assert _outcome(analytic_correlation, 0.1, t, 0.75) is ValueError
         assert _outcome(analytic_correlation, 0.1, 0.75, t) is ValueError
     # Both thresholds at 1 leave zero-width windows: no coincidence at all.
     assert _outcome(reference_correlation, 0.0, 1.0, 1.0) is NoCoincidencesError
     assert _outcome(analytic_correlation, 0.0, 1.0, 1.0) is NoCoincidencesError
+    # At T = 0 both channels fire everywhere: every trial is a double.
+    assert _outcome(analytic_correlation, 0.0, 0.0, 0.75) is NoCoincidencesError
+    # The old windows refused every T below 0.5; the oracle answers there.
+    for t in (0.3, 0.4999):
+        assert isinstance(_outcome(analytic_correlation, 0.1, t, 0.75), str)
+        assert isinstance(_outcome(analytic_correlation, 0.1, 0.75, t), str)
+    # At T = 0.25 a single arc is pi/2 - acos(0.5) = pi/6 to each side of a
+    # channel's center: 2/3 of the circle, all of which B at 0.5 meets.
+    for theta in THETAS:
+        assert analytic_coincidence_fraction(theta, 0.25, 0.5) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_special_joint_table_equals_the_old_sector_loop_bit_for_bit():

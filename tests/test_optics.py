@@ -14,7 +14,10 @@ from eprblab import (
     CountTable,
     FixedBasisSource,
     IsotropicSource,
+    NoCoincidencesError,
     StationConfig,
+    analytic_coincidence_fraction,
+    analytic_correlation,
     correlation,
     measure_pairs,
     wrap_angle,
@@ -35,12 +38,15 @@ def _rng(seed=0):
 def singles_probability(threshold: float) -> float:
     """Noise-free single-detection probability over a uniform pair angle.
 
-    Equals 4*acos(sqrt(T))/pi for thresholds in [0.5, 1]: the combined
-    width of the two disjoint channel windows divided by the period.
+    Equals 4*min(w, pi/2 - w)/pi with w = acos(sqrt(T)) for thresholds in
+    [0, 1]: each channel fires within w of its center, and below T = 0.5 the
+    two channels overlap in doubles, which leaves single arcs pi/2 - w wide
+    on each side of a center.
     """
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
-    return 4.0 * math.acos(math.sqrt(threshold)) / math.pi
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0, 1]")
+    w = math.acos(math.sqrt(threshold))
+    return 4.0 * min(w, 0.5 * math.pi - w) / math.pi
 
 
 def malus_intensities(phi, analyzer):
@@ -162,7 +168,7 @@ def test_b_miss_fraction_one_third_at_three_quarters():
 def test_singles_probability_closed_form_matches_grid():
     n = 200_000
     phis = (np.arange(n) + 0.5) * (TWO_PI / n)
-    for t in (0.5, 0.6, 0.75, 0.92):
+    for t in (0.0, 0.25, 0.3, 0.5, 0.6, 0.75, 0.92, 1.0):
         cfg = StationConfig(angle=0.0, threshold=t)
         i_plus, i_minus = malus_intensities(phis, cfg.angle)
         codes = detect_many(i_plus, i_minus, cfg, _rng())
@@ -170,16 +176,26 @@ def test_singles_probability_closed_form_matches_grid():
         assert singles == pytest.approx(singles_probability(t), abs=1e-3)
 
 
-def test_singles_probability_rejects_low_thresholds():
-    with pytest.raises(ValueError):
-        singles_probability(0.4)
-    with pytest.raises(ValueError, match="outside"):
-        _windows(0.3, 0.0, 1, -1)
+def test_singles_probability_covers_the_unit_interval():
+    for t in (-0.1, 1.0001, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            singles_probability(t)
+        with pytest.raises(ValueError, match="outside"):
+            _windows(t, 0.0, 1, -1)
+    # No singles at T = 1 (zero-width windows) or at T = 0 (every trial a
+    # double), so no coincidences either.
+    for t in (0.0, 1.0):
+        assert singles_probability(t) == 0.0
+        with pytest.raises(NoCoincidencesError):
+            analytic_correlation(0.0, t, t)
+    assert singles_probability(0.25) == pytest.approx(2 / 3, abs=1e-15)
+    for theta in np.linspace(-math.pi, math.pi, 33).tolist():
+        assert analytic_coincidence_fraction(theta, 0.25, 0.5) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_detection_windows_cover_singles_probability():
-    # The zero-noise oracle's firing arcs (scan._windows) are the windows.
-    for t in (0.5, 0.75, 0.92):
+    # The zero-noise oracle's single arcs (scan._windows) are the windows.
+    for t in (0.0, 0.25, 0.3, 0.5, 0.75, 0.92, 1.0):
         (_, lp, _), (_, lm, _) = _windows(t, 0.0, 1, -1)
         assert (lp + lm) / math.pi == pytest.approx(singles_probability(t), abs=1e-15)
 

@@ -27,6 +27,7 @@ def test_readme_library_snippet_runs_as_its_comments_state():
         return value
 
     assert value_of("analytic_correlation(") == pytest.approx(-0.75, abs=1e-12)
+    assert value_of("analytic_coincidence_fraction(") == pytest.approx(2 / 3, abs=1e-12)
     assert value_of(".abs_s") == pytest.approx(3.0, abs=0.05)
     assert value_of(".pairs").tolist() == [[0, 0]]
 

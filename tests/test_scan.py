@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -43,12 +44,15 @@ thetas = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 def singles_probability(threshold: float) -> float:
     """Noise-free single-detection probability over a uniform pair angle.
 
-    Equals 4*acos(sqrt(T))/pi for thresholds in [0.5, 1]: the combined
-    width of the two disjoint channel windows divided by the period.
+    Equals 4*min(w, pi/2 - w)/pi with w = acos(sqrt(T)) for thresholds in
+    [0, 1]: each channel fires within w of its center, and below T = 0.5 the
+    two channels overlap in doubles, which leaves single arcs pi/2 - w wide
+    on each side of a center.
     """
-    if not 0.5 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold!r} outside [0.5, 1]")
-    return 4.0 * math.acos(math.sqrt(threshold)) / math.pi
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} outside [0, 1]")
+    w = math.acos(math.sqrt(threshold))
+    return 4.0 * min(w, 0.5 * math.pi - w) / math.pi
 
 
 def triangle_correlation(theta: float) -> float:
@@ -57,7 +61,7 @@ def triangle_correlation(theta: float) -> float:
     if x > math.pi / 2:
         x = math.pi - x
     return -1.0 + 4.0 * x / math.pi
-thresholds = st.floats(min_value=0.5, max_value=0.99, allow_nan=False)
+thresholds = st.floats(min_value=0.0, max_value=0.99, allow_nan=False)
 
 
 def malus_intensities(phi, analyzer):
@@ -127,11 +131,23 @@ def test_analytic_correlation_matches_triangle_law():
         )
 
 
-def test_analytic_correlation_rejects_low_thresholds():
-    with pytest.raises(ValueError):
-        analytic_correlation(0.1, 0.4, 0.5)
-    with pytest.raises(ValueError):
-        analytic_correlation(0.1, 0.5, 0.49)
+def test_analytic_correlation_rejects_thresholds_outside_the_unit_interval():
+    for bad in (-0.1, 1.0001, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            analytic_correlation(0.1, bad, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            analytic_correlation(0.1, 0.5, bad)
+    with pytest.raises(NoCoincidencesError):
+        analytic_correlation(0.1, 1.0, 1.0)
+    # At T = 0 both channels fire on every pair angle: every trial is a double.
+    with pytest.raises(NoCoincidencesError):
+        analytic_correlation(0.1, 0.0, 0.5)
+    # Below 0.5 a single arc is pi/2 - w wide: 2/3 of the circle at T = 0.25,
+    # all of which B at 0.5 meets, whatever the angle.
+    assert singles_probability(0.25) == pytest.approx(2 / 3, abs=1e-15)
+    for theta in np.linspace(-PI, PI, 33).tolist():
+        assert analytic_coincidence_fraction(theta, 0.25, 0.5) == pytest.approx(2 / 3, abs=1e-12)
+    assert -1.0 <= analytic_correlation(0.1, 0.4, 0.49) <= 1.0
 
 
 def test_analytic_correlation_no_windows_at_unit_threshold():
@@ -215,6 +231,51 @@ def test_monte_carlo_matches_analytic_over_threshold_grid():
                 assert abs(step.correlation - target) <= 3.0 * se + 1e-9, (
                     t_a, t_b, step.b_angle,
                 )
+
+
+#: The zero-noise grid: every threshold class (all doubles, overlapping
+#: windows, the 0.5 tie, disjoint windows, no singles) on each side, each
+#: side alone inefficient, and angles on and off the arcs' edges.
+GRID_THRESHOLDS = (0.0, 0.3, 0.5, 0.75, 0.92, 1.0)
+GRID_EFFICIENCIES = ((1.0, 1.0), (0.3, 1.0), (1.0, 0.3))
+GRID_THETAS = (0.0, PI / 8, PI / 4, 1.0, 2.5)
+GRID_PAIRS = 20_000
+
+
+def test_count_pairs_matches_the_oracle_at_every_threshold_and_efficiency():
+    # Coincidences are binomial(n, fraction * eta_a * eta_b), and E is the
+    # oracle's whatever the efficiencies, both judged as z-scores. Steps the
+    # oracle expects fewer than 25 coincidences in follow the dead-zone rule
+    # of the threshold-grid test above.
+    grid = itertools.product(GRID_THRESHOLDS, GRID_THRESHOLDS, GRID_EFFICIENCIES, GRID_THETAS)
+    zs = []
+    for case, where in enumerate(grid):
+        t_a, t_b, (eta_a, eta_b), theta = where
+        station_a = StationConfig(angle=0.0, threshold=t_a, efficiency=eta_a)
+        station_b = StationConfig(angle=theta, threshold=t_b, efficiency=eta_b)
+        rng = np.random.default_rng([2027, case])
+        counts = optics._count_pairs(IsotropicSource(), station_a, station_b, GRID_PAIRS, rng)
+        k = counts.coincidences
+        p = analytic_coincidence_fraction(theta, t_a, t_b) * eta_a * eta_b
+        if p * GRID_PAIRS < 25:
+            assert k <= max(1, 3 * p * GRID_PAIRS), where
+            continue
+        sd = math.sqrt(GRID_PAIRS * p * max(0.0, 1.0 - p))
+        if sd == 0.0:
+            assert k == GRID_PAIRS * p, where
+        else:
+            zs.append(((k - GRID_PAIRS * p) / sd, "count", where))
+        exact = analytic_correlation(theta, t_a, t_b)
+        se = max(domain.correlation_stderr(counts), math.sqrt(max(0.0, 1.0 - exact**2) / k))
+        if se == 0.0:
+            assert abs(correlation(counts) - exact) <= 1e-12, where
+        else:
+            zs.append(((correlation(counts) - exact) / se, "E", where))
+    worst = max(zs, key=lambda z: abs(z[0]))
+    assert abs(worst[0]) <= 5.0, worst
+    chi2 = math.fsum(z * z for z, *_ in zs)
+    assert chi2 <= len(zs) + 6.0 * math.sqrt(2 * len(zs)), (chi2, len(zs))
+    assert len(zs) > 250  # the 540 cases are not mostly empty or exact
 
 
 def test_scan_symmetry_about_half_pi():
@@ -377,6 +438,11 @@ def test_chsh_report_from_tables_roundtrip():
     assert rebuilt.s == report.s
     with pytest.raises(ValueError):
         chsh_report_from_tables({(0, 0): tables[(0, 0)]}, report.angles_a, report.angles_b)
+    # An empty table is named by its chsh.csv setting.
+    tables[(0, 1)] = tables[(1, 1)] = CountTable(0, 0, 0, 0, singles_a=0, singles_b=0)
+    message = "no coincidences to correlate at setting ab_prime, a_prime_b_prime"
+    with pytest.raises(NoCoincidencesError, match=f"^{message}$"):
+        chsh_report_from_tables(tables, report.angles_a, report.angles_b)
 
 
 # --- stream counts against the per-pair path ----------------------------------------------
