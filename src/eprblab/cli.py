@@ -296,9 +296,15 @@ def _resolve(args, **default_overrides) -> dict:
         except OSError:
             raise FileNotFoundError(f"config file not found: {args.config}") from None
         args.inputs = {"config": {"path": args.config, "sha256": hashlib.sha256(data).hexdigest()}}
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            line = len(data[: exc.start + 1].splitlines())
+            raise ValueError(f"config {args.config}: not UTF-8 "
+                             f"(byte 0x{data[exc.start]:02x} at line {line})") from None
         cp = configparser.ConfigParser(interpolation=None)
         try:  # universal newlines, as a text-mode read of the file has
-            cp.read_file(io.StringIO(data.decode(), newline=None), args.config)
+            cp.read_file(io.StringIO(text, newline=None), args.config)
         except configparser.Error as exc:  # whose own message takes two or three lines
             why = {"MissingSectionHeaderError": "no [section] header above it",
                    "DuplicateSectionError": "repeats a [section]",

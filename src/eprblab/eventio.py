@@ -41,7 +41,7 @@ if TYPE_CHECKING:
 
 EVENTS_CSV_HEADER = "t_ns,setting,channel"
 _INT64_MAX = 2**63 - 1
-#: Most expected pairs generate_events draws: at ~83 B a pair, about 1.3 GiB.
+#: Most expected pairs generate_events draws: at ~50 B a pair, about 0.8 GiB.
 _MAX_EXPECTED_PAIRS = 2**24
 #: Jitter widths generate_events allows past duration before 2**63 ns. numpy's
 #: ziggurat draws no standard normal past 14 in magnitude.
@@ -175,11 +175,13 @@ def _side_stream(times: np.ndarray, settings: np.ndarray, codes: np.ndarray, sig
                  rng: np.random.Generator) -> tuple[EventStream, np.ndarray]:
     # Each block of pairs draws its jitter as one whole draw would and stamps its
     # singles, the only records; rows sort by timestamp (stable, so equal stamps
-    # keep emission order), and each pair maps to its row, or -1.
-    detected = np.flatnonzero((codes == PLUS_CODE) | (codes == MINUS_CODE))
+    # keep emission order), and each pair maps to its row, or -1. The row maps
+    # are int32: _MAX_EXPECTED_PAIRS keeps every pair index below 2**31.
+    detected = np.flatnonzero((codes == PLUS_CODE) | (codes == MINUS_CODE)).astype(np.int32)
     t_ns = np.empty(len(detected), dtype=np.int64)
     for rows in _blocks(len(times)):
-        at, m = slice(*np.searchsorted(detected, (rows.start, rows.stop))), rows.stop - rows.start
+        edges = np.array((rows.start, rows.stop), dtype=np.int32)  # int64 keys would cast a copy
+        at, m = slice(*np.searchsorted(detected, edges)), rows.stop - rows.start
         jitter = np.abs(rng.normal(0.0, sigma, m)) if sigma > 0.0 else np.zeros(m)
         with np.errstate(over="ignore"):
             t = np.rint((times[detected[at]] + jitter[detected[at] - rows.start]) * 1e9)
@@ -187,10 +189,12 @@ def _side_stream(times: np.ndarray, settings: np.ndarray, codes: np.ndarray, sig
             raise ValueError("an event time is past 2**63 ns: duration or jitter_sigma too large")
         t_ns[at] = t
     order = np.argsort(t_ns, kind="stable")
+    t_ns.sort(kind="stable")  # in place, t_ns[order] without a copy; fast on near-sorted runs
     pair_of_row = detected[order]
-    row_of_pair = np.full(len(codes), -1, dtype=np.int64)
-    row_of_pair[pair_of_row] = np.arange(len(pair_of_row))
-    return EventStream(t_ns[order], settings[pair_of_row], codes[pair_of_row]), row_of_pair
+    del order, detected
+    row_of_pair = np.full(len(codes), -1, dtype=np.int32)
+    row_of_pair[pair_of_row] = np.arange(len(pair_of_row), dtype=np.int32)
+    return EventStream(t_ns, settings[pair_of_row], codes[pair_of_row]), row_of_pair
 
 
 def generate_events(cfg: GeneratorConfig, duration: float, seed: int) -> GeneratedStreams:
@@ -222,8 +226,12 @@ def generate_events(cfg: GeneratorConfig, duration: float, seed: int) -> Generat
     codes_a, codes_b = measure_pairs(cfg.source, cfg.station_a, cfg.station_b, n, rng, settings)
     events_a, rows_a = _side_stream(times, set_a, codes_a, cfg.jitter_sigma, rng)
     events_b, rows_b = _side_stream(times, set_b, codes_b, cfg.jitter_sigma, rng)
-    both = (rows_a >= 0) & (rows_b >= 0)
-    truth = np.column_stack((rows_a[both], rows_b[both]))
+    del times, index, set_a, set_b, settings, codes_a, codes_b  # the truth needs only the row maps
+    both = rows_a >= 0
+    both &= rows_b >= 0
+    truth = np.empty((int(np.count_nonzero(both)), 2), dtype=np.int64)
+    truth[:, 0] = rows_a[both]
+    truth[:, 1] = rows_b[both]
     return GeneratedStreams(events_a=events_a, events_b=events_b, truth=truth, n_pairs=n)
 
 
@@ -413,8 +421,10 @@ def match_coincidences(events_a: EventStream, events_b: EventStream, window_ns: 
     from it or from the first B row of its own window, whichever is later.
     An A record whose window holds exactly one B row that no neighbour's
     window reaches therefore takes that row; those are settled in bulk, and
-    the walk visits only the other A records that have a candidate, one
-    _blocks block of them at a time, with the B stamps of their windows.
+    the walk visits only the other A records that have a candidate, with the
+    B stamps of their windows. A records are taken one _blocks block at a
+    time, with one more row on either side for the neighbour test, and each
+    block's pairs are written and tallied as it is settled.
     """
     if window_ns < 0:
         raise ValueError(f"window_ns must be >= 0, got {window_ns!r}")
@@ -422,39 +432,50 @@ def match_coincidences(events_a: EventStream, events_b: EventStream, window_ns: 
     # matches exactly the same records, as does t_a + w cut at int64's end.
     w = min(int(window_ns), _INT64_MAX)
     t_a, t_b = events_a.t_ns, events_b.t_ns
-    lo = np.searchsorted(t_b, t_a - w, "left")  # first B row with t_b >= t_a - w
-    hi = np.searchsorted(t_b, np.minimum(t_a, _INT64_MAX - w) + w, "right")  # t_b > t_a + w
-    apart = hi[:-1] <= lo[1:]  # no B row lies in both of two neighbours' windows
-    alone = hi - lo == 1
-    alone[1:] &= apart
-    alone[:-1] &= apart
-    match_b = np.where(alone, lo, -1)
+    pairs = np.empty((min(len(t_a), len(t_b)), 2), dtype=np.int64)  # each row matches once
+    cells = np.zeros(64, dtype=np.int64)
+    filled = j = 0
+    for rows in _blocks(len(t_a)):
+        near = slice(max(rows.start - 1, 0), min(rows.stop + 1, len(t_a)))
+        lo = np.searchsorted(t_b, t_a[near] - w, "left")  # first B row with t_b >= t_a - w
+        hi = np.searchsorted(t_b, np.minimum(t_a[near], _INT64_MAX - w) + w, "right")  # > t_a + w
+        apart = hi[:-1] <= lo[1:]  # no B row lies in both of two neighbours' windows
+        alone = hi - lo == 1
+        alone[1:] &= apart
+        alone[:-1] &= apart
+        inner = slice(rows.start - near.start, rows.stop - near.start)
+        lo, hi, alone = lo[inner], hi[inner], alone[inner]
+        match_b = np.where(alone, lo, -1)
 
-    walk = np.flatnonzero((hi > lo) & ~alone)
-    j = 0
-    for rows in _blocks(len(walk)):
-        i_s, lo_s, hi_s = walk[rows], lo[walk[rows]], hi[walk[rows]]
+        walk = np.flatnonzero((hi > lo) & ~alone)
+        lo_s, hi_s = lo[walk], hi[walk]
         # The stamps of these records' windows, by B row: windows only move
         # forward, so each adds the rows past the one before it.
         starts = np.maximum(lo_s, np.r_[0, hi_s[:-1]])
         lens = hi_s - starts
         union = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
         stamps = dict(zip(union.tolist(), t_b[union].tolist()))
-        for i, t, lo_i, hi_i in zip(i_s.tolist(), t_a[i_s].tolist(), lo_s.tolist(), hi_s.tolist()):
+        for i, t, lo_i, hi_i in zip(walk.tolist(), t_a[rows][walk].tolist(), lo_s.tolist(),
+                                    hi_s.tolist()):
             j = max(j, lo_i)
             if j < hi_i:
                 while j + 1 < hi_i and abs(stamps[j + 1] - t) < abs(stamps[j] - t):
                     j += 1
                 match_b[i] = j
                 j += 1
-    rows_a = np.flatnonzero(match_b >= 0)
-    rows_b = match_b[rows_a]
-    pairs = np.column_stack((rows_a, rows_b))
 
-    # Channels are outcome codes: domain's 16 cells at 16 * (2 * setting_a + setting_b).
-    cell = _cells(events_a.channel[rows_a], events_b.channel[rows_b])
-    cell += 16 * (2 * events_a.setting[rows_a] + events_b.setting[rows_b])
-    cells = np.bincount(cell, minlength=64).reshape(4, 16)
+        got = np.flatnonzero(match_b >= 0)
+        rows_b = match_b[got]
+        pairs[filled : filled + len(got), 0] = got + rows.start
+        pairs[filled : filled + len(got), 1] = rows_b
+        filled += len(got)
+        # Channels are outcome codes: domain's 16 cells at 16 * (2 * setting_a + setting_b).
+        cell = _cells(events_a.channel[rows][got], events_b.channel[rows_b])
+        cell += 16 * (2 * events_a.setting[rows][got] + events_b.setting[rows_b])
+        cells += np.bincount(cell, minlength=64)
+    pairs.resize((filled, 2), refcheck=False)  # pairs is the one reference: this shrinks in place
+
+    cells = cells.reshape(4, 16)
     singles_a, singles_b = ([len(e) - (k := int(np.count_nonzero(e.setting))), k]
                             for e in (events_a, events_b))  # a bincount would copy to intp
     tables = {

@@ -810,17 +810,19 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[run]\nseed = 3\n[run]\n", ("run.ini line 3", "repeats a [section]")),
         # Values are read as written: a % is not interpolation syntax.
         ("chsh", "[run]\nseed = 5%\n", ("[run] seed", "'5%'")),
+        # A file that is not UTF-8 names its first bad byte and that byte's line.
+        ("chsh", b"[run]\r\nseed = 3\xff\r\n", ("run.ini: not UTF-8", "byte 0xff at line 2")),
     ],
     ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
          "threshold-text", "key-typo", "section-typo", "default-section", "unread-key-bad-value",
          "steps-past-ceiling", "seed-past-u64", "bare-line", "no-section", "duplicate-key",
-         "duplicate-section", "percent-sign"],
+         "duplicate-section", "percent-sign", "not-utf8"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,
     # before any output.
     cfg = tmp_path / "run.ini"
-    cfg.write_text(text)
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "s"
     assert run_cli(command, "--config", str(cfg), "--pairs", "100", "--out", str(out)) == 1
     err = capsys.readouterr().err

@@ -556,12 +556,25 @@ def _peak(run):
         tracemalloc.stop()
 
 
-def test_generate_events_memory_per_pair():
-    # Per pair: its emission time, two setting indices, two codes, two row maps
-    # and the records built from them, ~69 B a pair at these thresholds.
-    streams, peak = _peak(lambda: generate_events(_config(rate=1e6, jitter=10e-9), 0.25, 3))
+def _generated_peak_per_pair(t_b):
+    streams, peak = _peak(lambda: generate_events(_config(t_b=t_b, rate=1e6, jitter=10e-9), 0.25, 3))
     assert streams.n_pairs >= 15 * BLOCK_ROWS
-    assert peak <= 80 * streams.n_pairs, peak / streams.n_pairs
+    return streams, peak / streams.n_pairs
+
+
+def test_generate_events_memory_per_pair():
+    # Per pair: its emission time, two setting indices, two codes and two int32
+    # row maps, and per record its stamp, setting and channel; B's stable sort
+    # of its stamps adds an int64 order. 45.1 B a pair at these thresholds.
+    _, per_pair = _generated_peak_per_pair(0.75)
+    assert per_pair <= 49, per_pair
+
+
+def test_generate_events_memory_per_pair_when_every_pair_leaves_two_records():
+    # At T = 0.5 every pair fires one channel on each side: 50.3 B a pair.
+    streams, per_pair = _generated_peak_per_pair(0.5)
+    assert len(streams.truth) == len(streams.events_a) == len(streams.events_b) == streams.n_pairs
+    assert per_pair <= 55, per_pair
 
 
 def test_read_events_holds_its_file_its_columns_and_one_block(tmp_path):
@@ -589,6 +602,21 @@ def test_matcher_memory_does_not_grow_with_the_b_stream():
     assert result.pairs.tolist() == [[i, i * (n_b // n_a)] for i in range(n_a)]
     assert peak < n_b  # under a byte per B record: nothing spans the B stream
     assert result.tables[0, 0].singles_b == n_b
+
+
+def test_matcher_memory_does_not_grow_with_the_a_stream():
+    # A long A stream over a sparse B stream: A rows 512 m and 512 m + 1 tie
+    # for B row m, so they are walked and the earlier takes it, and every other
+    # A record has no candidate.
+    n_a, step = 2**21, 512
+    t_a = np.arange(n_a) * 10
+    a = _stream(t_a)
+    b = _stream(t_a[::step] + 5)
+    result, peak = _peak(lambda: match_coincidences(a, b, 5))
+    assert result.pairs.tolist() == [[i * step, i] for i in range(n_a // step)]
+    # The pairs array and eight int64 columns of one block: nothing spans the A stream.
+    assert peak <= result.pairs.nbytes + 8 * 8 * BLOCK_ROWS, peak
+    assert result.tables[0, 0].singles_a == n_a
 
 
 # --- matching -----------------------------------------------------------------
@@ -753,17 +781,21 @@ def match_inputs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(match_inputs())
+# Blocks of a few A rows put neighbour tests and walks across block edges.
+@given(match_inputs(), st.sampled_from([1, 2, 3, BLOCK_ROWS]))
 # A lone A record with two B records in its window takes the later, closer
 # one; on an exact tie the earlier; and the walk stops at the first of
 # equal stamps even when a closer record follows them.
-@example((_stream([10]), _stream([0, 9]), 10))
-@example((_stream([10]), _stream([5, 15]), 5))
-@example((_stream([10]), _stream([8, 8, 10]), 5))
-def test_matcher_equals_reference(inputs):
+@example((_stream([10]), _stream([0, 9]), 10), BLOCK_ROWS)
+@example((_stream([10]), _stream([5, 15]), 5), BLOCK_ROWS)
+@example((_stream([10]), _stream([8, 8, 10]), 5), BLOCK_ROWS)
+# B row 1 lies in the windows of A rows 1 and 2, on either side of a block edge.
+@example((_stream([0, 10, 12]), _stream([0, 11]), 2), 2)
+def test_matcher_equals_reference(inputs, block_rows):
     events_a, events_b, window = inputs
     pairs, tables = reference_match(events_a, events_b, window)
-    result = match_coincidences(events_a, events_b, window)
+    with mock.patch.object(domain, "_BLOCK_ROWS", block_rows):
+        result = match_coincidences(events_a, events_b, window)
     assert result.pairs.dtype == np.int64 and result.pairs.shape == (len(pairs), 2)
     assert [tuple(p) for p in result.pairs.tolist()] == pairs
     assert result.tables == tables

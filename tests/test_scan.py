@@ -95,7 +95,7 @@ def detect_many(i_plus, i_minus, cfg, rng):
     return codes
 
 
-def grid_correlation(theta: float, t_a: float, t_b: float, n: int = 200_000) -> float:
+def grid_table(theta: float, t_a: float, t_b: float, n: int = 200_000) -> CountTable:
     """Independent oracle: drive the detection kernel over a uniform grid of
     pair angles and tabulate, instead of integrating windows."""
     phis = (np.arange(n) + 0.5) * (TWO_PI / n)
@@ -106,7 +106,7 @@ def grid_correlation(theta: float, t_a: float, t_b: float, n: int = 200_000) -> 
     codes_a = detect_many(ia, ja, cfg_a, rng)
     ib, jb = malus_intensities(phis + PI / 2, cfg_b.angle)
     codes_b = detect_many(ib, jb, cfg_b, rng)
-    return correlation(CountTable.from_codes(codes_a, codes_b))
+    return CountTable.from_codes(codes_a, codes_b)
 
 
 # --- analytic oracle ------------------------------------------------------------
@@ -155,17 +155,27 @@ def test_analytic_correlation_no_windows_at_unit_threshold():
         analytic_correlation(0.1, 1.0, 1.0)
 
 
+#: Window edges in a turn of pair angles: each side's two channels keep one
+#: single arc each, and the arcs repeat every half turn.
+WINDOW_EDGES = 2 * 2 * 2 * 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(thetas, thresholds, thresholds)
+# A narrow single arc on A (T_A = 3e-6) with B's window edge inside it.
+@example(PI / 4 + 3e-4, 3e-6, 0.5)
 def test_analytic_matches_grid_oracle(theta, t_a, t_b):
     frac = analytic_coincidence_fraction(theta, t_a, t_b)
     if frac < 1e-4:
         # Dead zone (both sides heavily windowed): nothing to compare
         # statistically; the zero-coincidence behavior has its own test.
         return
-    assert analytic_correlation(theta, t_a, t_b) == pytest.approx(
-        grid_correlation(theta, t_a, t_b), abs=2e-3
-    )
+    table = grid_table(theta, t_a, t_b)
+    # The grid resolves each window edge to within one point. Moving one of
+    # the table's N coincidence points between cells, or across the region's
+    # edge, moves E by at most 2 / N.
+    allowance = 2 * WINDOW_EDGES / table.coincidences
+    assert analytic_correlation(theta, t_a, t_b) == pytest.approx(correlation(table), abs=allowance)
 
 
 def test_dead_zone_has_no_coincidences_anywhere():
@@ -177,7 +187,7 @@ def test_dead_zone_has_no_coincidences_anywhere():
     with pytest.raises(NoCoincidencesError):
         analytic_correlation(theta, t, t)
     with pytest.raises(NoCoincidencesError):
-        grid_correlation(theta, t, t)
+        correlation(grid_table(theta, t, t))
 
 
 @settings(max_examples=80, deadline=None)
