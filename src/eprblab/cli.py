@@ -195,25 +195,34 @@ def _angle(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
+def _integer(text: str, top: int, limit: str) -> int:
+    """text as an integer in [0, top]; past top, a usage error saying it must be limit."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    if value >= 2**64:
-        raise argparse.ArgumentTypeError(f"must be below 2**64, got {text!r}")
+    if value > top:
+        raise argparse.ArgumentTypeError(f"must be {limit}, got {text!r}")
     return value
 
 
-_MAX_STEPS = 2**16  #: most scan steps: each is held to the end, ~0.74 kB and ~0.34 ms
+def _seed(text: str) -> int:
+    return _integer(text, 2**64 - 1, "below 2**64")
 
 
-def _steps(text: str) -> int:
-    if (value := _seed(text)) > _MAX_STEPS:  # an integer in [0, 2**64), as a seed
-        raise argparse.ArgumentTypeError(f"must be at most 2**16 = {_MAX_STEPS}, got {text!r}")
-    return value
+#: Most scan steps: each is held to the end, ~0.74 kB and ~0.34 ms.
+_MAX_STEPS = 2**16
+#: Most pairs per step or setting, and disk trials: a lossy or noisy count
+#: holds two int8 codes a pair, so 2 GiB at the cap.
+_MAX_PAIRS = 2**30
+
+
+def _size(ceiling: int):
+    """The type of a run-size option: an integer in [0, ceiling], a power of two."""
+    limit = f"at most 2**{ceiling.bit_length() - 1} = {ceiling}"
+    return lambda text: _integer(text, ceiling, limit)
 
 
 def _angle_pair(text: str) -> tuple[float, float]:
@@ -248,12 +257,12 @@ _OPTIONS = {
                       choices=("isotropic", "fixed-hv")),
     "basis": _Option("source", "basis", 0.0, _angle, "fixed-hv basis angle, rad (default 0)"),
     "seed": _Option("run", "seed", 0, _seed, "random seed, u64 (default 0)"),
-    "steps": _Option("run", "steps", 33, _steps, "scan steps over [0, pi] (default 33)"),
-    "pairs_per_step": _Option("run", "pairs_per_step", 100_000, int,
+    "steps": _Option("run", "steps", 33, _size(_MAX_STEPS), "scan steps over [0, pi] (default 33)"),
+    "pairs_per_step": _Option("run", "pairs_per_step", 100_000, _size(_MAX_PAIRS),
                               "pairs per step (default 100000)", flag="--pairs"),
-    "pairs_per_setting": _Option("run", "pairs_per_setting", 100_000, int,
+    "pairs_per_setting": _Option("run", "pairs_per_setting", 100_000, _size(_MAX_PAIRS),
                                  "pairs per setting (default 100000)", flag="--pairs"),
-    "n": _Option("run", "n", 100_000, int, "trials (default 100000)"),
+    "n": _Option("run", "n", 100_000, _size(_MAX_PAIRS), "trials (default 100000)"),
     "rate": _Option("run", "rate", 10_000.0, _finite_float,
                     "mean pair rate, pairs/s (default 10000)"),
     "jitter": _Option("run", "jitter", 10e-9, _finite_float,
@@ -734,7 +743,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_out(args.out)  # before any handler computes
         return args.func(args, argv)
     except Exception as exc:  # runtime failure contract: exit 1, message on stderr
-        print(f"eprblab: error: {exc}", file=sys.stderr)
+        print(f"eprblab: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -39,9 +39,10 @@ MINUS_CODE = -1
 DOUBLE_CODE = 2
 
 #: Rows per block of every blocked pass (_blocks): the tally, optics' kernel
-#: and count driver, the disk draws, and eventio's draws, writer, reader and
-#: matcher. Any value gives the same output bytes; 2**14 rows keep a block's
-#: arrays in cache and on the heap, where a freed block's pages serve the next.
+#: and count driver, the disk draws, and eventio's draws, record check,
+#: writer, reader and matcher. Any value gives the same output bytes; 2**14
+#: rows keep a block's arrays in cache and on the heap, where a freed block's
+#: pages serve the next.
 _BLOCK_ROWS = 1 << 14
 
 
@@ -233,9 +234,10 @@ def _cells(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:
     return ((codes_a & 3) << 2) | (codes_b & 3)
 
 
-def _blocks(n: int) -> list[slice]:
-    """The slices of n rows, _BLOCK_ROWS at a time, as read at this call."""
-    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+def _blocks(n: int):
+    """The slices of n rows, yielded one at a time, of _BLOCK_ROWS as read at this call."""
+    step = _BLOCK_ROWS
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _tally(codes_a: np.ndarray, codes_b: np.ndarray) -> np.ndarray:

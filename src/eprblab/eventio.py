@@ -11,18 +11,18 @@ tables with a greedy nearest-neighbor window matcher. Only generate_events
 runs the station kernel; reading, writing and matching streams need only
 domain.
 
-Each stream is an EventStream of three numpy columns validated once, as
-arrays; no stage of the pipeline builds a per-record object.
+Each stream is an EventStream of three numpy columns validated when built;
+no stage of the pipeline builds a per-record object.
 
-File format: text CSV, header ``t_ns,setting,channel``, one record per
-line, rows sorted by t_ns ascending. Files are written with LF line ends;
-the reader also takes CRLF line ends and a missing final line end, and each
-field must be -?digits within int64. The writer, the reader and the matcher
-work one domain._blocks block of rows at a time. Timestamps are integer
-nanoseconds, setting is the index (0 or 1) of the analyzer angle active for
-that event, channel is +1 or -1. Misses and doubles produce no record (a
-record carries exactly one fired channel), which keeps file-derived
-coincidences aligned with the in-memory both-single rule.
+File format: text CSV, header ``t_ns,setting,channel``, one record per line,
+rows sorted by t_ns ascending. Files are written with LF line ends; the
+reader also takes CRLF line ends and a missing final line end, and each
+field must be -?digits within int64. The record check, writer, reader and
+matcher walk one domain._blocks block of rows at a time. Timestamps are
+integer nanoseconds, setting is the index (0 or 1) of the analyzer angle
+active for that event, channel is +1 or -1. Misses and doubles produce no
+record (a record carries exactly one fired channel), which keeps
+file-derived coincidences aligned with the in-memory both-single rule.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def _columns_equal(self, other) -> bool:
 
 def _check_records(t_ns, setting, channel, where: str, first_row: int, before=0) -> None:
     """Raise for the first invalid record, named as where + its row; before is the prior t_ns."""
-    bad = (t_ns < 0) | ((setting != 0) & (setting != 1)) | ((channel != 1) & (channel != -1))
+    bad = (t_ns < 0) | (t_ns > _INT64_MAX) | ((setting != 0) & (setting != 1))
+    bad |= (channel != 1) & (channel != -1)
     bad[1:] |= t_ns[1:] < t_ns[:-1]
     bad[:1] |= t_ns[:1] < before
     if not bad.any():
@@ -71,6 +72,8 @@ def _check_records(t_ns, setting, channel, where: str, first_row: int, before=0)
     at = f"{where}{k + first_row}"
     if t_ns[k] < 0:
         raise ValueError(f"{at}: t_ns must be nonnegative, got {t_ns[k]}")
+    if t_ns[k] > _INT64_MAX:
+        raise ValueError(f"{at}: t_ns must be below 2**63, got {t_ns[k]}")
     if setting[k] not in (0, 1):
         raise ValueError(f"{at}: setting must be 0 or 1, got {setting[k]}")
     if channel[k] not in (1, -1):
@@ -86,10 +89,10 @@ class EventStream:
     """One station's records as read-only columns sorted by t_ns: t_ns
     (int64 nanoseconds), setting (int8, 0 or 1), channel (int8, +1 or -1).
 
-    Takes equal-length 1-D integer array-likes and validates them once, as
-    arrays: a bad record raises ValueError (UnsortedEventsError if out of
-    order) naming its row. A column that already has its dtype is kept, not
-    copied, and made read-only.
+    Takes equal-length 1-D integer array-likes, checked in their own dtypes
+    one block at a time: a bad record (a t_ns past int64 too) raises ValueError
+    (UnsortedEventsError if out of order) naming its row. A column that
+    already has its dtype is kept, not copied, and made read-only.
     """
 
     t_ns: np.ndarray
@@ -103,9 +106,9 @@ class EventStream:
         integer_1d = all(c.ndim == 1 and (c.dtype.kind in "iu" or not c.size) for c in cols)
         if not (integer_1d and len({len(c) for c in cols}) == 1):
             raise ValueError("t_ns, setting and channel must be 1-D integer columns of one length")
-        # Any other dtype is checked in int64, so no out-of-range value wraps into range.
-        cols = [c if c.dtype == d else c.astype(np.int64) for c, d in zip(cols, _COLUMNS.values())]
-        _check_records(*cols, "row ", 0)
+        for rows in _blocks(len(cols[0])):  # in the given dtypes, so no value wraps into range
+            before = cols[0][max(rows.start - 1, 0)]
+            _check_records(*(c[rows] for c in cols), "row ", rows.start, before)
         for (name, dtype), col in zip(_COLUMNS.items(), cols):
             col = col.astype(dtype, copy=False)
             col.flags.writeable = False

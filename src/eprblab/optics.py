@@ -264,12 +264,12 @@ class _Station:
             noise = None if noise is None else noise[unsure]
             out[unsure] = _exact_codes(phis, self.shift, angle, self.cfg.threshold, noise)
 
-    def full_codes(self, blocks, again, rng, out: np.ndarray) -> None:
-        """The full path: write to out the codes, before thinning, of these
-        blocks of rows, their angle words drawn again from again, a copy of
-        the generator taken before them, and their normals from rng."""
+    def full_codes(self, again, rng, out: np.ndarray) -> None:
+        """The full path: write to out the codes, before thinning, of its rows,
+        one block at a time, their angle words drawn again from again, a copy
+        of the generator taken before them, and their normals from rng."""
         bounds = _key_bounds(self.source, self.shift, self.angles)
-        for rows in blocks:
+        for rows in _blocks(len(out)):
             m = rows.stop - rows.start
             words, key = _draw_words(self.source, m, again)
             noise = rng.normal(0.0, self.cfg.noise_sigma, (m, 2))
@@ -305,9 +305,8 @@ def measure_pairs(
     stations = [_Station(source, shift, cfg, setting)
                 for shift, cfg, setting in zip(_SHIFTS, (cfg_a, cfg_b), settings or (None, None))]
     codes = np.empty((2, n), dtype=np.int8)
-    blocks = _blocks(n)
     before_words = copy.deepcopy(rng.bit_generator)
-    for rows in blocks:
+    for rows in _blocks(n):
         words, key = _draw_words(source, rows.stop - rows.start, rng)
         for station, out in zip(stations, codes[:, rows]):
             if station.table is not None:
@@ -315,9 +314,9 @@ def measure_pairs(
         del words, key  # as in _count_keys
     for station, out in zip(stations, codes):
         if station.table is None:
-            station.full_codes(blocks, np.random.Generator(copy.deepcopy(before_words)), rng, out)
+            station.full_codes(np.random.Generator(copy.deepcopy(before_words)), rng, out)
         if station.cfg.efficiency < 1.0:
-            for rows in blocks:
+            for rows in _blocks(n):
                 # MISS_CODE is 0: a dropped trial's code times False is a miss.
                 out[rows] *= rng.random(rows.stop - rows.start) < station.cfg.efficiency
     return codes[0], codes[1]

@@ -759,6 +759,37 @@ def test_steps_past_two_to_the_16_are_usage_errors(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv, flag, dest",
+    [
+        (("scan", "--steps", "3"), "--pairs", "pairs_per_step"),
+        (("pathology", "--steps", "3"), "--pairs", "pairs_per_step"),
+        (("chsh",), "--pairs", "pairs_per_setting"),
+        (("disk-demo", "--figure", "1"), "--n", "n"),
+    ],
+    ids=["scan", "pathology", "chsh", "disk-demo"],
+)
+def test_sizes_past_two_to_the_30_are_usage_errors(tmp_path, capsys, argv, flag, dest):
+    # Parsed only: the ceiling passes the parser, and one past it stops there.
+    assert getattr(build_parser().parse_args([*argv, flag, str(2**30)]), dest) == 2**30
+    out = tmp_path / "o"
+    for value in (str(2**30 + 1), "1" + "0" * 21):
+        err = usage_error(capsys, *argv, flag, value, "--out", str(out))
+        assert f"argument {flag}: must be at most 2**30 = 1073741824, got '{value}'" in err
+    assert not out.exists()
+    assert f"argument {flag}:" in usage_error(capsys, *argv, flag, "-1")
+
+
+def test_an_error_with_no_text_is_named_by_its_type(tmp_path, capsys, monkeypatch):
+    # A MemoryError() carries no message; the one error line names it.
+    def out_of_memory(args, argv):
+        raise MemoryError()
+
+    monkeypatch.setattr(eprblab.cli, "_cmd_chsh", out_of_memory)
+    assert run_cli("chsh", "--pairs", "100", "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "eprblab: error: MemoryError\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [("disk-demo", "--figure", "1", "--n", "10"), ("chsh", "--pairs", "100")],
     ids=["disk-demo", "chsh"],
@@ -812,11 +843,17 @@ def test_non_numeric_float_flag_and_bad_angle_pair_are_usage_errors(tmp_path, ca
         ("chsh", "[run]\nseed = 5%\n", ("[run] seed", "'5%'")),
         # A file that is not UTF-8 names its first bad byte and that byte's line.
         ("chsh", b"[run]\r\nseed = 3\xff\r\n", ("run.ini: not UTF-8", "byte 0xff at line 2")),
+        # A size past its ceiling, read by the command (chsh, scan) or not (n).
+        ("chsh", "[run]\npairs_per_setting = 1073741825\n",
+         ("[run] pairs_per_setting", "at most 2**30 = 1073741824", "'1073741825'")),
+        ("scan", "[run]\npairs_per_step = 1073741825\n", ("[run] pairs_per_step", "2**30")),
+        ("chsh", "[run]\nn = 1073741825\n", ("[run] n", "at most 2**30", "'1073741825'")),
     ],
     ids=["basis-nan", "chsh-model", "scan-model", "seed-float", "seed-negative",
          "threshold-text", "key-typo", "section-typo", "default-section", "unread-key-bad-value",
          "steps-past-ceiling", "seed-past-u64", "bare-line", "no-section", "duplicate-key",
-         "duplicate-section", "percent-sign", "not-utf8"],
+         "duplicate-section", "percent-sign", "not-utf8", "pairs-per-setting-past-ceiling",
+         "pairs-per-step-past-ceiling", "n-past-ceiling"],
 )
 def test_config_file_non_finite_value_is_runtime_error(tmp_path, capsys, command, text, words):
     # A bad config-file value exits 1 with one line naming [section] key,

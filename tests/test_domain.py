@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from eprblab import (
     qm_joint_prediction,
     wrap_angle,
 )
+from eprblab import domain
 from eprblab.domain import MAX_ANGLE
 
 
@@ -233,3 +236,25 @@ es = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 @given(es, es, es, es)
 def test_chsh_bounded_by_four(e1, e2, e3, e4):
     assert abs(chsh(e1, e2, e3, e4)) <= 4.0 + 1e-12
+
+
+# --- row blocks ----------------------------------------------------------------
+
+def test_blocks_yields_its_slices_and_holds_no_list(monkeypatch):
+    # 2**34 rows are 2**20 blocks: a list of their slices took 135 MB.
+    tracemalloc.start()
+    try:
+        blocks = domain._blocks(2**34)
+        first = list(itertools.islice(blocks, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024, peak
+    rows = domain._BLOCK_ROWS
+    assert first == [slice(k * rows, (k + 1) * rows) for k in range(3)]
+    # The block size is read once, at the call: a later change leaves it be.
+    blocks = domain._blocks(7)
+    monkeypatch.setattr(domain, "_BLOCK_ROWS", 3)
+    assert list(blocks) == [slice(0, 7)]
+    assert list(domain._blocks(7)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert list(domain._blocks(0)) == []

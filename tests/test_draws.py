@@ -82,3 +82,51 @@ def test_unit_draws_are_the_top_53_bits_of_raw_words(name, seed):
     raw = copy.deepcopy(rng.bit_generator).random_raw(1000)
     expected = (raw >> np.uint64(11)) * 2.0**-53
     assert np.array_equal(draw(rng, 1000), scale * expected)  # times 1.0 is exact
+
+
+#: sha256 of the first 64 values, little-endian, of each draw with no simple
+#: identity in the raw words (ziggurat normal and exponential, bounded
+#: integers), from default_rng(seed).
+PREFIX_SHA256 = {
+    ("normal", 12): "52e4030fd007bffb3455842ec46f0343498e221063ffd6dd7dc4126587396cca",
+    ("normal", 2**40 + 7): "5d8f0e356815aacde34f091bd4ddf02ec9cb673627e7f3e99939acf14f39ab70",
+    ("exponential", 12): "02e55310a01004d83f8242360219930d12b1db13e0d3c2907cbd56e1729bce73",
+    ("exponential", 2**40 + 7): "3c985f0296c98250c3e5cf295444417e428fa62c61603b6f47c10a328f0e3fd0",
+    ("integers-0-2", 12): "16330a04153412e0d108ab30be3b85cd874792888465041c09581169255e7663",
+    ("integers-0-2", 2**40 + 7): "44e75ecf7f87e224f327173784fff0a22143b2e841edb32e58fe27de89ae0d47",
+}
+
+PREFIX_DRAWS = {
+    "normal": lambda rng: rng.normal(0, 1, 64),
+    "exponential": lambda rng: rng.exponential(1, 64),
+    "integers-0-2": lambda rng: rng.integers(0, 2, 64),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(PREFIX_SHA256), ids=str)
+def test_draw_prefixes_give_the_pinned_values(name, seed):
+    values = PREFIX_DRAWS[name](np.random.default_rng(seed))
+    little = values.astype(values.dtype.newbyteorder("<"))  # float64, or int64 for integers
+    assert hashlib.sha256(little.tobytes()).hexdigest() == PREFIX_SHA256[(name, seed)]
+
+
+#: float.hex of cos(x) and cos(x) squared by float_power, at inputs that
+#: domain.qm_joint_prediction and optics' Malus split meet.
+LIBM_HEX = {
+    math.pi / 8: ("0x1.d906bcf328d46p-1", "0x1.b504f333f9de6p-1"),
+    0.3927: ("0x1.d906b1287e1d3p-1", "0x1.b504dd6a35436p-1"),
+    1.0: ("0x1.14a280fb5068cp-1", "0x1.2aeecd45646ffp-2"),
+    2.5: ("-0x1.9a2f7ef858b7dp-1", "0x1.489e15c1ad2b6p-1"),
+    1e6: ("0x1.df9df9906d32cp-1", "0x1.c14846b3438a1p-1"),
+}
+
+
+@pytest.mark.parametrize("x", list(LIBM_HEX), ids=float.hex)
+@pytest.mark.parametrize("shape", ["float", "array"])
+def test_cos_and_float_power_give_the_pinned_doubles(x, shape):
+    # numpy may take different loops for a Python float and an array, so both
+    # are pinned.
+    arg = x if shape == "float" else np.array([x])
+    cos = np.cos(arg)
+    square = np.float_power(cos, 2)
+    assert (float(np.ravel(cos)[0]).hex(), float(np.ravel(square)[0]).hex()) == LIBM_HEX[x]

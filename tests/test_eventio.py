@@ -98,6 +98,24 @@ def test_stream_column_contract():
         _stream(np.array([2**63], dtype=np.uint64))
 
 
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ("t_ns", "row 0: t_ns must be below 2**63, got 18446744073709551615"),
+        ("setting", "row 0: setting must be 0 or 1, got 18446744073709551615"),
+        ("channel", "row 0: channel must be +1 or -1, got 18446744073709551615"),
+    ],
+)
+def test_an_unsigned_value_past_int64_is_refused_with_its_true_value(column, message):
+    # Checked in its own dtype: 2**64 - 1 would wrap to -1 (a valid channel) in int64.
+    cols = {"t_ns": np.array([5], np.uint64), "setting": np.array([0], np.uint64),
+            "channel": np.array([1], np.uint64)}
+    cols[column] = np.array([2**64 - 1], np.uint64)
+    with pytest.raises(ValueError) as exc:
+        EventStream(**cols)
+    assert str(exc.value) == message
+
+
 def test_generator_config_validation():
     with pytest.raises(ValueError):
         _config(rate=0.0)
@@ -575,6 +593,17 @@ def test_generate_events_memory_per_pair_when_every_pair_leaves_two_records():
     streams, per_pair = _generated_peak_per_pair(0.5)
     assert len(streams.truth) == len(streams.events_a) == len(streams.events_b) == streams.n_pairs
     assert per_pair <= 55, per_pair
+
+
+def test_event_stream_checks_its_records_one_block_at_a_time():
+    # Typed columns are kept, so the check's masks of one block are all it
+    # allocates: ~65 KiB, where whole-column masks took 3 MiB.
+    n = 2**20
+    t_ns = np.arange(n, dtype=np.int64)
+    setting, channel = np.zeros(n, np.int8), np.ones(n, np.int8)
+    events, peak = _peak(lambda: EventStream(t_ns, setting, channel))
+    assert events.t_ns is t_ns
+    assert peak <= 256 * 1024, peak
 
 
 def test_read_events_holds_its_file_its_columns_and_one_block(tmp_path):

@@ -1,7 +1,9 @@
-"""The README's Library snippet runs, and gives the values its comments state."""
+"""The README's Library snippet runs, and gives the values its comments state;
+its config file and every command of its CLI block run."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,18 @@ def test_readme_config_file_runs(tmp_path, command):
     small = ("--steps", "3") if command == "scan" else ()
     assert main([command, "--config", str(cfg), *small, "--pairs", "100",
                  "--out", str(tmp_path / "o")]) == 0
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # Each `eprblab ...` line, in order (events match reads what events gen
+    # wrote), runs in a fresh directory and leaves a whole run record.
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+                if "\neprblab " in b]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("eprblab ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        out = argv[argv.index("--out") + 1]
+        assert (tmp_path / out / "manifest.json").is_file(), argv
